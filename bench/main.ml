@@ -550,8 +550,8 @@ let scaling () =
     \ virtually any size; hybrid cost should grow near-linearly;\n\
     \ jobs = %d worker domain(s) inside each run)\n\n"
     !jobs;
-  Printf.printf "%-8s %9s %9s %10s %10s %10s\n" "scale" "methods" "cg-nodes"
-    "frontend" "hybrid" "ci";
+  Printf.printf "%-8s %9s %9s %10s %10s %10s %10s\n" "scale" "methods"
+    "cg-nodes" "frontend" "triage" "hybrid" "ci";
   let a = Option.get (Apps.find "GridSphere") in
   (* rows stay sequential so each row's timing is uncontended; --jobs
      parallelizes the stages *inside* each load/run *)
@@ -562,6 +562,10 @@ let scaling () =
          Obs.Telemetry.timed (fun () -> Taj.load ~jobs:!jobs (Codegen.to_input g))
        in
        let st = Jir.Program.stats loaded.Taj.program in
+       let _, t_triage =
+         Obs.Telemetry.timed (fun () ->
+           Taj.triage ~rules:Rules.default_rules loaded)
+       in
        let time_of alg =
          match
            Obs.Telemetry.timed (fun () ->
@@ -572,8 +576,8 @@ let scaling () =
        in
        let t_hybrid, nodes = time_of Config.Hybrid_unbounded in
        let t_ci, _ = time_of Config.Ci_thin_slicing in
-       Printf.printf "%-8.3f %9d %9d %9.3fs %9.3fs %9.3fs\n" s
-         st.Jir.Program.st_app_methods nodes t_frontend t_hybrid t_ci)
+       Printf.printf "%-8.3f %9d %9d %9.3fs %9.3fs %9.3fs %9.3fs\n" s
+         st.Jir.Program.st_app_methods nodes t_frontend t_triage t_hybrid t_ci)
     [ 0.02; 0.05; 0.1; 0.2; 0.4 ]
 
 let ablate_bound_kind () =

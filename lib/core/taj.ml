@@ -187,12 +187,12 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
 (* ------------------------------------------------------------------ *)
 
 (* Bridge the security-rule set to the triage classifier: one matcher
-   (memoized internally) answers all of a call's rule interactions. *)
+   (memoized internally) answers all of a call target's rule
+   interactions. *)
 let triage ?tick ~(rules : Rules.rule list) (loaded : loaded) :
   Triage.verdict =
   let m = Rules.matcher loaded.program.Program.table in
-  let classify (c : Tac.call) =
-    let target = c.Tac.target in
+  let classify (target : Tac.mref) =
     let source_ret = ref [] and source_params = ref [] in
     let sinks = ref [] in
     let san_any = ref false and san_all = ref true in

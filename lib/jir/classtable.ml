@@ -159,17 +159,50 @@ let rec is_subclass t c d =
       Hashtbl.replace t.subclass_cache (c, d) r;
       r
 
-(** Concrete (non-abstract, non-interface) subclasses of [d], including [d]
-    itself if concrete. Used for framework modeling ("all compatible subtypes
-    of ActionForm", §4.2.2). *)
-let concrete_subtypes t d =
-  Hashtbl.fold
-    (fun name c acc ->
-       if c.cl_kind = Class_kind && not c.cl_abstract && is_subclass t name d
-       then name :: acc
-       else acc)
-    t.classes []
-  |> List.sort String.compare
+(** Concrete (non-abstract, non-interface) subtypes of [d], including [d]
+    itself if concrete, sorted: exactly the classes [c] with
+    [is_subclass t c d]. Used for framework modeling ("all compatible
+    subtypes of ActionForm", §4.2.2) and CHA dispatch in the triage.
+
+    Staged: [subtype_index t] indexes each supertype to its direct
+    subtypes (over [cl_super] and [cl_ifaces]) in one pass over the
+    table; each query then walks the descendants of [d] and is memoized.
+    A supertype missing from the table still links its subtypes. The
+    index is a snapshot of the table when it was built. *)
+let subtype_index t : string -> string list =
+  let children = Hashtbl.create (Hashtbl.length t.classes) in
+  let concrete = ref [] in
+  Hashtbl.iter
+    (fun name c ->
+       if c.cl_kind = Class_kind && not c.cl_abstract then
+         concrete := name :: !concrete;
+       Option.iter (fun s -> Hashtbl.add children s name) c.cl_super;
+       List.iter (fun i -> Hashtbl.add children i name) c.cl_ifaces)
+    t.classes;
+  let all_concrete = List.sort String.compare !concrete in
+  let memo = Hashtbl.create 64 in
+  fun d ->
+    if String.equal d "Object" then all_concrete
+    else
+      match Hashtbl.find_opt memo d with
+      | Some subs -> subs
+      | None ->
+        let seen = Hashtbl.create 16 in
+        let acc = ref [] in
+        let rec walk c =
+          if not (Hashtbl.mem seen c) then begin
+            Hashtbl.add seen c ();
+            (match Hashtbl.find_opt t.classes c with
+             | Some cls when cls.cl_kind = Class_kind && not cls.cl_abstract ->
+               acc := c :: !acc
+             | _ -> ());
+            List.iter walk (Hashtbl.find_all children c)
+          end
+        in
+        walk d;
+        let subs = List.sort String.compare !acc in
+        Hashtbl.add memo d subs;
+        subs
 
 (* ------------------------------------------------------------------ *)
 (* Resolution                                                         *)

@@ -60,9 +60,13 @@ val add_decl : t -> library:bool -> Ast.decl -> unit
     Reflexive; everything is a subtype of ["Object"]. *)
 val is_subclass : t -> string -> string -> bool
 
-(** Concrete (non-abstract class) subtypes of a class or interface,
-    sorted by name. *)
-val concrete_subtypes : t -> string -> string list
+(** [subtype_index t d]: the concrete (non-abstract class) subtypes of
+    class or interface [d], [d] included, sorted by name — the classes
+    [c] with [is_subclass t c d]. Partially apply to build the reverse
+    hierarchy index once (one pass over the table) and answer many
+    queries, each a memoized walk of [d]'s descendants. The index is a
+    snapshot: build it after the last {!add_decl}. *)
+val subtype_index : t -> string -> string list
 
 (** Resolve a field to its declaring class, walking up the hierarchy. *)
 val resolve_field : t -> string -> string -> finfo option

@@ -141,10 +141,11 @@ let rec gen_maker table ~max_depth ~depth ~(made : (string, unit) Hashtbl.t)
     Returns MJava source text to load as (synthetic) application code. *)
 let synthesize ?(cast_constraints = []) (table : Classtable.t)
     (d : descriptor) : string =
+  let subtypes = Classtable.subtype_index table in
   (* every concrete HttpServlet subtype is an entrypoint, declared or not *)
   let declared = d.servlets in
   let auto =
-    Classtable.concrete_subtypes table "HttpServlet"
+    subtypes "HttpServlet"
     |> List.filter (fun c -> c <> "HttpServlet" && not (List.mem c declared))
   in
   let servlets =
@@ -158,7 +159,7 @@ let synthesize ?(cast_constraints = []) (table : Classtable.t)
     List.concat_map
       (fun (_, action, form) ->
          let subs =
-           Classtable.concrete_subtypes table form
+           subtypes form
            |> List.filter (fun c -> Classtable.mem table c)
          in
          (* keep only subtypes compatible with the action's observed casts *)

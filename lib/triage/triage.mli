@@ -1,9 +1,21 @@
 (** Type-based taint triage: a flow-insensitive type-qualifier inference
     over the class table and the JIR, in the spirit of practical
-    [@Tainted]/[@Untainted] checkers. No pointer analysis, no SDG — a
-    worklist fixpoint over per-method register qualifiers plus a handful
+    [@Tainted]/[@Untainted] checkers. No pointer analysis, no SDG —
+    round-robin passes over per-method register qualifiers plus a handful
     of coarse global channels (field bits by name, one array-contents
-    bit, one thrown-value bit, one tainted-source-contents bit).
+    bit, one thrown-value bit, one tainted-source-contents bit), until a
+    pass changes nothing.
+
+    The solver first compiles the program once into an int-indexed form:
+    methods numbered in sorted-id order, field names interned, and each
+    call site carrying its rule classification, its dictionary operation
+    as field ids, its CHA callees as method indices and its native
+    transfer summaries. CHA dispatch asks {!Jir.Classtable.subtype_index},
+    built once per run. Each distinct call target is classified once.
+    Cost: one compile pass over the instructions, plus, per distinct
+    virtual receiver class, its descendants in the hierarchy; then
+    passes × instructions, with the pass count bounded by the longest
+    dependency chain (three on every Table-2 app).
 
     The inference deliberately {e over}-approximates the propagation of
     the full tabulation engine: every channel the engine can move taint
@@ -72,21 +84,22 @@ type stats = {
   s_skippable : int;         (** methods the pre-filter may skip *)
   s_tainted_methods : int;   (** methods holding a non-[Untainted] register *)
   s_findings : int;
-  s_passes : int;            (** fixpoint sweeps over the program *)
+  s_passes : int;            (** round-robin passes over the program *)
   s_seconds : float;
 }
 
 type verdict
 
-(** Run the inference to fixpoint. [classify] maps each call to its
-    rule interactions (see {!call_rules}); [issue_of_rule] names the
-    issue a rule reports (for findings). [tick] is a fault-injection
-    hook invoked once per method sweep — an exception it raises escapes
-    [infer] and is the caller's to contain. *)
+(** Run the inference to fixpoint. [classify] maps a call target to its
+    rule interactions (see {!call_rules}) and is asked once per distinct
+    target; [issue_of_rule] names the issue a rule reports (for
+    findings). [tick] is a fault-injection hook invoked once per method
+    sweep — an exception it raises escapes [infer] and is the caller's
+    to contain. *)
 val infer :
   ?tick:(unit -> unit) ->
   ?issue_of_rule:(string -> string) ->
-  classify:(Jir.Tac.call -> call_rules) ->
+  classify:(Jir.Tac.mref -> call_rules) ->
   Jir.Program.t ->
   verdict
 
