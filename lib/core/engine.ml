@@ -60,64 +60,73 @@ let mode_of (config : Config.t) : Sdg.Tabulation.mode =
       Sdg.Tabulation.max_heap_transitions = config.Config.max_heap_transitions;
       max_steps = config.Config.max_slice_steps }
 
+(* The run's one call-target resolution: every call statement of the SDG
+   with the canonical id of its target, each distinct target resolved
+   once through [m]. Rules filter this one list instead of resolving the
+   call statements again. *)
+let resolve_calls (m : Rules.matcher) (b : Sdg.Builder.t) :
+  (Sdg.Stmt.t * Tac.call * string) list =
+  List.map
+    (fun (s, (c : Tac.call)) -> (s, c, Rules.canonical m c.Tac.target))
+    (Sdg.Builder.all_call_stmts b)
+
+(* The loads of the objects register [v] of call statement [s] points to. *)
+let pointee_loads (b : Sdg.Builder.t) (s : Sdg.Stmt.t) v =
+  Int_set.fold
+    (fun ik acc -> Sdg.Builder.loads_of_ik b ~ik @ acc)
+    (Sdg.Builder.pts_of_var b ~node:s.Sdg.Stmt.node v)
+    []
+
 (* Seeds for one rule: source call statements (return taint) and, for
    by-reference sources, the loads reading the tainted parameter's object. *)
-let seeds_of (b : Sdg.Builder.t) (m : Rules.matcher) (rule : Rules.rule) :
-  Sdg.Stmt.t list =
+let seeds_of (b : Sdg.Builder.t) calls (rule : Rules.rule) : Sdg.Stmt.t list =
   List.concat_map
-    (fun (s, (c : Tac.call)) ->
-       match Rules.source_of m rule c.Tac.target with
+    (fun (s, (c : Tac.call), id) ->
+       match Rules.source_of_id rule id with
        | Some { Rules.src_kind = Rules.Tainted_return; _ } ->
          (* when the source returns a container (e.g. a parameter array),
             its contents are tainted too: seed the loads of its pointees *)
-         let content_loads =
-           match c.Tac.ret with
-           | Some r ->
-             let pts = Sdg.Builder.pts_of_var b ~node:s.Sdg.Stmt.node r in
-             Int_set.fold
-               (fun ik acc -> Sdg.Builder.loads_of_ik b ~ik @ acc)
-               pts []
-           | None -> []
-         in
-         s :: content_loads
+         s :: (match c.Tac.ret with Some r -> pointee_loads b s r | None -> [])
        | Some { Rules.src_kind = Rules.Taints_param i; _ } ->
          (match List.nth_opt c.Tac.args i with
-          | Some arg ->
-            let pts = Sdg.Builder.pts_of_var b ~node:s.Sdg.Stmt.node arg in
-            Int_set.fold
-              (fun ik acc -> Sdg.Builder.loads_of_ik b ~ik @ acc)
-              pts []
+          | Some arg -> pointee_loads b s arg
           | None -> [])
        | None -> [])
-    (Sdg.Builder.all_call_stmts b)
+    calls
+
+(* Instance keys reachable from the sensitive arguments of sink call [c]
+   at [s] (§4.1.1 steps 1-2), bounded by the nested-taint depth
+   (§6.2.3); [None] when those arguments point nowhere. *)
+let sink_reach (b : Sdg.Builder.t) (hg : Pointer.Heapgraph.t)
+    (s : Sdg.Stmt.t) (c : Tac.call) (sink : Rules.sink) ~depth =
+  let roots =
+    List.fold_left
+      (fun acc i ->
+         match List.nth_opt c.Tac.args i with
+         | Some arg ->
+           Int_set.union acc
+             (Sdg.Builder.pts_of_var b ~node:s.Sdg.Stmt.node arg)
+         | None -> acc)
+      Int_set.empty sink.Rules.snk_params
+  in
+  if Int_set.is_empty roots then None
+  else Some (Pointer.Heapgraph.reachable hg ~depth roots)
 
 (* Sink call statements with the instance keys reachable from their
-   sensitive arguments (§4.1.1 steps 1-2), bounded by the nested-taint
-   depth (§6.2.3). *)
-let carrier_sets_of (b : Sdg.Builder.t) (hg : Pointer.Heapgraph.t)
-    (m : Rules.matcher) (rule : Rules.rule) ~depth :
-  (Sdg.Stmt.t * Tac.mref * Int_set.t) list =
+   sensitive arguments. *)
+let carrier_sets_of (b : Sdg.Builder.t) (hg : Pointer.Heapgraph.t) calls
+    (rule : Rules.rule) ~depth : (Sdg.Stmt.t * Tac.mref * Int_set.t) list =
   if depth = 0 then []
   else
     List.filter_map
-      (fun (s, (c : Tac.call)) ->
-         match Rules.sink_of m rule c.Tac.target with
+      (fun (s, (c : Tac.call), id) ->
+         match Rules.sink_of_id rule id with
          | None -> None
          | Some sink ->
-           let roots =
-             List.fold_left
-               (fun acc i ->
-                  match List.nth_opt c.Tac.args i with
-                  | Some arg ->
-                    Int_set.union acc
-                      (Sdg.Builder.pts_of_var b ~node:s.Sdg.Stmt.node arg)
-                  | None -> acc)
-               Int_set.empty sink.Rules.snk_params
-           in
-           if Int_set.is_empty roots then None
-           else
-             Some (s, c.Tac.target, Pointer.Heapgraph.reachable hg ~depth roots))
-      (Sdg.Builder.all_call_stmts b)
+           Option.map
+             (fun reach -> (s, c.Tac.target, reach))
+             (sink_reach b hg s c sink ~depth))
+      calls
 
 let dedup_path (path : Sdg.Stmt.t list) =
   let rec go = function
@@ -136,7 +145,7 @@ let dedup_path (path : Sdg.Stmt.t list) =
    read-only SDG, so they parallelize exactly like the per-rule stage;
    the index-ordered merge keeps flow order (and thus the report)
    byte-identical across job counts. Never drops a flow. *)
-let refine_flows ~jobs ~interrupt ~(prog : Program.t)
+let refine_flows ~jobs ~interrupt ~(id_of : Tac.mref -> string)
     ~(builder : Sdg.Builder.t) ~(heapgraph : Pointer.Heapgraph.t)
     ~(config : Config.t) (flows : Flows.t list) :
   Flows.t list * refine_summary * bool =
@@ -147,39 +156,21 @@ let refine_flows ~jobs ~interrupt ~(prog : Program.t)
   in
   let depth = config.Config.nested_taint_depth in
   let refine_one (fl : Flows.t) =
-    (* fresh matcher per task: its resolution memo is private, sharing one
-       across domains would race *)
-    let m = Rules.matcher prog.Program.table in
     let rule = fl.Flows.fl_rule in
-    let sink_reach =
-      if depth = 0 then Int_set.empty
+    let reach =
+      if depth = 0 then None
       else
-        match Sdg.Builder.call_of builder fl.Flows.fl_sink with
-        | None -> Int_set.empty
-        | Some c ->
-          (match Rules.sink_of m rule c.Tac.target with
-           | None -> Int_set.empty
-           | Some sink ->
-             let roots =
-               List.fold_left
-                 (fun acc i ->
-                    match List.nth_opt c.Tac.args i with
-                    | Some arg ->
-                      Int_set.union acc
-                        (Sdg.Builder.pts_of_var builder
-                           ~node:fl.Flows.fl_sink.Sdg.Stmt.node arg)
-                    | None -> acc)
-                 Int_set.empty sink.Rules.snk_params
-             in
-             if Int_set.is_empty roots then Int_set.empty
-             else Pointer.Heapgraph.reachable heapgraph ~depth roots)
+        Option.bind (Sdg.Builder.call_of builder fl.Flows.fl_sink) (fun c ->
+          Option.bind (Rules.sink_of_id rule (id_of c.Tac.target)) (fun sink ->
+            sink_reach builder heapgraph fl.Flows.fl_sink c sink ~depth))
     in
     let callbacks =
       { Sdg.Refine.is_sink_arg =
-          (fun target i -> Rules.is_sink_arg m rule target i);
-        is_sanitizer = (fun target -> Rules.is_sanitizer m rule target);
+          (fun target i -> Rules.is_sink_arg_id rule (id_of target) i);
+        is_sanitizer =
+          (fun target -> Rules.is_sanitizer_id rule (id_of target));
         sanitizer_passthrough = config.Config.contexts;
-        sink_reach }
+        sink_reach = Option.value reach ~default:Int_set.empty }
     in
     let verdict, stats =
       Sdg.Refine.replay ~interrupt builder ~limits ~callbacks
@@ -271,24 +262,28 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
       pr_fault = None;
       pr_summary_edges = [] }
   in
+  (* The run's one call-target resolution, built on first use; the
+     tabulation and refinement callbacks read the same matcher without
+     writing it. *)
+  let m = Rules.matcher prog.Program.table in
+  let resolution = lazy (resolve_calls m builder) in
+  let id_of = Rules.canonical_readonly m in
   let run_rule rule =
     Telemetry.with_span "taint.rule"
       ~args:[ ("rule", rule.Rules.rule_name) ]
     @@ fun () ->
-    (* each task builds its own matcher: the matcher memoizes canonical
-       method resolutions in a private table, so sharing one across
-       domains would race *)
-    let m = Rules.matcher prog.Program.table in
     let filtered = ref 0 in
-    let seeds = seeds_of builder m rule in
+    let calls = Lazy.force resolution in
+    let seeds = seeds_of builder calls rule in
     let carrier_sets =
-      carrier_sets_of builder heapgraph m rule
+      carrier_sets_of builder heapgraph calls rule
         ~depth:config.Config.nested_taint_depth
     in
     let callbacks =
       { Sdg.Tabulation.is_sink_arg =
-          (fun target i -> Rules.is_sink_arg m rule target i);
-        is_sanitizer = (fun target -> Rules.is_sanitizer m rule target);
+          (fun target i -> Rules.is_sink_arg_id rule (id_of target) i);
+        is_sanitizer =
+          (fun target -> Rules.is_sanitizer_id rule (id_of target));
         sanitizer_passthrough = config.Config.contexts;
         carrier_sets }
     in
@@ -366,9 +361,10 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
   let results =
     if jobs <= 1 then List.map guarded rules
     else begin
-      (* rules slice over a shared, read-only SDG: force its lazy memo
-         indexes now so worker domains never write to it *)
+      (* rules slice over a shared, read-only SDG and resolution: force
+         their lazy parts now so worker domains never write to them *)
       Sdg.Builder.precompute builder;
+      ignore (Lazy.force resolution);
       Parallel.map ~jobs guarded rules
     end
   in
@@ -377,7 +373,7 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
   let flows, refined, interrupted =
     if config.Config.refine && flows <> [] then begin
       let flows, summary, refine_interrupted =
-        refine_flows ~jobs ~interrupt ~prog ~builder ~heapgraph ~config flows
+        refine_flows ~jobs ~interrupt ~id_of ~builder ~heapgraph ~config flows
       in
       (* an interrupt mid-refinement demotes the remaining flows to
          Plausible and surfaces through the normal partial-result path —

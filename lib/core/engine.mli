@@ -40,6 +40,15 @@ type outcome = {
 (** Slicing mode implied by a configuration. *)
 val mode_of : Config.t -> Sdg.Tabulation.mode
 
+(** The call-target resolution {!run} builds once per run: every call
+    statement of the SDG with the canonical id of its target, each
+    distinct target resolved once through the matcher
+    ({!Rules.canonical}). Every rule's seeds and carrier sets filter this
+    list, and the tabulation and refinement callbacks read the matcher it
+    filled. *)
+val resolve_calls :
+  Rules.matcher -> Sdg.Builder.t -> (Sdg.Stmt.t * Jir.Tac.call * string) list
+
 (** Run every rule. [interrupt]/[on_heap_transition] are threaded into the
     slicer (deadline polling and fault injection). A rule that raises is
     isolated: it contributes no flows plus a [Rule_failed] diagnostic.
@@ -48,8 +57,8 @@ val mode_of : Config.t -> Sdg.Tabulation.mode
     produce — sound only when the caller has proven the rule matches no
     source call in the program (see [Triage.rule_has_source]).
     With [jobs > 1] the rules run on a {!Parallel.map} domain pool over the
-    shared read-only SDG (its shared caches are warmed first; per-node
-    indexes are memoized domain-locally); the merged
+    shared read-only SDG and call-target resolution (both are built or
+    warmed first; per-node indexes are memoized domain-locally); the merged
     outcome is structurally identical to the sequential one, and
     [jobs <= 1] (the default) is exactly the sequential loop. *)
 val run :

@@ -130,53 +130,68 @@ let default_rules = [ xss; sqli; command_injection; malicious_file; info_leak ]
 (* Matching                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(** A call target's role in one rule, asked by its canonical id. A caller
+    that resolved a target once asks every rule through these. *)
+let source_of_id (rule : rule) (id : string) : source option =
+  List.find_opt (fun s -> String.equal s.src_method id) rule.sources
+
+let sink_of_id (rule : rule) (id : string) : sink option =
+  List.find_opt (fun s -> String.equal s.snk_method id) rule.sinks
+
+let is_sink_arg_id (rule : rule) (id : string) (i : int) =
+  List.exists
+    (fun s -> String.equal s.snk_method id && List.mem i s.snk_params)
+    rule.sinks
+
+let is_sanitizer_id (rule : rule) (id : string) =
+  List.exists (String.equal id) rule.sanitizers
+
 (** A matcher canonicalizes call targets through the class hierarchy and
     answers rule-membership queries. Memoized per target. *)
 type matcher = {
   table : Classtable.t;
-  canon : (string, string) Hashtbl.t;
+  canon : (Tac.mref, string) Hashtbl.t;
 }
 
 let matcher (table : Classtable.t) : matcher =
   { table; canon = Hashtbl.create 256 }
 
+let resolve table (target : Tac.mref) =
+  match
+    Classtable.lookup_method table target.Tac.rclass target.Tac.rname
+      target.Tac.rarity
+  with
+  | Some mi -> Tac.id mi.Classtable.mi_class target.Tac.rname target.Tac.rarity
+  | None -> Tac.mref_id target
+
 (** Canonical method id of a call target: the declaring class of the method
     the static target resolves to. *)
 let canonical (m : matcher) (target : Tac.mref) : string =
-  let key = Tac.mref_id target in
-  match Hashtbl.find_opt m.canon key with
+  match Hashtbl.find_opt m.canon target with
   | Some c -> c
   | None ->
-    let c =
-      match
-        Classtable.lookup_method m.table target.Tac.rclass target.Tac.rname
-          target.Tac.rarity
-      with
-      | Some mi ->
-        Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class target.Tac.rname
-          target.Tac.rarity
-      | None -> key
-    in
-    Hashtbl.replace m.canon key c;
+    let c = resolve m.table target in
+    Hashtbl.replace m.canon target c;
     c
 
+(** [canonical] without recording: a target [m] has not resolved yet is
+    resolved afresh, so readers on several domains can share [m]. *)
+let canonical_readonly (m : matcher) (target : Tac.mref) : string =
+  match Hashtbl.find_opt m.canon target with
+  | Some c -> c
+  | None -> resolve m.table target
+
 let source_of (m : matcher) (rule : rule) (target : Tac.mref) : source option =
-  let c = canonical m target in
-  List.find_opt (fun s -> String.equal s.src_method c) rule.sources
+  source_of_id rule (canonical m target)
 
 let is_sink_arg (m : matcher) (rule : rule) (target : Tac.mref) (i : int) =
-  let c = canonical m target in
-  List.exists
-    (fun s -> String.equal s.snk_method c && List.mem i s.snk_params)
-    rule.sinks
+  is_sink_arg_id rule (canonical m target) i
 
 let sink_of (m : matcher) (rule : rule) (target : Tac.mref) : sink option =
-  let c = canonical m target in
-  List.find_opt (fun s -> String.equal s.snk_method c) rule.sinks
+  sink_of_id rule (canonical m target)
 
 let is_sanitizer (m : matcher) (rule : rule) (target : Tac.mref) =
-  let c = canonical m target in
-  List.exists (String.equal c) rule.sanitizers
+  is_sanitizer_id rule (canonical m target)
 
 (** The canonical id of [target] if any rule in [rules] lists it as a
     sanitizer, [None] otherwise. The single sanitizer-identity question
@@ -187,12 +202,7 @@ let is_sanitizer (m : matcher) (rule : rule) (target : Tac.mref) =
 let sanitizer_of (m : matcher) (rules : rule list) (target : Tac.mref) :
   string option =
   let c = canonical m target in
-  if
-    List.exists
-      (fun r -> List.exists (String.equal c) r.sanitizers)
-      rules
-  then Some c
-  else None
+  if List.exists (fun r -> is_sanitizer_id r c) rules then Some c else None
 
 (** Does any rule regard this method id as a source? Used to seed the
     priority-driven call-graph construction (§6.1). *)
@@ -213,9 +223,5 @@ let is_source_method_id (rules : rule list) (m : matcher) (id : string) =
        (match rarity with
         | None -> false
         | Some rarity ->
-          let target = { Tac.rclass; rname; rarity } in
-          let c = canonical m target in
-          List.exists
-            (fun r ->
-               List.exists (fun s -> String.equal s.src_method c) r.sources)
-            rules))
+          let c = canonical m { Tac.rclass; rname; rarity } in
+          List.exists (fun r -> source_of_id r c <> None) rules))

@@ -40,15 +40,34 @@ val info_leak : rule
 (** The rule set covering the four OWASP vectors the paper targets. *)
 val default_rules : rule list
 
+(** {1 Queries by canonical id}
+
+    A call target's role in one rule, asked by its canonical id
+    ({!canonical}). A caller that resolved a target once asks every rule
+    through these; the per-target queries below are the same questions
+    behind one {!canonical} call each. *)
+
+val source_of_id : rule -> string -> source option
+val sink_of_id : rule -> string -> sink option
+val is_sink_arg_id : rule -> string -> int -> bool
+val is_sanitizer_id : rule -> string -> bool
+
+(** {1 Queries by call target} *)
+
 (** A matcher canonicalizes call targets through the class hierarchy and
-    answers rule-membership queries (memoized). *)
+    answers rule-membership queries (memoized per target). *)
 type matcher
 
 val matcher : Jir.Classtable.t -> matcher
 
 (** Canonical method id of a call target: the declaring class of the method
-    the static target resolves to. *)
+    the static target resolves to. A memo hit formats nothing. *)
 val canonical : matcher -> Jir.Tac.mref -> string
+
+(** {!canonical} that never writes the memo: a target the matcher has not
+    resolved yet is resolved afresh and not recorded. Readers on several
+    domains may share one matcher this way once no domain writes it. *)
+val canonical_readonly : matcher -> Jir.Tac.mref -> string
 
 val source_of : matcher -> rule -> Jir.Tac.mref -> source option
 val is_sink_arg : matcher -> rule -> Jir.Tac.mref -> int -> bool

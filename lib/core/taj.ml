@@ -186,29 +186,29 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
 (* Type-based triage (rung zero / pre-filter)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Bridge the security-rule set to the triage classifier: one matcher
-   (memoized internally) answers all of a call target's rule
-   interactions. *)
+(* Bridge the security-rule set to the triage classifier: each call
+   target is resolved once, and every rule is asked by its canonical id. *)
 let triage ?tick ~(rules : Rules.rule list) (loaded : loaded) :
   Triage.verdict =
   let m = Rules.matcher loaded.program.Program.table in
   let classify (target : Tac.mref) =
+    let id = Rules.canonical m target in
     let source_ret = ref [] and source_params = ref [] in
     let sinks = ref [] in
     let san_any = ref false and san_all = ref true in
     List.iter
       (fun (rule : Rules.rule) ->
-         (match Rules.source_of m rule target with
+         (match Rules.source_of_id rule id with
           | Some { Rules.src_kind = Rules.Tainted_return; _ } ->
             source_ret := rule.Rules.rule_name :: !source_ret
           | Some { Rules.src_kind = Rules.Taints_param i; _ } ->
             source_params := (i, rule.Rules.rule_name) :: !source_params
           | None -> ());
-         (match Rules.sink_of m rule target with
+         (match Rules.sink_of_id rule id with
           | Some snk ->
             sinks := (rule.Rules.rule_name, snk.Rules.snk_params) :: !sinks
           | None -> ());
-         if Rules.is_sanitizer m rule target then san_any := true
+         if Rules.is_sanitizer_id rule id then san_any := true
          else san_all := false)
       rules;
     { Triage.cr_source_ret = List.rev !source_ret;

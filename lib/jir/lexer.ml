@@ -25,7 +25,11 @@ let keywords =
     "throws"; "break"; "continue"; "instanceof"; "switch"; "case"; "default";
     "do" ]
 
-let is_keyword s = List.mem s keywords
+(* spelling -> the spelling itself, so a keyword token shares one string *)
+let keyword_table =
+  let t = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace t k k) keywords;
+  t
 
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = '$'
@@ -34,9 +38,22 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 
 let is_digit c = c >= '0' && c <= '9'
 
-(* Multi-character punctuation, longest first so greedy matching is correct. *)
-let puncts2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "++"; "--"; "+="; "-="; "*="; "/=" ]
+(* Operators and delimiters, spelled once each. A two-character operator
+   is recognized from its two characters; [""] means "not one". *)
+let punct2 c d =
+  match c, d with
+  | '=', '=' -> "==" | '!', '=' -> "!=" | '<', '=' -> "<=" | '>', '=' -> ">="
+  | '&', '&' -> "&&" | '|', '|' -> "||" | '+', '+' -> "++" | '-', '-' -> "--"
+  | '+', '=' -> "+=" | '-', '=' -> "-=" | '*', '=' -> "*=" | '/', '=' -> "/="
+  | _ -> ""
+
+let punct1 = function
+  | '{' -> "{" | '}' -> "}" | '(' -> "(" | ')' -> ")" | '[' -> "["
+  | ']' -> "]" | ';' -> ";" | ',' -> "," | '.' -> "." | '=' -> "="
+  | '+' -> "+" | '-' -> "-" | '*' -> "*" | '/' -> "/" | '%' -> "%"
+  | '<' -> "<" | '>' -> ">" | '!' -> "!" | '?' -> "?" | ':' -> ":"
+  | '&' -> "&" | '|' -> "|"
+  | _ -> ""
 
 let tokenize (src : string) : token located list =
   let n = String.length src in
@@ -70,16 +87,28 @@ let tokenize (src : string) : token located list =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       let s = String.sub src start (!i - start) in
-      emit (if is_keyword s then KW s else IDENT s) p
+      emit
+        (match Hashtbl.find_opt keyword_table s with
+         | Some k -> KW k
+         | None -> IDENT s)
+        p
     end
     else if is_digit c then begin
       let p = pos !i in
       let start = !i in
-      while !i < n && is_digit src.[!i] do incr i done;
-      let s = String.sub src start (!i - start) in
-      (match int_of_string_opt s with
-       | Some v -> emit (INT v) p
-       | None -> raise (Lex_error ("integer literal too large: " ^ s, p)))
+      (* the value as [int_of_string] reads the digits: at most [max_int] *)
+      let v = ref 0 and overflow = ref false in
+      while !i < n && is_digit src.[!i] do
+        let d = Char.code src.[!i] - Char.code '0' in
+        if !v > (max_int - d) / 10 then overflow := true
+        else v := (!v * 10) + d;
+        incr i
+      done;
+      if !overflow then begin
+        let s = String.sub src start (!i - start) in
+        raise (Lex_error ("integer literal too large: " ^ s, p))
+      end;
+      emit (INT !v) p
     end
     else if c = '"' then begin
       let p = pos !i in
@@ -125,19 +154,13 @@ let tokenize (src : string) : token located list =
     end
     else begin
       let p = pos !i in
-      let two =
-        if !i + 1 < n then Some (String.sub src !i 2) else None
-      in
-      match two with
-      | Some s when List.mem s puncts2 -> emit (PUNCT s) p; i := !i + 2
-      | _ ->
-        (match c with
-         | '{' | '}' | '(' | ')' | '[' | ']' | ';' | ',' | '.' | '='
-         | '+' | '-' | '*' | '/' | '%' | '<' | '>' | '!' | '?' | ':'
-         | '&' | '|' ->
-           emit (PUNCT (String.make 1 c)) p; incr i
-         | _ ->
-           raise (Lex_error (Printf.sprintf "unexpected character %C" c, p)))
+      let two = if !i + 1 < n then punct2 c src.[!i + 1] else "" in
+      if two <> "" then (emit (PUNCT two) p; i := !i + 2)
+      else
+        match punct1 c with
+        | "" ->
+          raise (Lex_error (Printf.sprintf "unexpected character %C" c, p))
+        | one -> emit (PUNCT one) p; incr i
     end
   done;
   emit EOF (pos n);

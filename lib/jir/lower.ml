@@ -506,7 +506,7 @@ and lower_call env pos (c : call) : Tac.var =
        emit_call ~kind:Tac.Static ~target ~args:(argvs ()) ~ret_typ:()
      | _ ->
        if Classtable.mem table cls then
-         errorf pos "unknown static method %s.%s/%d" cls c.mname nargs
+         errorf pos "unknown static method %s" (Tac.id cls c.mname nargs)
        else
          (* call on an unknown class: synthesize an opaque static target *)
          let target = { Tac.rclass = cls; rname = c.mname; rarity = nargs } in
@@ -754,7 +754,7 @@ let bind_params env ~is_static ~cls params =
 let lower_method prog ~library ~synthetic ~cls (md : method_decl) : Tac.meth =
   let is_static = has_mod Static md.md_mods in
   let arity = List.length md.md_params + if is_static then 0 else 1 in
-  let meth_id = Printf.sprintf "%s.%s/%d" cls md.md_name arity in
+  let meth_id = Tac.id cls md.md_name arity in
   let env = make_env prog ~cls ~meth_id ~is_static ~library ~synthetic in
   bind_params env ~is_static ~cls md.md_params;
   let entry = new_block env in
@@ -778,7 +778,7 @@ let lower_method prog ~library ~synthetic ~cls (md : method_decl) : Tac.meth =
 let lower_ctor prog ~library ~synthetic ~cls ~(fields : field_decl list)
     (cd : ctor_decl) : Tac.meth =
   let arity = List.length cd.cd_params + 1 in
-  let meth_id = Printf.sprintf "%s.<init>/%d" cls arity in
+  let meth_id = Tac.id cls "<init>" arity in
   let env = make_env prog ~cls ~meth_id ~is_static:false ~library ~synthetic in
   bind_params env ~is_static:false ~cls cd.cd_params;
   let entry = new_block env in

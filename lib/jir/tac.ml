@@ -92,9 +92,14 @@ type meth = {
   m_has_body : bool;            (** false for native/abstract declarations *)
 }
 
-let method_id (m : meth) = Printf.sprintf "%s.%s/%d" m.m_class m.m_name m.m_arity
+(** The id of method [name] with [arity] formals in class [cls]:
+    ["cls.name/arity"]. Every method and call-target id is built here. *)
+let id cls name arity =
+  String.concat "" [ cls; "."; name; "/"; string_of_int arity ]
 
-let mref_id (r : mref) = Printf.sprintf "%s.%s/%d" r.rclass r.rname r.rarity
+let method_id (m : meth) = id m.m_class m.m_name m.m_arity
+
+let mref_id (r : mref) = id r.rclass r.rname r.rarity
 
 let pp_const ppf = function
   | Cint v -> Fmt.int ppf v

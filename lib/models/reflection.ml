@@ -136,7 +136,7 @@ let make_dispatcher (prog : Program.t) ~idx ~arity
   let n = List.length candidates in
   assert (n >= 1);
   let name = Printf.sprintf "dispatch$%d" idx in
-  let meth_id = Printf.sprintf "$Reflect.%s/%d" name arity in
+  let meth_id = Tac.id "$Reflect" name arity in
   let nv = ref arity in
   let fresh () = let v = !nv in incr nv; v in
   let args = List.init arity (fun i -> i) in

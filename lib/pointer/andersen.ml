@@ -99,6 +99,7 @@ type t = {
   field_writers : (Keys.field, Int_set.t ref) Hashtbl.t;
   field_readers : (Keys.field, Int_set.t ref) Hashtbl.t;
   const_cache : (string, Tac.var -> string option) Hashtbl.t;
+  source_meths : (string, bool) Hashtbl.t;     (* method id -> calls a source *)
   stats : stats;
   default_prio : int;
 }
@@ -172,17 +173,26 @@ let add_edge t ?filter src dst =
 (* Priorities (§6.1)                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* asked once per method, not once per clone *)
 let method_contains_source t (m : Tac.meth) =
-  Array.exists
-    (fun (b : Tac.block) ->
-       Array.exists
-         (fun ins ->
-            match ins with
-            | Tac.Call { target; _ } ->
-              t.cfg.is_source_method (Tac.mref_id target)
-            | _ -> false)
-         b.Tac.instrs)
-    m.Tac.m_blocks
+  let id = Tac.method_id m in
+  match Hashtbl.find_opt t.source_meths id with
+  | Some b -> b
+  | None ->
+    let b =
+      Array.exists
+        (fun (b : Tac.block) ->
+           Array.exists
+             (fun ins ->
+                match ins with
+                | Tac.Call { target; _ } ->
+                  t.cfg.is_source_method (Tac.mref_id target)
+                | _ -> false)
+             b.Tac.instrs)
+        m.Tac.m_blocks
+    in
+    Hashtbl.add t.source_meths id b;
+    b
 
 let priority_of t node =
   match Hashtbl.find_opt t.prio node with
@@ -271,9 +281,7 @@ let find_impl t (mref : Tac.mref) ~runtime_class : Tac.meth option =
     (match Classtable.dispatch t.prog.Program.table cls mref.Tac.rname
              mref.Tac.rarity with
      | Some mi ->
-       direct
-         (Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class mref.Tac.rname
-            mref.Tac.rarity)
+       direct (Tac.id mi.Classtable.mi_class mref.Tac.rname mref.Tac.rarity)
      | None -> None)
   | None ->
     (* static or fixed-class special: program registry first (synthetic
@@ -285,8 +293,7 @@ let find_impl t (mref : Tac.mref) ~runtime_class : Tac.meth option =
                 mref.Tac.rname mref.Tac.rarity with
         | Some mi ->
           direct
-            (Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class mref.Tac.rname
-               mref.Tac.rarity)
+            (Tac.id mi.Classtable.mi_class mref.Tac.rname mref.Tac.rarity)
         | None -> None))
 
 let ret_type_of t (mref : Tac.mref) : Ast.typ option =
@@ -382,8 +389,8 @@ let dispatch_one t (vc : vcall) ikid =
                vc.vc_target.Tac.rname vc.vc_target.Tac.rarity with
        | Some mi ->
          Program.find_method t.prog
-           (Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class
-              vc.vc_target.Tac.rname vc.vc_target.Tac.rarity)
+           (Tac.id mi.Classtable.mi_class vc.vc_target.Tac.rname
+              vc.vc_target.Tac.rarity)
        | None -> None)
     | None -> find_impl t vc.vc_target ~runtime_class:(Some runtime_class)
   in
@@ -685,8 +692,28 @@ let next_pending t : int option =
     in
     loop ()
 
+(* An id predicate answered once per id. *)
+let memo_by_id (f : string -> bool) =
+  let answers = Hashtbl.create 256 in
+  fun id ->
+    match Hashtbl.find_opt answers id with
+    | Some b -> b
+    | None ->
+      let b = f id in
+      Hashtbl.add answers id b;
+      b
+
 let create ?(config : config option) (prog : Program.t) : t =
   let cfg = match config with Some c -> c | None -> default_config () in
+  (* both predicates are pure functions of the id (andersen.mli): each
+     is asked once per id per run *)
+  let cfg =
+    { cfg with
+      is_source_method = memo_by_id cfg.is_source_method;
+      policy =
+        { cfg.policy with
+          Policy.taint_api = memo_by_id cfg.policy.Policy.taint_api } }
+  in
   let default_prio =
     match cfg.max_nodes with Some m -> m | None -> max_int / 2
   in
@@ -709,6 +736,7 @@ let create ?(config : config option) (prog : Program.t) : t =
     field_writers = Hashtbl.create 256;
     field_readers = Hashtbl.create 256;
     const_cache = Hashtbl.create 256;
+    source_meths = Hashtbl.create 256;
     stats =
       { nodes_processed = 0; dropped_calls = 0; propagations = 0;
         dispatches = 0 };

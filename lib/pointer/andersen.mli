@@ -10,7 +10,9 @@ type config = {
   policy : Policy.t;
   max_nodes : int option;              (** §6.1 call-graph node budget *)
   prioritized : bool;                  (** priority-driven vs chaotic *)
-  is_source_method : string -> bool;   (** taint sources, for priorities *)
+  is_source_method : string -> bool;
+      (** taint sources, for priorities. Must be a pure function of the
+          method id: {!run} asks it once per id *)
   excluded_class : string -> bool;     (** whitelisted library code *)
   max_work : int option;
       (** hard budget on propagation steps; exceeding it raises

@@ -10,7 +10,8 @@ type t = {
       (** method ids analyzed with one level of call-string context *)
   taint_api : string -> bool;
       (** taint-specific APIs (sources/sanitizers/sinks) also get
-          call-string context *)
+          call-string context. Must be a pure function of the method id:
+          {!Andersen.run} asks it once per id *)
   object_sensitive : bool;
       (** false degrades the policy to context-insensitive everywhere *)
   deep_heap : bool;

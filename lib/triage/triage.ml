@@ -195,8 +195,8 @@ let compile ~(classify : Tac.mref -> call_rules) (prog : Program.t) =
       List.iter
         (fun (mi : Classtable.minfo) ->
            let id =
-             Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class
-               mi.Classtable.mi_name mi.Classtable.mi_arity
+             Tac.id mi.Classtable.mi_class mi.Classtable.mi_name
+               mi.Classtable.mi_arity
            in
            if not (Hashtbl.mem seen id) then begin
              Hashtbl.add seen id ();

@@ -153,6 +153,76 @@ let test_flow_length_correlation () =
     true
     (rate short_t short_f > rate long_t long_f)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned reports                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of each app's rendered report (the bytes the result tier stores),
+   recorded before name resolution was shared across layers. The other
+   harnesses compare one configuration with another; these pins catch a
+   change that moves every configuration alike. *)
+let pin_scale = 0.02
+
+let pinned_hybrid =
+  [ ("A", "955522d0ee2a0b75e887ab98cbec5e1b");
+    ("B", "892776b22bb426f350b47718d4b0aca0");
+    ("Blojsom", "5dc1870fd65adea540e963e4cbdf06af");
+    ("BlueBlog", "73e3de0c4bd798cd6d5e0947e2b41ee0");
+    ("Dlog", "45309b64ec5d38294d482adc7edc2c95");
+    ("Friki", "f569a083af76f239ee061fb0dfa6a207");
+    ("GestCV", "3b2f0ade659696afeb83ad7b3e7efc99");
+    ("Ginp", "1837aeceb66c9ce6915bf9a03b91d099");
+    ("GridSphere", "964727410ec2ce514c2af25c529f0fc9");
+    ("I", "0865d248a536b4defe4094fcdf8cf220");
+    ("JSPWiki", "6cee12c9490a0c0ff4ad72a6792da4ea");
+    ("Lutece", "6ef797f932f72cda64232f8226bb7420");
+    ("MVNForum", "f14d5a09b9746924bac5857b5782b194");
+    ("PersonalBlog", "c9212101a7487330f536c6322ffa54d6");
+    ("Roller", "1370896556fb555761b0ae9452626a32");
+    ("S", "946c6672655b3aacf494ffc9dc602806");
+    ("SBM", "3074eb6e42f644d1576fa048808ef4ee");
+    ("SnipSnap", "29b03ee5efb7e862c993d53c82d15731");
+    ("SPLC", "b9d50b64a32b46c2ae6de497780a4c75");
+    ("ST", "a3aa4192d7281fec976410db190cf557");
+    ("VQWiki", "4346b8842492e7d7339f526d955d8ef6");
+    ("Webgoat", "f12d135139b3787f8477997262bd4134");
+    ("CtxForum", "76c2cb8303830b3653ca6ca3e9a386fd");
+    ("CtxGallery", "8e2e8509415aa297e9c0c4cdec71cbd4");
+    ("CtxLedger", "f79e618358f6626d94dab0723a8152a6") ]
+
+(* the three Ctx apps again with refinement and contexts on *)
+let pinned_precise =
+  [ ("CtxForum", "488aad5c2a5d1595f074fb78b2b585ba");
+    ("CtxGallery", "2b36997637f8b97b942c047a935e4b79");
+    ("CtxLedger", "cd921c9b12c4457543038c9341ff79f6") ]
+
+let report_md5 config (a : Apps.app) =
+  let g = Apps.generate ~scale:pin_scale a in
+  match (Taj.analyze ~jobs:1 ~config (Codegen.to_input g)).Taj.result with
+  | Taj.Completed c ->
+    Digest.to_hex
+      (Digest.string (Cache.Incr.render_report c.Taj.builder c.Taj.report))
+  | Taj.Did_not_complete reason -> "did not complete: " ^ reason
+
+let check_pins ~what config pins apps =
+  Alcotest.(check (list string)) (what ^ ": every app pinned")
+    (List.map fst pins)
+    (List.map (fun (a : Apps.app) -> a.Apps.name) apps);
+  List.iter
+    (fun (a : Apps.app) ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s %s: report digest" what a.Apps.name)
+         (List.assoc a.Apps.name pins) (report_md5 config a))
+    apps
+
+let test_pinned_reports () =
+  let hybrid = Config.preset ~scale:pin_scale Config.Hybrid_unbounded in
+  check_pins ~what:"hybrid" hybrid pinned_hybrid
+    (Apps.table2 @ Apps.contexts_apps);
+  check_pins ~what:"refine+contexts"
+    { hybrid with Config.refine = true; contexts = true }
+    pinned_precise Apps.contexts_apps
+
 let suite =
   [ Alcotest.test_case "hybrid/CI soundness agreement" `Slow
       test_hybrid_ci_soundness_agreement;
@@ -164,4 +234,5 @@ let suite =
     Alcotest.test_case "priority beats chaotic" `Slow
       test_priority_beats_chaotic;
     Alcotest.test_case "flow length correlation" `Slow
-      test_flow_length_correlation ]
+      test_flow_length_correlation;
+    Alcotest.test_case "pinned report digests" `Slow test_pinned_reports ]

@@ -16,14 +16,30 @@ let mref cls name arity = { Tac.rclass = cls; rname = name; rarity = arity }
 
 let test_canonicalization_through_subclass () =
   let table =
-    table_of [ "class MyRequest extends HttpServletRequest { }" ]
+    table_of
+      [ "class MyRequest extends HttpServletRequest { }";
+        "class Out { public String w(String a) { return a; } \
+         public String w(String a, String b) { return b; } }";
+        "class SubOut extends Out { }" ]
   in
   let m = Rules.matcher table in
   Alcotest.(check string) "subclass target resolves to declaring class"
     "HttpServletRequest.getParameter/2"
     (Rules.canonical m (mref "MyRequest" "getParameter" 2));
   Alcotest.(check string) "unknown class stays as written" "Ghost.spook/1"
-    (Rules.canonical m (mref "Ghost" "spook" 1))
+    (Rules.canonical m (mref "Ghost" "spook" 1));
+  (* the memo tells targets apart by class, name and arity *)
+  List.iter
+    (fun (cls, arity, expected) ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s.w/%d" cls arity)
+         expected
+         (Rules.canonical m (mref cls "w" arity)))
+    [ ("SubOut", 2, "Out.w/2"); ("SubOut", 3, "Out.w/3");
+      ("Out", 3, "Out.w/3"); ("SubOut", 2, "Out.w/2") ];
+  Alcotest.(check string) "a read-only query resolves what the memo lacks"
+    "HttpServletRequest.getHeader/2"
+    (Rules.canonical_readonly m (mref "MyRequest" "getHeader" 2))
 
 let test_source_matching () =
   let table = table_of [] in
@@ -100,6 +116,63 @@ let test_priority_seed_predicate () =
     (is_source "PrintWriter.println/2");
   Alcotest.(check bool) "garbage id" false (is_source "not-a-method-id")
 
+(* The resolution [Engine.run] builds once per run gives every call
+   statement of the 25 apps the answers the per-query functions give:
+   source kind, sink parameters and sanitizer flag, for every default
+   rule. The reference asks a fresh matcher per query, and the id is
+   rebuilt with the format the one id builder replaced. *)
+let test_resolution_agreement () =
+  let scale = 0.02 in
+  List.iter
+    (fun (a : Workloads.Apps.app) ->
+       let name = a.Workloads.Apps.name in
+       let g = Workloads.Apps.generate ~scale a in
+       let prog = (Taj.load (Workloads.Codegen.to_input g)).Taj.program in
+       let table = prog.Program.table in
+       let builder = Sdg.Builder.build prog (Pointer.Andersen.run prog) in
+       let m = Rules.matcher table in
+       let calls = Engine.resolve_calls m builder in
+       Alcotest.(check bool) (name ^ ": call statements resolved") true
+         (calls <> []);
+       List.iter
+         (fun (_, (c : Tac.call), id) ->
+            let t = c.Tac.target in
+            let reference_id =
+              match
+                Classtable.lookup_method table t.Tac.rclass t.Tac.rname
+                  t.Tac.rarity
+              with
+              | Some mi ->
+                Printf.sprintf "%s.%s/%d" mi.Classtable.mi_class t.Tac.rname
+                  t.Tac.rarity
+              | None ->
+                Printf.sprintf "%s.%s/%d" t.Tac.rclass t.Tac.rname t.Tac.rarity
+            in
+            let ctx = Printf.sprintf "%s: %s" name reference_id in
+            Alcotest.(check string) (ctx ^ ": canonical id") reference_id id;
+            Alcotest.(check string) (ctx ^ ": callbacks read the same id") id
+              (Rules.canonical_readonly m t);
+            List.iter
+              (fun (rule : Rules.rule) ->
+                 let reference = Rules.matcher table in
+                 let ctx = ctx ^ " / " ^ rule.Rules.rule_name in
+                 Alcotest.(check bool) (ctx ^ ": source kind") true
+                   (Rules.source_of_id rule id
+                    = Rules.source_of reference rule t);
+                 Alcotest.(check (option (list int))) (ctx ^ ": sink params")
+                   (Option.map
+                      (fun s -> s.Rules.snk_params)
+                      (Rules.sink_of reference rule t))
+                   (Option.map
+                      (fun s -> s.Rules.snk_params)
+                      (Rules.sink_of_id rule id));
+                 Alcotest.(check bool) (ctx ^ ": sanitizer flag")
+                   (Rules.is_sanitizer reference rule t)
+                   (Rules.is_sanitizer_id rule id))
+              Rules.default_rules)
+         calls)
+    (Workloads.Apps.table2 @ Workloads.Apps.contexts_apps)
+
 let suite =
   [ Alcotest.test_case "canonicalization" `Quick
       test_canonicalization_through_subclass;
@@ -109,4 +182,6 @@ let suite =
     Alcotest.test_case "overriding subclass sanitizer" `Quick
       test_overriding_subclass_sanitizer;
     Alcotest.test_case "priority seed predicate" `Quick
-      test_priority_seed_predicate ]
+      test_priority_seed_predicate;
+    Alcotest.test_case "per-run resolution agrees with per-query" `Slow
+      test_resolution_agreement ]
