@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 
 (* The compiler version salts the header because entry payloads are
    Marshal streams, which are only stable within one compiler version. *)

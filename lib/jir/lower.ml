@@ -763,7 +763,8 @@ let lower_method prog ~library ~synthetic ~cls (md : method_decl) : Tac.meth =
    | Some body -> List.iter (lower_stmt env) body
    | None -> ());
   set_term env (Tac.Return None);
-  { Tac.m_class = cls;
+  { Tac.m_id = meth_id;
+    m_class = cls;
     m_name = md.md_name;
     m_arity = arity;
     m_static = is_static;
@@ -814,7 +815,8 @@ let lower_ctor prog ~library ~synthetic ~cls ~(fields : field_decl list)
     fields;
   List.iter (lower_stmt env) cd.cd_body;
   set_term env (Tac.Return None);
-  { Tac.m_class = cls;
+  { Tac.m_id = meth_id;
+    m_class = cls;
     m_name = "<init>";
     m_arity = arity;
     m_static = false;
@@ -834,7 +836,7 @@ let lower_clinit prog ~library ~cls (fields : field_decl list) : Tac.meth option
   in
   if static_inits = [] then None
   else begin
-    let meth_id = Printf.sprintf "%s.<clinit>/0" cls in
+    let meth_id = Tac.id cls "<clinit>" 0 in
     let env =
       make_env prog ~cls ~meth_id ~is_static:true ~library ~synthetic:true
     in
@@ -850,7 +852,8 @@ let lower_clinit prog ~library ~cls (fields : field_decl list) : Tac.meth option
       static_inits;
     set_term env (Tac.Return None);
     Some
-      { Tac.m_class = cls;
+      { Tac.m_id = meth_id;
+        m_class = cls;
         m_name = "<clinit>";
         m_arity = 0;
         m_static = true;

@@ -79,6 +79,7 @@ type block = {
 }
 
 type meth = {
+  m_id : string;                (** [id m_class m_name m_arity], built once *)
   m_class : string;
   m_name : string;
   m_arity : int;                (** number of formals incl. receiver *)
@@ -97,7 +98,7 @@ type meth = {
 let id cls name arity =
   String.concat "" [ cls; "."; name; "/"; string_of_int arity ]
 
-let method_id (m : meth) = id m.m_class m.m_name m.m_arity
+let method_id (m : meth) = m.m_id
 
 let mref_id (r : mref) = id r.rclass r.rname r.rarity
 

@@ -181,7 +181,8 @@ let make_dispatcher (prog : Program.t) ~idx ~arity
              (List.combine candidates rets));
         [| exit |] ]
   in
-  { Tac.m_class = "$Reflect";
+  { Tac.m_id = meth_id;
+    m_class = "$Reflect";
     m_name = name;
     m_arity = arity;
     m_static = true;

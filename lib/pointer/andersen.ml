@@ -68,6 +68,14 @@ type vcall = {
   mutable vc_native_done : bool;
 }
 
+(* Subset edges already added: (src, dst, filter class). *)
+module Edge_tbl = Hashtbl.Make (struct
+    type t = int * int * string option
+    let equal (s, d, f) (s', d', f') =
+      s = s' && d = d' && Option.equal String.equal f f'
+    let hash (s, d, _) = Keys.mix s d
+  end)
+
 type base_constraint =
   | Cb_load of { fields : Keys.field list; dst : int; mutable seen : Int_set.t }
   | Cb_store of { fields : Keys.field list; src : int; mutable seen : Int_set.t }
@@ -87,7 +95,7 @@ type t = {
   mutable interrupted : bool;                          (* stopped by cfg.interrupt *)
   mutable pts : Int_set.t array;                       (* pk -> iks *)
   mutable succ : (int * string option) list array;     (* pk -> edges *)
-  edge_seen : (int * int * string option, unit) Hashtbl.t;
+  edge_seen : unit Edge_tbl.t;
   base_cs : (int, base_constraint list ref) Hashtbl.t; (* pk -> constraints *)
   vcalls : (int, vcall list ref) Hashtbl.t;            (* recv pk -> calls *)
   mutable dirty : bool array;                          (* pk in worklist? *)
@@ -128,7 +136,10 @@ let pk t key =
   ensure_capacity t id;
   id
 
-let pk_var t node v = pk t (Keys.Pk_var (node, v))
+let pk_var t node v =
+  let id = Keys.pk_var t.u node v in
+  ensure_capacity t id;
+  id
 
 let pts t p = t.pts.(p)
 
@@ -149,8 +160,9 @@ let class_passes_filter t cls = function
   | Some f -> Classtable.is_subclass t.prog.Program.table cls f
 
 let add_edge t ?filter src dst =
-  if not (Hashtbl.mem t.edge_seen (src, dst, filter)) then begin
-    Hashtbl.replace t.edge_seen (src, dst, filter) ();
+  let key = (src, dst, filter) in
+  if not (Edge_tbl.mem t.edge_seen key) then begin
+    Edge_tbl.replace t.edge_seen key ();
     t.succ.(src) <- (dst, filter) :: t.succ.(src);
     (* flow existing facts immediately *)
     if not (Int_set.is_empty t.pts.(src)) then begin
@@ -467,14 +479,19 @@ let add_vcall t recv_pk (vc : vcall) =
 (* Constraint generation per node                                     *)
 (* ------------------------------------------------------------------ *)
 
-let const_of t (m : Tac.meth) =
+(* The string constant a register of [m] is bound to: one def-sites pass
+   per method, forced by the first dictionary access that asks. *)
+let const_of t (m : Tac.meth) v =
   let id = Tac.method_id m in
-  match Hashtbl.find_opt t.const_cache id with
-  | Some f -> f
-  | None ->
-    let f = Models.Dict_model.const_of_meth m in
-    Hashtbl.replace t.const_cache id f;
-    f
+  let f =
+    match Hashtbl.find_opt t.const_cache id with
+    | Some f -> f
+    | None ->
+      let f = Models.Dict_model.const_of_meth m in
+      Hashtbl.replace t.const_cache id f;
+      f
+  in
+  f v
 
 let note_field_access t node f ~write =
   let table = if write then t.field_writers else t.field_readers in
@@ -488,9 +505,9 @@ let note_field_access t node f ~write =
   in
   set := Int_set.add node !set
 
-let add_call_constraints t node (c : Tac.call) const_of_var =
+let add_call_constraints t node (m : Tac.meth) (c : Tac.call) =
   let caller = node in
-  match Models.Dict_model.classify ~const_of:const_of_var c with
+  match Models.Dict_model.classify ~const_of:(const_of t m) c with
   | Some (Models.Dict_model.Dict_put { recv; key; value }) ->
     let fields =
       List.map Keys.field_of_tac (Models.Dict_model.put_fields key)
@@ -545,7 +562,6 @@ let add_node_constraints t node =
   let m = n.Callgraph.n_method in
   let ctx = n.Callgraph.n_ctx in
   let cvar = pk_var t node in
-  let const_of_var = const_of t m in
   let string_ik = Keys.ik t.u Keys.Ik_string in
   Array.iter
     (fun (b : Tac.block) ->
@@ -607,7 +623,7 @@ let add_node_constraints t node =
               (* the runtime can always throw, independent of application
                  throw statements (§4.1.2 leak modeling) *)
               add_ik t (cvar v) (Keys.ik t.u (Keys.Ik_exn exn_cls))
-            | Tac.Call c -> add_call_constraints t node c const_of_var)
+            | Tac.Call c -> add_call_constraints t node m c)
          b.Tac.instrs;
        (match b.Tac.term with
         | Tac.Return (Some v) ->
@@ -724,7 +740,7 @@ let create ?(config : config option) (prog : Program.t) : t =
     interrupted = false;
     pts = Array.make 1024 Int_set.empty;
     succ = Array.make 1024 [];
-    edge_seen = Hashtbl.create 4096;
+    edge_seen = Edge_tbl.create 4096;
     base_cs = Hashtbl.create 1024;
     vcalls = Hashtbl.create 1024;
     dirty = Array.make 1024 false;
@@ -784,14 +800,15 @@ let run ?config (prog : Program.t) : t =
 
 (** Points-to set of a register in a method clone (instance-key ids). *)
 let pts_var t ~node v =
-  match Keys.Pk_interner.find_opt t.u.Keys.pks (Keys.Pk_var (node, v)) with
-  | Some p -> Int_set.elements (pts t p)
-  | None -> []
+  let p = Keys.find_var t.u node v in
+  if p >= 0 then pts t p else Int_set.empty
 
 let pts_key t key =
-  match Keys.Pk_interner.find_opt t.u.Keys.pks key with
-  | Some p -> Int_set.elements (pts t p)
-  | None -> []
+  match Keys.find_pk t.u key with
+  | Some p -> pts t p
+  | None -> Int_set.empty
+
+let pts_id t p = pts t p
 
 let inst_key t ikid = Keys.ik_of t.u ikid
 

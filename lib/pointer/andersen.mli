@@ -25,6 +25,8 @@ type config = {
 
 exception Out_of_budget
 
+module Int_set : Set.S with type elt = int and type t = Set.Make(Int).t
+
 val default_config : ?policy:Policy.t -> unit -> config
 
 type stats = {
@@ -41,11 +43,20 @@ type t
     [max_work] is exceeded. *)
 val run : ?config:config -> Jir.Program.t -> t
 
-(** Points-to set of a register in a method clone, as instance-key ids. *)
-val pts_var : t -> node:int -> Jir.Tac.var -> int list
+(** Points-to set of a register in a method clone, as instance-key ids:
+    the solver's own set, not a copy. *)
+val pts_var : t -> node:int -> Jir.Tac.var -> Int_set.t
 
 (** Points-to set of an arbitrary pointer key. *)
-val pts_key : t -> Keys.ptr_key -> int list
+val pts_key : t -> Keys.ptr_key -> Int_set.t
+
+(** Points-to set of a pointer-key id of {!universe}. *)
+val pts_id : t -> int -> Int_set.t
+
+(** The string constant register [v] of method [m] is bound to, if any
+    ({!Models.Dict_model.const_of_meth}), memoized per method for the
+    run. *)
+val const_of : t -> Jir.Tac.meth -> Jir.Tac.var -> string option
 
 (** Decode an instance-key id. *)
 val inst_key : t -> int -> Keys.inst_key

@@ -18,13 +18,28 @@ type node = {
   n_ctx : Keys.context;
 }
 
+(* Method clones: (method id, context). *)
+module Clone_tbl = Hashtbl.Make (struct
+    type t = string * Keys.context
+    let equal (m, c) (m', c') = String.equal m m' && Keys.equal_context c c'
+    let hash (m, c) = Keys.mix (Hashtbl.hash m) (Keys.hash_context c)
+  end)
+
+(* (caller, site) keys. [iter_edges] iterates [edges] and [taj dot]
+   prints that order, so the hash is the polymorphic table's. *)
+module Site_tbl = Hashtbl.Make (struct
+    type t = int * int
+    let equal (c, s) (c', s') = c = c' && s = s'
+    let hash = Hashtbl.hash
+  end)
+
 type t = {
   mutable nodes : node array;
   mutable node_count : int;
-  intern : (string * Keys.context, int) Hashtbl.t;
-  edges : (int * int, Int_set.t ref) Hashtbl.t;       (* (caller, site) -> callees *)
+  intern : int Clone_tbl.t;
+  edges : Int_set.t ref Site_tbl.t;                   (* (caller, site) -> callees *)
   rev_edges : (int, Int_set.t ref) Hashtbl.t;         (* callee -> callers *)
-  native_calls : (int * int, Jir.Tac.mref list ref) Hashtbl.t;
+  native_calls : Jir.Tac.mref list ref Site_tbl.t;
   out_nodes : (int, Int_set.t ref) Hashtbl.t;         (* caller -> callees *)
   mutable edge_count : int;
 }
@@ -32,10 +47,10 @@ type t = {
 let create () =
   { nodes = [||];
     node_count = 0;
-    intern = Hashtbl.create 1024;
-    edges = Hashtbl.create 4096;
+    intern = Clone_tbl.create 1024;
+    edges = Site_tbl.create 4096;
     rev_edges = Hashtbl.create 1024;
-    native_calls = Hashtbl.create 256;
+    native_calls = Site_tbl.create 256;
     out_nodes = Hashtbl.create 1024;
     edge_count = 0 }
 
@@ -43,14 +58,14 @@ let node_count t = t.node_count
 let node t i = t.nodes.(i)
 let edge_count t = t.edge_count
 
-let find_node t meth_id ctx = Hashtbl.find_opt t.intern (meth_id, ctx)
+let find_node t meth_id ctx = Clone_tbl.find_opt t.intern (meth_id, ctx)
 
 (** Get or create the node for a method clone. [fresh] is called exactly
     when a new node is created (used to enqueue pending constraint work). *)
 let ensure_node t (m : Jir.Tac.meth) (ctx : Keys.context)
     ~(fresh : int -> unit) : int =
   let key = (Jir.Tac.method_id m, ctx) in
-  match Hashtbl.find_opt t.intern key with
+  match Clone_tbl.find_opt t.intern key with
   | Some i -> i
   | None ->
     let i = t.node_count in
@@ -63,18 +78,18 @@ let ensure_node t (m : Jir.Tac.meth) (ctx : Keys.context)
     end;
     t.nodes.(i) <- n;
     t.node_count <- i + 1;
-    Hashtbl.replace t.intern key i;
+    Clone_tbl.replace t.intern key i;
     Obs.Telemetry.incr m_nodes_created;
     fresh i;
     i
 
 let add_edge t ~caller ~site ~callee =
   let set =
-    match Hashtbl.find_opt t.edges (caller, site) with
+    match Site_tbl.find_opt t.edges (caller, site) with
     | Some s -> s
     | None ->
       let s = ref Int_set.empty in
-      Hashtbl.replace t.edges (caller, site) s;
+      Site_tbl.replace t.edges (caller, site) s;
       s
   in
   if not (Int_set.mem callee !set) then begin
@@ -105,22 +120,22 @@ let add_edge t ~caller ~site ~callee =
 
 let add_native_call t ~caller ~site ~(target : Jir.Tac.mref) =
   let lst =
-    match Hashtbl.find_opt t.native_calls (caller, site) with
+    match Site_tbl.find_opt t.native_calls (caller, site) with
     | Some l -> l
     | None ->
       let l = ref [] in
-      Hashtbl.replace t.native_calls (caller, site) l;
+      Site_tbl.replace t.native_calls (caller, site) l;
       l
   in
   if not (List.mem target !lst) then lst := target :: !lst
 
 let callees t ~caller ~site =
-  match Hashtbl.find_opt t.edges (caller, site) with
+  match Site_tbl.find_opt t.edges (caller, site) with
   | Some s -> Int_set.elements !s
   | None -> []
 
 let native_targets t ~caller ~site =
-  match Hashtbl.find_opt t.native_calls (caller, site) with
+  match Site_tbl.find_opt t.native_calls (caller, site) with
   | Some l -> !l
   | None -> []
 
@@ -141,7 +156,7 @@ let iter_nodes t f =
   done
 
 let iter_edges t f =
-  Hashtbl.iter
+  Site_tbl.iter
     (fun (caller, site) set ->
        Int_set.iter (fun callee -> f ~caller ~site ~callee) !set)
     t.edges

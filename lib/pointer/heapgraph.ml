@@ -23,7 +23,7 @@ let build (a : Andersen.t) : t =
   for p = 0 to Keys.pk_count u - 1 do
     match Keys.pk_of u p with
     | Keys.Pk_field (ikid, f) ->
-      let pointees = Int_set.of_list (Andersen.pts_key a (Keys.Pk_field (ikid, f))) in
+      let pointees = Andersen.pts_id a p in
       if not (Int_set.is_empty pointees) then begin
         let prev = Option.value ~default:[] (Hashtbl.find_opt fields_of ikid) in
         Hashtbl.replace fields_of ikid ((f, pointees) :: prev)

@@ -27,9 +27,17 @@ type use =
   | U_returned
   | U_thrown of Stmt.t
 
+(** How a register is used as a base pointer: exactly the uses the
+    def/use index omits, for the refinement replay. *)
+type base_use =
+  | B_field of Stmt.t * Keys.field     (** load/aload: stmt consumes the field *)
+  | B_dict of Stmt.t * Keys.field list (** dict get: any of these fields *)
+
 type node_index = {
   ni_def : (Tac.var, Stmt.t) Hashtbl.t;
   ni_uses : (Tac.var, use list) Hashtbl.t;
+  mutable ni_base : base_use list array option;
+      (* base-pointer uses per register, built on first use *)
 }
 
 (** A node index in node-relative coordinates ({!Stmt.kind} instead of
@@ -169,7 +177,7 @@ let build_node_index t (n : int) : node_index =
           add_use ni_uses v (U_thrown s)
         | Tac.Return None | Tac.Goto _ | Tac.If _ | Tac.Unreachable -> ()))
     m.Tac.m_blocks;
-  { ni_def; ni_uses }
+  { ni_def; ni_uses; ni_base = None }
 
 (* Node-relative strip/rebind for the persistent def/use cache. A
    round trip ([materialize ~node (strip ni)]) reproduces the exact
@@ -209,7 +217,7 @@ let materialize_summary ~node (s : defuse_summary) : node_index =
   List.iter
     (fun (v, us) -> Hashtbl.replace ni_uses v (List.map abs_use us))
     s.ds_uses;
-  { ni_def; ni_uses }
+  { ni_def; ni_uses; ni_base = None }
 
 (* The def/use indexes are memoized per node, on demand: most nodes are
    never touched by a slice, so forcing them all up front costs more
@@ -270,6 +278,56 @@ let def_of t ~node v = Hashtbl.find_opt (node_index t node).ni_def v
 let uses_of t ~node v =
   Option.value ~default:[] (Hashtbl.find_opt (node_index t node).ni_uses v)
 
+(* One scan of the node for loads, array loads and dictionary gets, each
+   register's uses in program order. *)
+let build_base_uses t n =
+  let m = node_meth t n in
+  let acc = Array.make m.Tac.m_nvars [] in
+  let record base u =
+    if base >= 0 && base < Array.length acc then acc.(base) <- u :: acc.(base)
+  in
+  Array.iteri
+    (fun bi (blk : Tac.block) ->
+       Array.iteri
+         (fun i instr ->
+            match instr with
+            | Tac.Load (_, o, f) ->
+              record o
+                (B_field (Stmt.instr ~node:n ~block:bi ~index:i,
+                          Keys.field_of_tac f))
+            | Tac.Aload (_, a, _) ->
+              record a
+                (B_field (Stmt.instr ~node:n ~block:bi ~index:i,
+                          Keys.elem_field))
+            | Tac.Call _ ->
+              let stmt = Stmt.instr ~node:n ~block:bi ~index:i in
+              (match Hashtbl.find_opt t.dict_ops stmt with
+               | Some (Models.Dict_model.Dict_get { recv; key; _ }) ->
+                 record recv
+                   (B_dict
+                      (stmt,
+                       List.map Keys.field_of_tac
+                         (Models.Dict_model.get_fields key)))
+               | Some (Models.Dict_model.Dict_put _) | None -> ())
+            | _ -> ())
+         blk.Tac.instrs)
+    m.Tac.m_blocks;
+  Array.map List.rev acc
+
+(** The base-pointer uses of register [v] in node [n], in program order.
+    Built per node on the first call, in the node's def/use index. *)
+let base_uses_of t ~node v =
+  let ni = node_index t node in
+  let base =
+    match ni.ni_base with
+    | Some base -> base
+    | None ->
+      let base = build_base_uses t node in
+      ni.ni_base <- Some base;
+      base
+  in
+  if v >= 0 && v < Array.length base then base.(v) else []
+
 (** The register whose value a statement defines. *)
 let def_var t (s : Stmt.t) : Tac.var option =
   match s.Stmt.kind with
@@ -308,8 +366,7 @@ type writes =
   | W_static of Keys.field
   | W_none
 
-let pts_of_var t ~node v =
-  Int_set.of_list (Pointer.Andersen.pts_var t.a ~node v)
+let pts_of_var t ~node v = Pointer.Andersen.pts_var t.a ~node v
 
 (** What heap locations a store-like statement writes. *)
 let writes_of t (s : Stmt.t) : writes =
@@ -434,7 +491,7 @@ let thread_ids_of t node =
 
 let scan_node t n =
   let m = node_meth t n in
-  let const_of = Models.Dict_model.const_of_meth m in
+  let const_of = Pointer.Andersen.const_of t.a m in
   Array.iteri
     (fun bi (b : Tac.block) ->
        Array.iteri

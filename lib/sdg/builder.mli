@@ -95,6 +95,17 @@ val uses_of : t -> node:int -> Jir.Tac.var -> use list
 (** The register whose value a statement defines. *)
 val def_var : t -> Stmt.t -> Jir.Tac.var option
 
+(** How a register is used as a base pointer: exactly the uses the
+    def/use index omits (§3.2). *)
+type base_use =
+  | B_field of Stmt.t * Keys.field     (** load/aload: stmt consumes the field *)
+  | B_dict of Stmt.t * Keys.field list (** dict get: any of these fields *)
+
+(** The base-pointer uses of register [v] in node [node], in program
+    order. Built per node on first use, under the same per-domain memo
+    as {!uses_of}, so runs that never ask pay nothing. *)
+val base_uses_of : t -> node:int -> Jir.Tac.var -> base_use list
+
 type writes =
   | W_instance of (Int_set.t * Keys.field list)  (** base pts, fields *)
   | W_static of Keys.field

@@ -97,12 +97,6 @@ exception Stop_confirmed
 exception Out_of_budget
 exception Interrupted_exn
 
-(* How a register is used as a *base* pointer — exactly the uses the
-   thin-slicing builder omits (§3.2), re-indexed here per node on demand. *)
-type base_use =
-  | B_field of Stmt.t * Keys.field   (** load/aload: stmt consumes the field *)
-  | B_dict of Stmt.t * Keys.field list (** dict get: any of these fields *)
-
 type state = {
   b : Builder.t;
   lim : limits;
@@ -112,7 +106,6 @@ type state = {
   interrupt : unit -> bool;
   queue : fact Queue.t;
   seen : (fact, unit) Hashtbl.t;
-  base_memo : (int * Tac.var, base_use list) Hashtbl.t;
   mutable steps : int;
   mutable heap_transitions : int;
   mutable widened : bool;
@@ -145,59 +138,6 @@ let push_field st f path =
   | None ->
     st.widened <- true;
     None
-
-(* ------------------------------------------------------------------ *)
-(* Base-pointer use index                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* The builder's use index deliberately has no base-pointer uses; scan the
-   node's blocks for them. Memoized per (node, register) by scanning the
-   whole node once. *)
-let base_uses st ~node v =
-  match Hashtbl.find_opt st.base_memo (node, v) with
-  | Some l -> l
-  | None ->
-    let m = Builder.node_meth st.b node in
-    let acc : (Tac.var, base_use list ref) Hashtbl.t = Hashtbl.create 16 in
-    let record base u =
-      match Hashtbl.find_opt acc base with
-      | Some r -> r := u :: !r
-      | None -> Hashtbl.replace acc base (ref [ u ])
-    in
-    Array.iteri
-      (fun bi (blk : Tac.block) ->
-         Array.iteri
-           (fun i instr ->
-              let stmt = Stmt.instr ~node ~block:bi ~index:i in
-              match instr with
-              | Tac.Load (_, o, f) ->
-                record o (B_field (stmt, Keys.field_of_tac f))
-              | Tac.Aload (_, a, _) -> record a (B_field (stmt, Keys.elem_field))
-              | Tac.Call _ ->
-                (match Builder.dict_op_of st.b stmt with
-                 | Some (Models.Dict_model.Dict_get { recv; key; _ }) ->
-                   let fields =
-                     List.map Keys.field_of_tac
-                       (Models.Dict_model.get_fields key)
-                   in
-                   record recv (B_dict (stmt, fields))
-                 | Some (Models.Dict_model.Dict_put _) | None -> ())
-              | _ -> ())
-           blk.Tac.instrs)
-      m.Tac.m_blocks;
-    (* cache every register of the node, including the empty ones, so the
-       scan happens once per node *)
-    for r = 0 to m.Tac.m_nvars - 1 do
-      let uses =
-        match Hashtbl.find_opt acc r with
-        | Some l -> List.rev !l
-        | None -> []
-      in
-      Hashtbl.replace st.base_memo (node, r) uses
-    done;
-    (match Hashtbl.find_opt st.base_memo (node, v) with
-     | Some l -> l
-     | None -> [])
 
 (* ------------------------------------------------------------------ *)
 (* Transitions                                                         *)
@@ -386,15 +326,15 @@ let process_fact st (fact : fact) =
       (* base-pointer uses: loads/dict-gets through this register consume
          the outermost field of π *)
       List.iter
-        (fun u ->
+        (fun (u : Builder.base_use) ->
            match u with
-           | B_field (stmt, f) ->
+           | Builder.B_field (stmt, f) ->
              (match Access_path.project f path with
               | Some rest ->
                 produced := true;
                 enqueue st { r_stmt = stmt; r_path = rest; r_stack = fact.r_stack }
               | None -> ())
-           | B_dict (stmt, fields) ->
+           | Builder.B_dict (stmt, fields) ->
              (match Access_path.head path with
               | Some h when List.exists (fun f -> f = h) fields ->
                 produced := true;
@@ -403,7 +343,7 @@ let process_fact st (fact : fact) =
                     r_path = Access_path.tail path;
                     r_stack = fact.r_stack }
               | _ -> ()))
-        (base_uses st ~node v);
+        (Builder.base_uses_of st.b ~node v);
       (* aliasing fallback: the rooted fact found no propagation target at
          all — jump to aliased loads of the outermost field, charging the
          heap budget. This re-admits exactly the slicer's direct edge, but
@@ -440,8 +380,8 @@ let replay ?(interrupt = fun () -> false) (b : Builder.t)
   let st =
     { b; lim = limits; cb = callbacks; sink; sink_kind; interrupt;
       queue = Queue.create ();
-      seen = Hashtbl.create 512;
-      base_memo = Hashtbl.create 256;
+      (* a typical replay visits a handful of facts *)
+      seen = Hashtbl.create 16;
       steps = 0;
       heap_transitions = 0;
       widened = false }

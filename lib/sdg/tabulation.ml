@@ -93,6 +93,35 @@ type result = {
 
 exception Budget of string
 
+(* Hits already recorded: (sink, via, kind). *)
+module Hit_tbl = Hashtbl.Make (struct
+    type t = Stmt.t * Stmt.t * hit_kind
+    let equal (s, v, k) (s', v', k') =
+      k = k' && Stmt.equal s s' && Stmt.equal v v'
+    let hash = Hashtbl.hash
+  end)
+
+(* The rule's carrier sets indexed by instance key: the positions in
+   [carrier_sets] of the sets holding each key. *)
+type carrier_index = {
+  ci_sets : (Stmt.t * Tac.mref) array;
+  ci_by_ik : (int, int list) Hashtbl.t;
+}
+
+let index_carriers (sets : (Stmt.t * Tac.mref * Int_set.t) list) =
+  let sets = Array.of_list sets in
+  let by_ik = Hashtbl.create 256 in
+  for i = 0 to Array.length sets - 1 do
+    let _, _, reach = sets.(i) in
+    Int_set.iter
+      (fun ik ->
+         let prev = Option.value ~default:[] (Hashtbl.find_opt by_ik ik) in
+         Hashtbl.replace by_ik ik (i :: prev))
+      reach
+  done;
+  { ci_sets = Array.map (fun (sink, target, _) -> (sink, target)) sets;
+    ci_by_ik = by_ik }
+
 type state = {
   b : Builder.t;
   mode : mode;
@@ -110,8 +139,9 @@ type state = {
   internal_ret : (int, unit) Hashtbl.t;    (* nodes whose internal flow
                                               reached their return *)
   tainted_stores : unit Stmt.Table.t;
+  carriers : carrier_index Lazy.t;
   mutable hits : hit list;
-  mutable hit_keys : (Stmt.t * Stmt.t * hit_kind) list;
+  hit_seen : unit Hit_tbl.t;
   mutable heap_transitions : int;
   mutable steps : int;
   mutable exhausted : bool;
@@ -140,8 +170,8 @@ let enqueue st ~parent fact =
 
 let add_hit st ~sink ~target ~via ~kind =
   let key = (sink, via, kind) in
-  if not (List.mem key st.hit_keys) then begin
-    st.hit_keys <- key :: st.hit_keys;
+  if not (Hit_tbl.mem st.hit_seen key) then begin
+    Hit_tbl.replace st.hit_seen key ();
     st.hits <-
       { h_sink = sink; h_sink_target = target; h_via = via; h_kind = kind }
       :: st.hits
@@ -182,13 +212,24 @@ let expand_store st (store : Stmt.t) =
     (* taint carriers: does this store write into an object nested inside a
        sensitive sink argument? (§4.1.1, step 3) *)
     (match Builder.writes_of st.b store with
-     | Builder.W_instance (base_pts, _) ->
-       List.iter
-         (fun (sink, target, reach) ->
-            if not (Int_set.is_empty (Int_set.inter base_pts reach)) then
-              add_hit st ~sink ~target ~via:store ~kind:Carrier)
-         st.cb.carrier_sets
-     | Builder.W_static _ | Builder.W_none -> ());
+     | Builder.W_instance (base_pts, _) when st.cb.carrier_sets <> [] ->
+       (* the carrier sets sharing a key with the base, in list order *)
+       let ci = Lazy.force st.carriers in
+       let shared =
+         Int_set.fold
+           (fun ik acc ->
+              match Hashtbl.find_opt ci.ci_by_ik ik with
+              | Some positions ->
+                List.fold_left (fun acc i -> Int_set.add i acc) acc positions
+              | None -> acc)
+           base_pts Int_set.empty
+       in
+       Int_set.iter
+         (fun i ->
+            let sink, target = ci.ci_sets.(i) in
+            add_hit st ~sink ~target ~via:store ~kind:Carrier)
+         shared
+     | Builder.W_instance _ | Builder.W_static _ | Builder.W_none -> ());
     (* direct store -> load edges *)
     let continue_to_loads loads =
       List.iter
@@ -393,8 +434,9 @@ let run ?(interrupt = fun () -> false) ?(on_heap_transition = fun () -> ())
       summaries = Hashtbl.create 256;
       internal_ret = Hashtbl.create 256;
       tainted_stores = Stmt.Table.create 256;
+      carriers = lazy (index_carriers callbacks.carrier_sets);
       hits = [];
-      hit_keys = [];
+      hit_seen = Hit_tbl.create 64;
       heap_transitions = 0;
       steps = 0;
       exhausted = false;

@@ -4,7 +4,8 @@
 open Jir
 
 let meth_of_blocks ?(nvars = 16) ?(arity = 1) blocks =
-  { Tac.m_class = "T"; m_name = "f"; m_arity = arity; m_static = false;
+  { Tac.m_id = Tac.id "T" "f" arity; m_class = "T"; m_name = "f";
+    m_arity = arity; m_static = false;
     m_ret = Ast.Tvoid; m_param_types = []; m_blocks = Array.of_list blocks;
     m_nvars = nvars; m_synthetic = false; m_library = false;
     m_has_body = true }

@@ -28,6 +28,7 @@ let clone_of a meth_id =
 
 let classes_of a ~node v =
   Andersen.pts_var a ~node v
+  |> Int_set.elements
   |> List.map (fun ik -> Keys.inst_class (Andersen.inst_key a ik))
   |> List.sort_uniq String.compare
 
@@ -184,7 +185,7 @@ let test_heapgraph_reachability () =
       (fun ik ->
          if Keys.inst_class (Andersen.inst_key a ik) = "HG1" then
            root := Some ik)
-      (Andersen.pts_var a ~node:n v)
+      (Int_set.elements (Andersen.pts_var a ~node:n v))
   done;
   match !root with
   | None -> Alcotest.fail "HG1 instance not found"
@@ -267,6 +268,82 @@ let test_interner_roundtrip () =
   Alcotest.(check int) "stable id" i1 (Keys.ik u k1);
   Alcotest.(check bool) "roundtrip" true (Keys.ik_of u i1 = k1)
 
+(* The pointer-key table against a reference interner over the stdlib
+   polymorphic [Hashtbl]: the same ids in the same first-use order, and
+   the same answer from [find_pk] for present and absent keys. *)
+module Reference_interner = struct
+  type t = { ids : (Keys.ptr_key, int) Hashtbl.t; mutable next : int }
+
+  let create () = { ids = Hashtbl.create 16; next = 0 }
+
+  let intern r k =
+    match Hashtbl.find_opt r.ids k with
+    | Some i -> i
+    | None ->
+      let i = r.next in
+      Hashtbl.add r.ids k i;
+      r.next <- i + 1;
+      i
+
+  let find r k = Hashtbl.find_opt r.ids k
+end
+
+type key_op = Intern of Keys.ptr_key | Find of Keys.ptr_key
+
+let key_op_gen =
+  let open QCheck.Gen in
+  (* equal names under different classes: an equality that compares only
+     what the hash reads merges these *)
+  let field =
+    oneofl
+      [ { Keys.fclass = "A"; fname = "f" }; { Keys.fclass = "B"; fname = "f" };
+        { Keys.fclass = "A"; fname = "g" }; Keys.elem_field;
+        { Keys.fclass = "$Dict"; fname = "$key_x" } ]
+  in
+  (* small ints shared by nodes, registers, instance keys and returns,
+     visited out of order, plus registers far beyond an array's bound *)
+  let small = int_bound 6 in
+  let node = frequency [ (6, small); (1, int_range 40 45) ] in
+  let reg = frequency [ (6, small); (2, int_range 100 5000) ] in
+  let key =
+    frequency
+      [ (5, map2 (fun n v -> Keys.Pk_var (n, v)) node reg);
+        (3, map2 (fun ik f -> Keys.Pk_field (ik, f)) small field);
+        (2, map (fun f -> Keys.Pk_static f) field);
+        (2, map (fun n -> Keys.Pk_ret n) node);
+        (1, return Keys.Pk_exn) ]
+  in
+  frequency [ (3, map (fun k -> Intern k) key); (1, map (fun k -> Find k) key) ]
+
+let prop_keys_match_reference =
+  let print_op = function
+    | Intern k -> Fmt.str "intern %a" Keys.pp_ptr k
+    | Find k -> Fmt.str "find %a" Keys.pp_ptr k
+  in
+  QCheck.Test.make ~name:"pointer-key ids match a reference interner"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) key_op_gen))
+    (fun ops ->
+       let u = Keys.create_universe () in
+       let r = Reference_interner.create () in
+       List.for_all
+         (function
+           | Intern k ->
+             let id = Keys.pk u k in
+             id = Reference_interner.intern r k
+             && (match k with
+                 | Keys.Pk_var (n, v) ->
+                   Keys.pk_var u n v = id && Keys.find_var u n v = id
+                 | _ -> true)
+           | Find k -> Keys.find_pk u k = Reference_interner.find r k)
+         ops
+       && Keys.pk_count u = r.Reference_interner.next
+       && Hashtbl.fold
+            (fun k id ok -> ok && Keys.pk_of u id = k)
+            r.Reference_interner.ids true)
+
 let suite =
   [ Alcotest.test_case "new flows to var" `Quick test_new_flows_to_var;
     Alcotest.test_case "virtual dispatch" `Quick test_virtual_dispatch_edge;
@@ -283,4 +360,5 @@ let suite =
     Alcotest.test_case "context truncation" `Quick test_context_truncation;
     Alcotest.test_case "interner roundtrip" `Quick test_interner_roundtrip;
     QCheck_alcotest.to_alcotest prop_pq_sorted;
-    QCheck_alcotest.to_alcotest prop_truncation_idempotent ]
+    QCheck_alcotest.to_alcotest prop_truncation_idempotent;
+    QCheck_alcotest.to_alcotest prop_keys_match_reference ]

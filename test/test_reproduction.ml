@@ -223,6 +223,79 @@ let test_pinned_reports () =
     { hybrid with Config.refine = true; contexts = true }
     pinned_precise Apps.contexts_apps
 
+(* MD5 of each app's id-ordered pointer-analysis result under
+   hybrid-unbounded: every pointer key in id order with its points-to
+   set, every instance key in id order, the call graph as [taj dot]
+   prints it (node order, contexts, edge iteration order) and the
+   solver's statistics. Recorded before the key tables were rebuilt on
+   ints; a report pin cannot see ids handed out in a new order, or a
+   changed [taj dot], when the report itself is unchanged. *)
+let pinned_solver =
+  [ ("A", "46f454eba059d5cedafd3a6bd2675772");
+    ("B", "422de14e41b4425da17c9ddb98a34e02");
+    ("Blojsom", "d1eea07571aa6840c619af35c55d75ad");
+    ("BlueBlog", "8cc970e61d4461791bdc742960cdfdcc");
+    ("Dlog", "ae3bf950eadb3cb1e2c8486517ecdf69");
+    ("Friki", "d9597e1845ba33e971edf350a2a96169");
+    ("GestCV", "0a181d856c92f6f84c339c17d7e6b41c");
+    ("Ginp", "e60b75c681aa3bbf6257861bb83cebdd");
+    ("GridSphere", "91fad3801f2341f253979bddbdd51cc5");
+    ("I", "4a545fef982b7e5efe55808cf8aa3802");
+    ("JSPWiki", "2a1e963234a717e4d060d7589e464c70");
+    ("Lutece", "cbd784cdb42649c773f9fe9b387622b2");
+    ("MVNForum", "718e67935a9bb263c8295fc33e78a0de");
+    ("PersonalBlog", "7e9b5bdf9d2eedcda3f64cac07a9aa10");
+    ("Roller", "b18e539b3ae1d72043e00458a197b06d");
+    ("S", "74c376eaf246c57d135748f54eaff412");
+    ("SBM", "61ad87ff0edfe039c49b396983949544");
+    ("SnipSnap", "ba2647abe94f7d3c208753903d43abfa");
+    ("SPLC", "1c495bfcfe157c068c3f5b58baf2dede");
+    ("ST", "a0817058e0e928a44030b40584501daf");
+    ("VQWiki", "12832b7acfbf3fc22f29e0044214d00b");
+    ("Webgoat", "2b9166ee1987948fbea2ccf6b703e749");
+    ("CtxForum", "7bd12538eb3d477f1df7ecbf23dd5fce");
+    ("CtxGallery", "25b3f1385d1b829caa648e17f2fb6a67");
+    ("CtxLedger", "93d4199ce1070a2896e64bf4641f661e") ]
+
+let solver_md5 (a : Apps.app) =
+  let open Pointer in
+  let g = Apps.generate ~scale:pin_scale a in
+  let config = Config.preset ~scale:pin_scale Config.Hybrid_unbounded in
+  match (Taj.analyze ~jobs:1 ~config (Codegen.to_input g)).Taj.result with
+  | Taj.Completed c ->
+    let an = c.Taj.andersen in
+    let u = Andersen.universe an in
+    let buf = Buffer.create 65536 in
+    for p = 0 to Keys.pk_count u - 1 do
+      let k = Keys.pk_of u p in
+      Buffer.add_string buf (Fmt.str "pk%d %a:" p Keys.pp_ptr k);
+      Andersen.Int_set.iter (Printf.bprintf buf " %d") (Andersen.pts_key an k);
+      Buffer.add_char buf '\n'
+    done;
+    for i = 0 to Keys.ik_count u - 1 do
+      Buffer.add_string buf
+        (Fmt.str "ik%d %a\n" i Keys.pp_inst (Keys.ik_of u i))
+    done;
+    Buffer.add_string buf (Dot.callgraph an);
+    let s = Andersen.statistics an in
+    Printf.bprintf buf "nodes %d dropped %d propagations %d dispatches %d\n"
+      s.Andersen.nodes_processed s.Andersen.dropped_calls
+      s.Andersen.propagations s.Andersen.dispatches;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
+  | Taj.Did_not_complete reason -> "did not complete: " ^ reason
+
+let test_pinned_solver () =
+  let apps = Apps.table2 @ Apps.contexts_apps in
+  Alcotest.(check (list string)) "every app pinned"
+    (List.map fst pinned_solver)
+    (List.map (fun (a : Apps.app) -> a.Apps.name) apps);
+  List.iter
+    (fun (a : Apps.app) ->
+       Alcotest.(check string)
+         (Printf.sprintf "%s: solver digest" a.Apps.name)
+         (List.assoc a.Apps.name pinned_solver) (solver_md5 a))
+    apps
+
 let suite =
   [ Alcotest.test_case "hybrid/CI soundness agreement" `Slow
       test_hybrid_ci_soundness_agreement;
@@ -235,4 +308,5 @@ let suite =
       test_priority_beats_chaotic;
     Alcotest.test_case "flow length correlation" `Slow
       test_flow_length_correlation;
-    Alcotest.test_case "pinned report digests" `Slow test_pinned_reports ]
+    Alcotest.test_case "pinned report digests" `Slow test_pinned_reports;
+    Alcotest.test_case "pinned solver digests" `Slow test_pinned_solver ]

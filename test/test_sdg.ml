@@ -177,6 +177,132 @@ let test_stmt_identity () =
   Alcotest.(check int) "set semantics" 2
     (Sdg.Stmt.Set.cardinal (Sdg.Stmt.Set.of_list [ s1; s2; s3 ]))
 
+(* the call statements of [b] whose target method is named [name], in
+   program order *)
+let calls_named b name =
+  List.filter
+    (fun (_, (c : Jir.Tac.call)) -> String.equal c.Jir.Tac.target.Jir.Tac.rname name)
+    (Sdg.Builder.all_call_stmts b)
+  |> List.sort (fun (s, _) (s', _) -> Sdg.Stmt.compare s s')
+
+let test_carrier_hits_in_list_order () =
+  (* one tainted store into an object two sinks print: its carrier hits
+     come in carrier-set order, and a set sharing no key is skipped *)
+  let c =
+    completed
+      [ {|class CBox { String f; }
+          class P extends HttpServlet {
+            public void doGet(HttpServletRequest req, HttpServletResponse resp) {
+              CBox box = new CBox();
+              PrintWriter w = resp.getWriter();
+              w.println(box);
+              w.print(box);
+              box.f = req.getParameter("x");
+            }
+          }|} ]
+      Config.Hybrid_unbounded
+  in
+  let b = c.Taj.builder in
+  let u = Pointer.Andersen.universe c.Taj.andersen in
+  let boxes =
+    List.filter
+      (fun ik -> Pointer.Keys.inst_class (Pointer.Keys.ik_of u ik) = "CBox")
+      (List.init (Pointer.Keys.ik_count u) Fun.id)
+    |> Sdg.Builder.Int_set.of_list
+  in
+  let sink name =
+    match calls_named b name with
+    | [ (s, c) ] -> (s, c.Jir.Tac.target)
+    | l -> Alcotest.failf "%d calls to %s" (List.length l) name
+  in
+  let seeds = List.map fst (calls_named b "getParameter") in
+  let s_println, t_println = sink "println" and s_print, t_print = sink "print" in
+  let hit_sinks carrier_sets =
+    let callbacks =
+      { Sdg.Tabulation.is_sink_arg = (fun _ _ -> false);
+        is_sanitizer = (fun _ -> false);
+        sanitizer_passthrough = false;
+        carrier_sets }
+    in
+    let r =
+      Sdg.Tabulation.run b ~mode:Sdg.Tabulation.hybrid_mode ~callbacks ~seeds
+    in
+    List.map (fun (h : Sdg.Tabulation.hit) -> h.Sdg.Tabulation.h_sink)
+      r.Sdg.Tabulation.hits
+  in
+  let unrelated = Sdg.Builder.Int_set.singleton (-1) in
+  let check what expected sets =
+    Alcotest.(check (list string)) what
+      (List.map (Fmt.str "%a" Sdg.Stmt.pp) expected)
+      (List.map (Fmt.str "%a" Sdg.Stmt.pp) (hit_sinks sets))
+  in
+  Alcotest.(check bool) "box allocated" false (Sdg.Builder.Int_set.is_empty boxes);
+  check "println first"
+    [ s_println; s_print ]
+    [ (s_println, t_println, boxes); (s_print, t_print, unrelated);
+      (s_print, t_print, boxes) ];
+  check "print first"
+    [ s_print; s_println ]
+    [ (s_print, t_print, boxes); (s_println, t_println, boxes) ]
+
+let test_base_uses_in_program_order () =
+  let c =
+    completed
+      [ {|class BU { String f; String g; }
+          class P extends HttpServlet {
+            public void doGet(HttpServletRequest req, HttpServletResponse resp) {
+              BU x = new BU();
+              String a = x.f;
+              String b = x.g;
+              HashMap m = new HashMap();
+              String v = (String) m.get("k");
+              resp.getWriter().println(a + b + v);
+            }
+          }|} ]
+      Config.Hybrid_unbounded
+  in
+  let b = c.Taj.builder in
+  let node, _ = List.hd (calls_named b "get") in
+  let node = node.Sdg.Stmt.node in
+  let m = Sdg.Builder.node_meth b node in
+  let loads = ref [] and dict_recv = ref None in
+  Array.iteri
+    (fun bi (blk : Jir.Tac.block) ->
+       Array.iteri
+         (fun i ins ->
+            match ins with
+            | Jir.Tac.Load (_, o, f) ->
+              loads := (o, Sdg.Stmt.instr ~node ~block:bi ~index:i, f) :: !loads
+            | Jir.Tac.Call { target = { rname = "get"; _ }; args = recv :: _; _ } ->
+              dict_recv := Some (recv, Sdg.Stmt.instr ~node ~block:bi ~index:i)
+            | _ -> ())
+         blk.Jir.Tac.instrs)
+    m.Jir.Tac.m_blocks;
+  let show = function
+    | Sdg.Builder.B_field (s, f) ->
+      Fmt.str "%a %a" Sdg.Stmt.pp s Pointer.Keys.pp_field f
+    | Sdg.Builder.B_dict (s, fs) ->
+      Fmt.str "%a %a" Sdg.Stmt.pp s
+        Fmt.(list ~sep:(any ",") Pointer.Keys.pp_field) fs
+  in
+  let uses v = List.map show (Sdg.Builder.base_uses_of b ~node v) in
+  (match List.rev !loads with
+   | [ (x, s_f, f); (x', s_g, g) ] ->
+     Alcotest.(check int) "one base" x x';
+     Alcotest.(check (list string)) "loads in program order"
+       [ show (Sdg.Builder.B_field (s_f, Pointer.Keys.field_of_tac f));
+         show (Sdg.Builder.B_field (s_g, Pointer.Keys.field_of_tac g)) ]
+       (uses x)
+   | l -> Alcotest.failf "%d loads" (List.length l));
+  (match !dict_recv with
+   | Some (recv, s) ->
+     Alcotest.(check (list string)) "dictionary get"
+       [ Fmt.str "%a $Dict.$key_k,$Dict.$any" Sdg.Stmt.pp s ]
+       (uses recv)
+   | None -> Alcotest.fail "no dictionary get");
+  Alcotest.(check (list string)) "register out of range" []
+    (uses (m.Jir.Tac.m_nvars + 5))
+
 let suite =
   [ Alcotest.test_case "base pointer excluded" `Quick test_base_pointer_excluded;
     Alcotest.test_case "lcp groups same region" `Quick
@@ -190,4 +316,8 @@ let suite =
     Alcotest.test_case "flow path endpoints" `Quick test_flow_path_endpoints;
     Alcotest.test_case "heap transition budget" `Quick
       test_heap_transition_budget_respected;
-    Alcotest.test_case "stmt identity" `Quick test_stmt_identity ]
+    Alcotest.test_case "stmt identity" `Quick test_stmt_identity;
+    Alcotest.test_case "carrier hits in list order" `Quick
+      test_carrier_hits_in_list_order;
+    Alcotest.test_case "base uses in program order" `Quick
+      test_base_uses_in_program_order ]

@@ -181,6 +181,33 @@ let test_dict_constant_keys_flow () =
   Alcotest.(check int) "xss via same constant key" 1
     (count_issues Rules.Xss issues)
 
+(* each method reads its own constants: a put under "a" in one method
+   and a get under "b" in another of the same class do not meet. The
+   triage filter is off, so the pointer analysis and the SDG builder
+   alone must keep the keys apart. *)
+let test_dict_constant_keys_per_method () =
+  let loaded =
+    Taj.load
+      { Taj.name = "test";
+        descriptor = "";
+        app_sources =
+      [ {|class Page extends HttpServlet {
+            void stash(HashMap m, String v) { m.put("a", v); }
+            String fetch(HashMap m) { return (String) m.get("b"); }
+            public void doGet(HttpServletRequest req, HttpServletResponse resp) {
+              HashMap m = new HashMap();
+              this.stash(m, req.getParameter("name"));
+              resp.getWriter().println(this.fetch(m));
+            }
+          }|} ] }
+  in
+  let config =
+    { (Config.preset Config.Hybrid_unbounded) with Config.triage_filter = false }
+  in
+  let c = completed (Taj.run loaded config) in
+  Alcotest.(check int) "no xss across distinct keys in two methods" 0
+    (count_issues Rules.Xss c.Taj.report.Report.issues)
+
 let test_dict_unknown_key_conservative () =
   let issues =
     issues_of
@@ -357,6 +384,8 @@ let suite =
     Alcotest.test_case "container flow" `Quick test_container_flow;
     Alcotest.test_case "dict constant keys precise" `Quick test_dict_constant_keys_precise;
     Alcotest.test_case "dict constant keys flow" `Quick test_dict_constant_keys_flow;
+    Alcotest.test_case "dict constant keys per method" `Quick
+      test_dict_constant_keys_per_method;
     Alcotest.test_case "dict unknown key" `Quick test_dict_unknown_key_conservative;
     Alcotest.test_case "exception leak" `Quick test_exception_leak;
     Alcotest.test_case "getMessage leak" `Quick test_info_leak_via_getmessage;
