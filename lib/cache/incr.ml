@@ -136,14 +136,21 @@ let hooks s : Core.Cache_iface.t =
       fill s ~tier:"ast" ~key ast;
       ast
   in
+  (* the front entry holds only the application's part of the program;
+     a hit re-links it to this process's model-JDK image *)
   let frontend ~descriptor ~asts ~build =
     let key = d_val (List.map d_val asts, descriptor) in
     s.front_key <- Some key;
+    let base = Models.Jdklib.image () in
     match lookup s ~tier:"front" ~key with
-    | Some (v : Jir.Program.t * Models.Reflection.stats * int) -> v
+    | Some
+        ((d, stats, synthesized) :
+           Jir.Program.delta * Models.Reflection.stats * int) ->
+      (Jir.Program.extend ~base d, stats, synthesized)
     | None ->
-      let v = build () in
-      fill s ~tier:"front" ~key v;
+      let ((prog, stats, synthesized) as v) = build () in
+      fill s ~tier:"front" ~key
+        (Jir.Program.delta ~base prog, stats, synthesized);
       v
   in
   let defuse : Sdg.Builder.defuse_cache =

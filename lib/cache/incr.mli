@@ -9,6 +9,8 @@
       a frontend version salt). An edited unit simply misses.
     - {b front}: the whole-program lower/SSA/rewrite product, keyed by the
       digests of the parsed unit ASTs plus the deployment descriptor.
+      The entry holds only the application's part ({!Jir.Program.delta}
+      over {!Models.Jdklib.image}); a hit re-links it to the image.
       A comment or whitespace edit changes the source digest but not the
       AST digest, so everything below the parser still hits — the paper's
       "one-line edit" case.

@@ -1,4 +1,4 @@
-let version = 2
+let version = 3
 
 (* The compiler version salts the header because entry payloads are
    Marshal streams, which are only stable within one compiler version. *)

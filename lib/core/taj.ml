@@ -8,8 +8,9 @@
       | Did_not_complete reason -> ...
     ]}
 
-    [load] parses the model JDK and the application, synthesizes framework
-    entrypoints from the deployment descriptor (§4.2.2), converts to SSA and
+    [load] adds the application to a copy of the model-JDK image,
+    synthesizes framework entrypoints from the deployment descriptor
+    (§4.2.2), converts the application to SSA and
     applies the reflection (§4.2.3) and exception (§4.1.2) rewrites — all
     configuration-independent work that can be shared across algorithm runs.
     [run] executes pointer analysis, dependence-graph construction, slicing
@@ -103,7 +104,6 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
   let (prog, reflection_stats, synthesized_sources, skipped), frontend_seconds =
     Telemetry.phase "phase.frontend" ~args:[ ("app", input.name) ]
     @@ fun () ->
-    let jdk_units = Models.Jdklib.units () in
     let parse_unit (i, src) =
       Telemetry.with_span "frontend.parse_unit"
         ~args:[ ("unit", string_of_int i) ]
@@ -137,13 +137,16 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
       cache.Cache_iface.frontend ~descriptor:input.descriptor
         ~asts:app_units
         ~build:(fun () ->
-          let prog = Program.create () in
+          (* the model JDK comes declared, lowered and in SSA form from
+             the process's image, first in every table as if this load
+             had built it *)
+          let image = Models.Jdklib.image () in
+          let prog = Program.copy image in
           let descriptor =
             Models.Frameworks.parse_descriptor input.descriptor
           in
           let synth_units =
             Telemetry.with_span "frontend.synthesize" @@ fun () ->
-            List.iter (Lower.declare prog ~library:true) jdk_units;
             List.iter (Lower.declare prog ~library:false) app_units;
             (* framework synthesis needs declarations but not bodies *)
             let cast_constraints =
@@ -157,12 +160,13 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
           in
           Telemetry.with_span "frontend.lower" (fun () ->
             List.iter (Lower.declare prog ~library:false) synth_units;
-            List.iter (Lower.define prog ~library:true) jdk_units;
             List.iter (Lower.define prog ~library:false) app_units;
             List.iter (Lower.define prog ~library:false) synth_units;
             Program.add_entrypoint prog Models.Frameworks.entry_method);
           Telemetry.with_span "frontend.ssa" (fun () ->
-            Ssa.convert_program prog);
+            Program.iter_methods prog (fun m ->
+              if not (Program.mem_method image (Tac.method_id m)) then
+                Ssa.convert m));
           Telemetry.with_span "frontend.rewrites" @@ fun () ->
           let ejb_registry = Models.Frameworks.ejb_registry descriptor in
           let reflection_stats =

@@ -1,7 +1,8 @@
 (** TAJ: the end-to-end taint analysis pipeline.
 
-    {!load} performs all configuration-independent work: parse the model
-    JDK and the application, synthesize framework entrypoints from the
+    {!load} performs all configuration-independent work: parse the
+    application and add it to a copy of the model-JDK image
+    ({!Models.Jdklib.image}), synthesize framework entrypoints from the
     deployment descriptor (§4.2.2), convert to SSA, apply the reflection
     (§4.2.3) and exception (§4.1.2) rewrites. {!run} executes pointer
     analysis, dependence-graph construction, slicing and reporting under

@@ -62,6 +62,23 @@ let all_classes t =
   Hashtbl.fold (fun _ c acc -> c :: acc) t.classes []
   |> List.sort (fun a b -> String.compare a.cl_name b.cl_name)
 
+(* [Hashtbl.copy] keeps the bucket layout, so the copy iterates in the
+   source's order; the class records are shared, the memo is not. *)
+let copy t =
+  { classes = Hashtbl.copy t.classes; subclass_cache = Hashtbl.create 1024 }
+
+(* The classes [base] lacks, oldest first within each bucket (see
+   {!Program.delta}): re-adding them in this order to a copy of [base]
+   rebuilds [t]'s layout. *)
+let delta ~base t =
+  Hashtbl.fold
+    (fun name c acc -> if Hashtbl.mem base.classes name then acc else c :: acc)
+    t.classes []
+
+let extend t added =
+  List.iter (fun c -> Hashtbl.add t.classes c.cl_name c) added;
+  Hashtbl.reset t.subclass_cache
+
 (* ------------------------------------------------------------------ *)
 (* Registration                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -52,6 +52,19 @@ val iter : t -> (cls -> unit) -> unit
 (** All classes, sorted by name. *)
 val all_classes : t -> cls list
 
+(** A copy that iterates in the same order. It shares the class records
+    and starts with an empty subtype memo, so a copy of a table that is
+    no longer written may be read from any domain. *)
+val copy : t -> t
+
+(** The classes of [t] that [base] lacks, in the order {!extend} needs. *)
+val delta : base:t -> t -> cls list
+
+(** Add classes [t] lacks. [extend (copy base) (delta ~base t)] has
+    [t]'s classes in [t]'s iteration order, given that [t] holds [base]'s
+    classes added first, in [base]'s order (as a {!copy} of [base] does). *)
+val extend : t -> cls list -> unit
+
 (** Register a parsed declaration. [library] marks model-JDK code (the LCP
     boundary of §5). Raises {!Hierarchy_error} on duplicates. *)
 val add_decl : t -> library:bool -> Ast.decl -> unit

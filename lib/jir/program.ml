@@ -28,6 +28,54 @@ let create () =
     entrypoints = [];
     clinits = [] }
 
+(* [Hashtbl.copy] keeps each table's bucket layout, so a copy iterates
+   in the source's order and a load that extends it numbers sites and
+   visits methods exactly as a fresh build that added the same bindings
+   first would. *)
+let copy p =
+  { table = Classtable.copy p.table;
+    methods = Hashtbl.copy p.methods;
+    sites = Hashtbl.copy p.sites;
+    next_site = p.next_site;
+    entrypoints = p.entrypoints;
+    clinits = p.clinits }
+
+type delta = {
+  d_classes : Classtable.cls list;
+  d_methods : Tac.meth list;
+  d_sites : site_info list;
+  d_next_site : int;
+  d_entrypoints : string list;
+  d_clinits : string list;
+}
+
+(* A table's bindings beyond [base]'s. [Hashtbl.fold] walks each bucket
+   newest first, so consing yields each bucket's new keys oldest first;
+   re-adding them in that order puts every key back in its place, since
+   growing a table keeps the order within a bucket. *)
+let added ~base tbl =
+  Hashtbl.fold
+    (fun k v acc -> if Hashtbl.mem base k then acc else v :: acc)
+    tbl []
+
+let delta ~base p =
+  { d_classes = Classtable.delta ~base:base.table p.table;
+    d_methods = added ~base:base.methods p.methods;
+    d_sites = added ~base:base.sites p.sites;
+    d_next_site = p.next_site;
+    d_entrypoints = p.entrypoints;
+    d_clinits = p.clinits }
+
+let extend ~base d =
+  let p = copy base in
+  Classtable.extend p.table d.d_classes;
+  List.iter (fun m -> Hashtbl.add p.methods (Tac.method_id m) m) d.d_methods;
+  List.iter (fun si -> Hashtbl.add p.sites si.si_id si) d.d_sites;
+  p.next_site <- d.d_next_site;
+  p.entrypoints <- d.d_entrypoints;
+  p.clinits <- d.d_clinits;
+  p
+
 let fresh_site p ~meth ~kind =
   let id = p.next_site in
   p.next_site <- id + 1;
@@ -40,6 +88,8 @@ let add_method p (m : Tac.meth) =
   Hashtbl.replace p.methods (Tac.method_id m) m
 
 let find_method p id = Hashtbl.find_opt p.methods id
+
+let mem_method p id = Hashtbl.mem p.methods id
 
 let add_entrypoint p id =
   if not (List.mem id p.entrypoints) then p.entrypoints <- p.entrypoints @ [ id ]

@@ -24,10 +24,21 @@ type op =
   | Dict_put of { recv : Tac.var; key : key; value : Tac.var }
   | Dict_get of { dst : Tac.var; recv : Tac.var; key : key }
 
-let put_names = [ "put"; "setAttribute"; "setProperty" ]
-let get_names = [ "get"; "getAttribute"; "getProperty" ]
+(* Matches, not list scans: every call the solver, the SDG builder and
+   triage classify asks these. [is_dict_class] accepts exactly
+   {!Jdklib.dictionary_classes}. *)
+let is_dict_class = function
+  | "HashMap" | "Hashtable" | "Map" | "Properties" | "HttpSession"
+  | "HttpServletRequest" | "ServletContext" -> true
+  | _ -> false
 
-let is_dict_class cls = List.mem cls Jdklib.dictionary_classes
+let is_put_name = function
+  | "put" | "setAttribute" | "setProperty" -> true
+  | _ -> false
+
+let is_get_name = function
+  | "get" | "getAttribute" | "getProperty" -> true
+  | _ -> false
 
 (** [classify ~const_of call] interprets a dictionary access. [const_of v]
     must return the string constant that register [v] is bound to, if any
@@ -40,10 +51,10 @@ let classify ~(const_of : Tac.var -> string option) (c : Tac.call) : op option =
     in
     match c.Tac.args with
     | [ recv; k; v ]
-      when List.mem c.Tac.target.Tac.rname put_names && c.Tac.target.Tac.rarity = 3 ->
+      when is_put_name c.Tac.target.Tac.rname && c.Tac.target.Tac.rarity = 3 ->
       Some (Dict_put { recv; key = key_of k; value = v })
     | [ recv; k ]
-      when List.mem c.Tac.target.Tac.rname get_names && c.Tac.target.Tac.rarity = 2 ->
+      when is_get_name c.Tac.target.Tac.rname && c.Tac.target.Tac.rarity = 2 ->
       (match c.Tac.ret with
        | Some dst -> Some (Dict_get { dst; recv; key = key_of k })
        | None -> None)

@@ -15,38 +15,47 @@ open Jir
 let rewrite_method (prog : Program.t) (m : Tac.meth) : int =
   let table = prog.Program.table in
   let count = ref 0 in
+  let has_catch (b : Tac.block) =
+    Array.exists
+      (function Tac.Catch_entry _ -> true | _ -> false)
+      b.Tac.instrs
+  in
   Array.iter
     (fun (b : Tac.block) ->
-       let out = ref [] in
-       Array.iter
-         (fun ins ->
-            out := ins :: !out;
-            match ins with
-            | Tac.Catch_entry (v, exn_cls) ->
-              incr count;
-              let target_cls =
-                match Classtable.lookup_method table exn_cls "getMessage" 1 with
-                | Some mi -> mi.Classtable.mi_class
-                | None -> "Throwable"
-              in
-              let target =
-                { Tac.rclass = target_cls; rname = "getMessage"; rarity = 1 }
-              in
-              let site =
-                Program.fresh_site prog ~meth:(Tac.method_id m)
-                  ~kind:(Program.Call_site target)
-              in
-              let t = m.Tac.m_nvars in
-              m.Tac.m_nvars <- t + 1;
-              out :=
-                Tac.Store (v, { Tac.fclass = "Throwable"; fname = "msg" }, t)
-                :: Tac.Call
-                     { ret = Some t; kind = Tac.Virtual; target;
-                       args = [ v ]; site }
-                :: !out
-            | _ -> ())
-         b.Tac.instrs;
-       b.Tac.instrs <- Array.of_list (List.rev !out))
+       if has_catch b then begin
+         let out = ref [] in
+         Array.iter
+           (fun ins ->
+              out := ins :: !out;
+              match ins with
+              | Tac.Catch_entry (v, exn_cls) ->
+                incr count;
+                let target_cls =
+                  match
+                    Classtable.lookup_method table exn_cls "getMessage" 1
+                  with
+                  | Some mi -> mi.Classtable.mi_class
+                  | None -> "Throwable"
+                in
+                let target =
+                  { Tac.rclass = target_cls; rname = "getMessage"; rarity = 1 }
+                in
+                let site =
+                  Program.fresh_site prog ~meth:(Tac.method_id m)
+                    ~kind:(Program.Call_site target)
+                in
+                let t = m.Tac.m_nvars in
+                m.Tac.m_nvars <- t + 1;
+                out :=
+                  Tac.Store (v, { Tac.fclass = "Throwable"; fname = "msg" }, t)
+                  :: Tac.Call
+                       { ret = Some t; kind = Tac.Virtual; target;
+                         args = [ v ]; site }
+                  :: !out
+              | _ -> ())
+           b.Tac.instrs;
+         b.Tac.instrs <- Array.of_list (List.rev !out)
+       end)
     m.Tac.m_blocks;
   !count
 

@@ -530,30 +530,42 @@ class Logger {
 (** All compilation-unit sources of the model JDK, in load order. *)
 let sources = [ lang; collections; io; servlet; jdbc; frameworks ]
 
-(* Parse-once cache. Not [Lazy.t]: the frontend may be entered from
-   several domains at once (parallel bench rows each call [Taj.load]),
-   and concurrently forcing a shared lazy raises
-   [CamlinternalLazy.Undefined]. The [Atomic] publishes the parsed
-   (immutable) units with release/acquire ordering; the mutex only
-   serializes the first computation. *)
-let units_memo : Jir.Ast.compilation_unit list option Atomic.t =
-  Atomic.make None
-
-let units_lock = Mutex.create ()
+(* Publish-once cells. Not [Lazy.t]: the frontend may be entered from
+   several domains at once (serve workers and parallel bench rows each
+   call [Taj.load]), and concurrently forcing a shared lazy raises
+   [CamlinternalLazy.Undefined]. The [Atomic] publishes the value with
+   release/acquire ordering; the mutex only serializes the first
+   computation. A published value is never written again. *)
+let once (compute : unit -> 'a) : unit -> 'a =
+  let memo = Atomic.make None in
+  let lock = Mutex.create () in
+  fun () ->
+    match Atomic.get memo with
+    | Some v -> v
+    | None ->
+      Mutex.lock lock;
+      Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
+      (match Atomic.get memo with
+       | Some v -> v
+       | None ->
+         let v = compute () in
+         Atomic.set memo (Some v);
+         v)
 
 (** Parse the model JDK into compilation units (cached, domain-safe). *)
-let units () : Jir.Ast.compilation_unit list =
-  match Atomic.get units_memo with
-  | Some u -> u
-  | None ->
-    Mutex.lock units_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock units_lock) @@ fun () ->
-    (match Atomic.get units_memo with
-     | Some u -> u
-     | None ->
-       let u = List.map Jir.Parser.parse sources in
-       Atomic.set units_memo (Some u);
-       u)
+let units = once (fun () -> List.map Jir.Parser.parse sources)
+
+(* The JDK neither calls reflection nor catches, so the model rewrites
+   never touch it: once SSA-converted it is final. *)
+let build_image () =
+  let p = Jir.Program.create () in
+  let units = units () in
+  List.iter (Jir.Lower.declare p ~library:true) units;
+  List.iter (Jir.Lower.define p ~library:true) units;
+  Jir.Ssa.convert_program p;
+  p
+
+let image = once build_image
 
 (** Names of the dictionary-like classes whose [put]/[get]-style access is
     subject to the constant-key model (§4.2.1). *)

@@ -227,17 +227,43 @@ type stats = {
   mutable lookups : int;
 }
 
+(* The calls the rewrite may replace, with the operands it evaluates.
+   An instruction that is none of these is never touched, and a method
+   holding none is never visited. *)
+type candidate =
+  | Invoke of { ret : Tac.var option; mvar : Tac.var; recv : Tac.var;
+                arr : Tac.var }
+  | New_instance of { dst : Tac.var; k : Tac.var }
+  | Lookup of { dst : Tac.var; namev : Tac.var }
+
+let candidate : Tac.instr -> candidate option = function
+  | Tac.Call { ret;
+               target = { Tac.rclass = "Method"; rname = "invoke"; rarity = 3 };
+               args = [ mvar; recv; arr ]; _ } ->
+    Some (Invoke { ret; mvar; recv; arr })
+  | Tac.Call { ret = Some dst;
+               target = { Tac.rclass = "Class"; rname = "newInstance"; rarity = 1 };
+               args = [ k ]; _ } ->
+    Some (New_instance { dst; k })
+  | Tac.Call { ret = Some dst;
+               target = { Tac.rclass = "Context" | "InitialContext";
+                          rname = "lookup"; rarity = 2 };
+               args = [ _ctx; namev ]; _ } ->
+    Some (Lookup { dst; namev })
+  | _ -> None
+
+let has_candidate (b : Tac.block) =
+  Array.exists (fun ins -> Option.is_some (candidate ins)) b.Tac.instrs
+
 let rewrite_method (prog : Program.t) ~(ejb_registry : (string * string) list)
     ~(dispatch_idx : int ref) (m : Tac.meth) (st : stats) : unit =
   let table = prog.Program.table in
   let ev = make_evaluator m in
   let meth_id = Tac.method_id m in
-  let changed = ref false in
   let rewrite_one ins : Tac.instr list option =
-    match ins with
-    | Tac.Call { ret;
-                 target = { Tac.rclass = "Method"; rname = "invoke"; rarity = 3 };
-                 args = [ mvar; recv; arr ]; _ } ->
+    match candidate ins with
+    | None -> None
+    | Some (Invoke { ret; mvar; recv; arr }) ->
       let mv = eval ev mvar in
       (match eval ev arr with
        | Obj_array elems ->
@@ -273,9 +299,7 @@ let rewrite_method (prog : Program.t) ~(ejb_registry : (string * string) list)
                   { ret; kind = Tac.Static; target; args = recv :: elems;
                     site } ])
        | _ -> st.invokes_unresolved <- st.invokes_unresolved + 1; None)
-    | Tac.Call { ret = Some d;
-                 target = { Tac.rclass = "Class"; rname = "newInstance"; rarity = 1 };
-                 args = [ k ]; _ } ->
+    | Some (New_instance { dst = d; k }) ->
       (match eval ev k with
        | Class_obj c when Classtable.mem table c ->
          st.new_instances <- st.new_instances + 1;
@@ -292,10 +316,7 @@ let rewrite_method (prog : Program.t) ~(ejb_registry : (string * string) list)
                { ret = None; kind = Tac.Special; target; args = [ d ];
                  site = csite } ]
        | _ -> None)
-    | Tac.Call { ret = Some d;
-                 target = { Tac.rclass = "Context" | "InitialContext";
-                            rname = "lookup"; rarity = 2 };
-                 args = [ _ctx; namev ]; _ } ->
+    | Some (Lookup { dst = d; namev }) ->
       (match eval ev namev with
        | Str jndi ->
          (match List.assoc_opt jndi ejb_registry with
@@ -317,36 +338,47 @@ let rewrite_method (prog : Program.t) ~(ejb_registry : (string * string) list)
                     site = csite } ]
           | _ -> None)
        | _ -> None)
-    | _ -> None
   in
+  (* a block without a candidate is never written: the model-JDK image,
+     shared by every load, relies on it *)
   Array.iter
     (fun (b : Tac.block) ->
-       let out = ref [] in
-       Array.iter
-         (fun ins ->
-            match rewrite_one ins with
-            | Some replacement ->
-              changed := true;
-              List.iter (fun r -> out := r :: !out) replacement
-            | None -> out := ins :: !out)
-         b.Tac.instrs;
-       if !changed then b.Tac.instrs <- Array.of_list (List.rev !out))
+       if has_candidate b then begin
+         let out = ref [] in
+         let changed = ref false in
+         Array.iter
+           (fun ins ->
+              match rewrite_one ins with
+              | Some replacement ->
+                changed := true;
+                List.iter (fun r -> out := r :: !out) replacement
+              | None -> out := ins :: !out)
+           b.Tac.instrs;
+         if !changed then b.Tac.instrs <- Array.of_list (List.rev !out)
+       end)
     m.Tac.m_blocks
 
-(** Run the reflection/lookup rewrite over every method. Returns statistics
-    about resolved and unresolved reflective calls. *)
+(** Run the reflection/lookup rewrite over every method that holds a
+    candidate call, in method-id order. Returns statistics about resolved
+    and unresolved reflective calls. *)
 let rewrite_program ?(ejb_registry = []) (prog : Program.t) : stats =
   let st =
     { invokes_resolved = 0; invokes_unresolved = 0; new_instances = 0;
       lookups = 0 }
   in
-  (* snapshot the method list first: dispatcher synthesis adds methods *)
-  let ids = Program.all_method_ids prog in
+  (* collect first: dispatcher synthesis adds methods, which hold no
+     candidate anyway *)
+  let targets = ref [] in
+  Program.iter_methods prog (fun m ->
+      if Array.exists has_candidate m.Tac.m_blocks then
+        targets := m :: !targets);
+  let targets =
+    List.sort
+      (fun a b -> String.compare (Tac.method_id a) (Tac.method_id b))
+      !targets
+  in
   let dispatch_idx = ref 0 in
   List.iter
-    (fun id ->
-       match Program.find_method prog id with
-       | Some m -> rewrite_method prog ~ejb_registry ~dispatch_idx m st
-       | None -> ())
-    ids;
+    (fun m -> rewrite_method prog ~ejb_registry ~dispatch_idx m st)
+    targets;
   st

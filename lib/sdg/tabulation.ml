@@ -427,9 +427,9 @@ let run ?(interrupt = fun () -> false) ?(on_heap_transition = fun () -> ())
     { b; mode; cb = callbacks;
       interrupt; on_heap_transition;
       queue = Queue.create ();
-      seen = Hashtbl.create 4096;
-      parents = Stmt.Table.create 4096;
-      depth = Stmt.Table.create 4096;
+      seen = Hashtbl.create 256;
+      parents = Stmt.Table.create 256;
+      depth = Stmt.Table.create 256;
       incoming = Hashtbl.create 256;
       summaries = Hashtbl.create 256;
       internal_ret = Hashtbl.create 256;

@@ -15,6 +15,7 @@ let () =
       ("backward", Test_backward.suite);
       ("workloads", Test_workloads.suite);
       ("models", Test_models.suite);
+      ("image", Test_image.suite);
       ("string-context", Test_string_context.suite);
       ("strings", Test_strings.suite);
       ("jsp", Test_jsp.suite);

@@ -329,6 +329,80 @@ let test_dirty_closure () =
     (counter_value "cache.summary.hit" >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Front-tier hits: re-linked to the image, then analyzed             *)
+(* ------------------------------------------------------------------ *)
+
+(* A hybrid run fills the front tier. A CI run over the same cache
+   misses the result tier (another configuration) but takes its program
+   from the front entry, re-linked to the model-JDK image, and must
+   report exactly what an uncached CI run does. *)
+let test_front_hit_analyzed () =
+  let ci = Config.preset Config.Ci_thin_slicing in
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.disable ();
+      Obs.Telemetry.reset ())
+  @@ fun () ->
+  List.iter
+    (fun (app : Workloads.Apps.app) ->
+       let what = app.Workloads.Apps.name ^ ": CI over a hybrid cache" in
+       let input = input_of app.Workloads.Apps.name in
+       let reference = Cache.Incr.analyze ~config:ci input in
+       Alcotest.(check bool) (what ^ ": reference completed") false
+         reference.Cache.Incr.i_partial;
+       with_dir @@ fun dir ->
+       let cache = Cache.Incr.create ~dir in
+       ignore (run ~cache input);
+       Obs.Telemetry.reset ();
+       let o = Cache.Incr.analyze ~cache ~config:ci input in
+       Alcotest.(check bool) (what ^ ": analyzed") false
+         o.Cache.Incr.i_from_cache;
+       Alcotest.(check int) (what ^ ": front hit") 1
+         (counter_value "cache.front.hit");
+       check_report ~what ~reference:reference.Cache.Incr.i_report o)
+    (Workloads.Apps.table2 @ Workloads.Apps.contexts_apps)
+
+(* The front entry of a one-unit app holds the application's part only:
+   no library class or method, no site the image numbered. *)
+let test_front_entry_app_only () =
+  with_dir @@ fun dir ->
+  let cache = Cache.Incr.create ~dir in
+  ignore (run ~cache (closure_input ~c_body:"return s;"));
+  let image = Models.Jdklib.image () in
+  let store = Cache.Store.load (store_file dir) in
+  match Cache.Store.bindings store ~tier:"front" with
+  | [ (_, payload) ] ->
+    let (d, _, _) : Jir.Program.delta * Models.Reflection.stats * int =
+      Marshal.from_string payload 0
+    in
+    Alcotest.(check bool) "holds the app's classes" true
+      (d.Jir.Program.d_classes <> []);
+    Alcotest.(check bool) "holds the app's methods" true
+      (d.Jir.Program.d_methods <> []);
+    List.iter
+      (fun (c : Jir.Classtable.cls) ->
+         Alcotest.(check bool) ("not library: " ^ c.Jir.Classtable.cl_name)
+           false
+           (c.Jir.Classtable.cl_library
+            || Jir.Classtable.mem image.Jir.Program.table
+                 c.Jir.Classtable.cl_name))
+      d.Jir.Program.d_classes;
+    List.iter
+      (fun (m : Jir.Tac.meth) ->
+         Alcotest.(check bool) ("not library: " ^ Jir.Tac.method_id m) false
+           (m.Jir.Tac.m_library
+            || Jir.Program.mem_method image (Jir.Tac.method_id m)))
+      d.Jir.Program.d_methods;
+    List.iter
+      (fun (si : Jir.Program.site_info) ->
+         if si.Jir.Program.si_id < image.Jir.Program.next_site then
+           Alcotest.failf "site %d was numbered by the image"
+             si.Jir.Program.si_id)
+      d.Jir.Program.d_sites
+  | l -> Alcotest.failf "expected one front entry, got %d" (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Def/use summary round-trip through the builder hooks               *)
 (* ------------------------------------------------------------------ *)
 
@@ -386,4 +460,8 @@ let suite =
     Alcotest.test_case "dirty-set closure invalidation" `Quick
       test_dirty_closure;
     Alcotest.test_case "def/use summary replay" `Quick
-      test_defuse_roundtrip ]
+      test_defuse_roundtrip;
+    Alcotest.test_case "front hit analyzed under another config" `Slow
+      test_front_hit_analyzed;
+    Alcotest.test_case "front entry holds the app only" `Quick
+      test_front_entry_app_only ]

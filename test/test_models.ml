@@ -59,6 +59,55 @@ let test_dict_classify () =
        (mk_call ~cls:"ArrayList" ~name:"get" [ 1; 5 ] (Some 9))
      = None)
 
+(* The matches accept exactly the dictionary classes and the put/get
+   verbs: every other class and method name of the model JDK, and near
+   misses of each, are left alone. *)
+let test_dict_matches_exactly () =
+  let module D = Models.Dict_model in
+  let table = (Models.Jdklib.image ()).Program.table in
+  let jdk_classes =
+    List.map (fun c -> c.Classtable.cl_name) (Classtable.all_classes table)
+  in
+  let near s = [ s; String.lowercase_ascii s; s ^ "s"; "$" ^ s ] in
+  List.iter
+    (fun cls ->
+       let expected = List.mem cls Models.Jdklib.dictionary_classes in
+       Alcotest.(check bool) ("class " ^ cls) expected (D.is_dict_class cls);
+       Alcotest.(check bool) ("classify on " ^ cls) expected
+         (D.classify ~const_of:(fun _ -> None)
+            (mk_call ~cls [ 1; 5; 2 ] None)
+          <> None))
+    ("" :: List.concat_map near jdk_classes);
+  let puts = [ "put"; "setAttribute"; "setProperty" ] in
+  let gets = [ "get"; "getAttribute"; "getProperty" ] in
+  let jdk_names =
+    List.concat_map
+      (fun c ->
+         Hashtbl.fold (fun (n, _) _ acc -> n :: acc) c.Classtable.cl_methods [])
+      (Classtable.all_classes table)
+  in
+  List.iter
+    (fun name ->
+       let is_put =
+         match
+           D.classify ~const_of:(fun _ -> None)
+             (mk_call ~name [ 1; 5; 2 ] None)
+         with
+         | Some (D.Dict_put _) -> true
+         | _ -> false
+       in
+       let is_get =
+         match
+           D.classify ~const_of:(fun _ -> None)
+             (mk_call ~name [ 1; 5 ] (Some 9))
+         with
+         | Some (D.Dict_get _) -> true
+         | _ -> false
+       in
+       Alcotest.(check bool) ("put " ^ name) (List.mem name puts) is_put;
+       Alcotest.(check bool) ("get " ^ name) (List.mem name gets) is_get)
+    ("" :: List.concat_map near (puts @ gets @ jdk_names))
+
 let field_names fields = List.map (fun f -> f.Tac.fname) fields
 
 let test_dict_field_encoding () =
@@ -177,6 +226,7 @@ let suite =
   [ Alcotest.test_case "jdk parses" `Quick test_jdk_parses;
     Alcotest.test_case "jdk lowers and verifies" `Quick test_jdk_lowers_and_verifies;
     Alcotest.test_case "dict classify" `Quick test_dict_classify;
+    Alcotest.test_case "dict matches exactly" `Quick test_dict_matches_exactly;
     Alcotest.test_case "dict field encoding" `Quick test_dict_field_encoding;
     Alcotest.test_case "native summaries" `Quick test_native_summaries;
     Alcotest.test_case "reflection eval" `Quick test_reflection_eval;
