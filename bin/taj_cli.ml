@@ -128,11 +128,13 @@ let with_contexts cfg ~contexts ~no_contexts =
 let cache_dir_arg =
   let doc =
     "Persist and reuse the incremental analysis cache in $(docv): parsed \
-     units, the frontend product, per-method def/use summaries and clean \
-     final reports, each keyed by content digests. A re-run of unchanged \
-     sources — or sources differing only in comments or whitespace — \
-     reuses everything downstream of the change. A corrupted store file \
-     is discarded with a diagnostic and the run proceeds cold."
+     units, the frontend product, per-method def/use summaries and the \
+     final report of each clean run, each keyed by content digests. A \
+     re-run reuses every product whose inputs are unchanged; a comment or \
+     whitespace edit still hits everything past the parser. $(b,analyze) \
+     never answers from a stored report, while $(b,serve) answers a \
+     request whose report is stored without analyzing. A corrupted store \
+     file is discarded with a diagnostic and the run proceeds cold."
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
@@ -141,7 +143,7 @@ let no_cache_flag =
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 (* the session (when caching is on) carries the open store and the hooks
-   threaded into the supervisor; the caller commits it after the run *)
+   threaded into the supervisor; the caller finishes it after the run *)
 let cache_session ~cache_dir ~no_cache ~app =
   match (if no_cache then None else cache_dir) with
   | None -> None
@@ -151,34 +153,6 @@ let cache_session ~cache_dir ~no_cache ~app =
      | Some d -> Fmt.epr "%a@." Diagnostics.pp_degradation d
      | None -> ());
     Some s
-
-(* persist whatever the run learned; a clean completed analysis also
-   refreshes the summary tier and stores its rendered report *)
-let cache_commit session ~config (outcome : Supervisor.outcome)
-    (input : Taj.input) =
-  match session with
-  | None -> ()
-  | Some s ->
-    (match outcome.Supervisor.sv_analysis with
-     | Some ({ Taj.result = Taj.Completed c; _ } as analysis)
-       when (not (Report.is_partial c.Taj.report))
-            && outcome.Supervisor.sv_diagnostics = [] ->
-       let cr =
-         { Cache.Incr.cr_report =
-             Cache.Incr.render_report c.Taj.builder c.Taj.report;
-           cr_issues = Report.issue_count c.Taj.report;
-           cr_flows = Report.flow_count c.Taj.report }
-       in
-       let rules = Rules.default_rules in
-       let keys =
-         Cache.Incr.result_key ~rules ~config input
-         :: Option.to_list
-              (Cache.Incr.ast_result_key ~rules ~config
-                 ~loaded:analysis.Taj.loaded s)
-       in
-       Cache.Incr.commit ~results:(List.map (fun k -> (k, cr)) keys)
-         ~analysis:c s
-     | _ -> Cache.Incr.commit s)
 
 (* Telemetry stays off (single-atomic-load probes) unless one of the
    observability flags asks for it. *)
@@ -517,11 +491,13 @@ let analyze_cmd =
               ~refine_steps)
            ~contexts ~no_contexts)
         with
-        Config.cache_dir = (if no_cache then None else cache_dir);
-        triage_filter = not no_triage_filter }
+        Config.triage_filter = not no_triage_filter }
     in
     let outcome = Supervisor.run ~options ~config input in
-    cache_commit session ~config outcome input;
+    Option.iter
+      (fun s ->
+         Cache.Incr.finish s ~rules:Rules.default_rules ~config input outcome)
+      session;
     (* export before the exit-code branches so a partial or failed run
        still yields its trace and metrics *)
     telemetry_export ~trace ~metrics;
@@ -1558,7 +1534,7 @@ let top_cmd =
          (jint "latency_ms_p50" h) (jint "latency_ms_p95" h)
          (jint "latency_ms_p99" h);
        line "state     queue %d  pressure %d  rung %s  breakers open %d  \
-             cache %d/%d hit/miss (%d invalidated)"
+             cache %d/%d hit/miss"
          (jint "queue_depth" h) (jint "pressure" h)
          (match J.str_member "rung" h with
           | Some r when r <> "" -> r
@@ -1567,7 +1543,6 @@ let top_cmd =
           | Some (J.Arr l) -> List.length l
           | _ -> 0)
          (jint "cache_hits" h) (jint "cache_misses" h)
-         (jint "cache_invalidated" h)
      | None -> ());
     (match metrics with
      | None -> ()
@@ -1582,10 +1557,8 @@ let top_cmd =
        (match counter "cache.hit", counter "cache.miss" with
         | None, None -> ()
         | hit, miss ->
-          line "cache     %d hit  %d miss  %d invalidated"
-            (Option.value ~default:0 hit) (Option.value ~default:0 miss)
-            (Option.value ~default:0
-               (counter "cache.invalidated")));
+          line "cache     %d hit  %d miss"
+            (Option.value ~default:0 hit) (Option.value ~default:0 miss));
        (* per-rung response counters: one "serve.rung.<algorithm>"
           counter per ladder rung a job actually ran on *)
        (match m with

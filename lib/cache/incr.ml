@@ -6,7 +6,6 @@ module Telemetry = Obs.Telemetry
 
 let c_hit = Telemetry.counter "cache.hit"
 let c_miss = Telemetry.counter "cache.miss"
-let c_invalidated = Telemetry.counter "cache.invalidated"
 
 let hit tier =
   Telemetry.incr c_hit;
@@ -15,11 +14,6 @@ let hit tier =
 let miss tier =
   Telemetry.incr c_miss;
   Telemetry.incr (Telemetry.counter (Printf.sprintf "cache.%s.miss" tier))
-
-let invalidated tier =
-  Telemetry.incr c_invalidated;
-  Telemetry.incr
-    (Telemetry.counter (Printf.sprintf "cache.%s.invalidated" tier))
 
 (* ------------------------------------------------------------------ *)
 (* Digests                                                            *)
@@ -173,159 +167,17 @@ let hooks s : Core.Cache_iface.t =
     strings = Some strings }
 
 (* ------------------------------------------------------------------ *)
-(* Summary tier: call-closure digests                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Merkle digest per call-graph node: a hash over its SCC's method
-   bodies plus the closure digests of every successor SCC — so the
-   digest of a method changes exactly when the body of {e any} method
-   reachable from it changes. Tarjan pops components in reverse
-   topological order, so successor components are always digested
-   first. *)
-let closure_digests (cg : Pointer.Callgraph.t) =
-  let n = Pointer.Callgraph.node_count cg in
-  let body =
-    Array.init n (fun i ->
-      d_val (Pointer.Callgraph.node cg i).Pointer.Callgraph.n_method)
-  in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let onstack = Array.make n false in
-  let comp = Array.make n (-1) in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let ncomp = ref 0 in
-  let rec strong v =
-    index.(v) <- !counter;
-    low.(v) <- !counter;
-    incr counter;
-    stack := v :: !stack;
-    onstack.(v) <- true;
-    List.iter
-      (fun w ->
-         if index.(w) < 0 then begin
-           strong w;
-           low.(v) <- min low.(v) low.(w)
-         end
-         else if onstack.(w) then low.(v) <- min low.(v) index.(w))
-      (Pointer.Callgraph.successors cg v);
-    if low.(v) = index.(v) then begin
-      let rec pop () =
-        match !stack with
-        | w :: rest ->
-          stack := rest;
-          onstack.(w) <- false;
-          comp.(w) <- !ncomp;
-          if w <> v then pop ()
-        | [] -> assert false
-      in
-      pop ();
-      incr ncomp
-    end
-  in
-  for v = 0 to n - 1 do
-    if index.(v) < 0 then strong v
-  done;
-  let members = Array.make !ncomp [] in
-  for v = n - 1 downto 0 do
-    members.(comp.(v)) <- v :: members.(comp.(v))
-  done;
-  (* component c only points at components < c *)
-  let comp_digest = Array.make !ncomp "" in
-  for c = 0 to !ncomp - 1 do
-    let parts =
-      List.concat_map
-        (fun v ->
-           body.(v)
-           :: List.filter_map
-                (fun w ->
-                   if comp.(w) = c then None else Some comp_digest.(comp.(w)))
-                (Pointer.Callgraph.successors cg v))
-        members.(c)
-    in
-    comp_digest.(c) <- d_str (String.concat "|" (List.sort_uniq compare parts))
-  done;
-  fun v -> comp_digest.(comp.(v))
-
-(* Per-method summary entry: the closure digest it was derived under,
-   and the parameter positions with a summary edge. *)
-type summary_entry = { sm_closure : string; sm_params : int list }
-
-let summary_entries (c : Core.Taj.completed) : (string * summary_entry) list =
-  let cg = Pointer.Andersen.call_graph c.Core.Taj.andersen in
-  let closure = closure_digests cg in
-  let mid v =
-    Jir.Tac.method_id (Pointer.Callgraph.node cg v).Pointer.Callgraph.n_method
-  in
-  (* method id -> param set, over every clone's summary edges *)
-  let params : (string, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (v, p) ->
-       let key = mid v in
-       match Hashtbl.find_opt params key with
-       | Some l -> if not (List.mem p !l) then l := p :: !l
-       | None -> Hashtbl.add params key (ref [ p ]))
-    c.Core.Taj.outcome.Core.Engine.summary_edges;
-  (* method id -> digest over its clones' closure digests *)
-  let closures : (string, string list ref) Hashtbl.t = Hashtbl.create 64 in
-  for v = 0 to Pointer.Callgraph.node_count cg - 1 do
-    let key = mid v in
-    match Hashtbl.find_opt closures key with
-    | Some l -> l := closure v :: !l
-    | None -> Hashtbl.add closures key (ref [ closure v ])
-  done;
-  Hashtbl.fold
-    (fun key ps acc ->
-       match Hashtbl.find_opt closures key with
-       | None -> acc
-       | Some ds ->
-         ( key,
-           { sm_closure = d_str (String.concat "|" (List.sort compare !ds));
-             sm_params = List.sort compare !ps } )
-         :: acc)
-    params []
-  |> List.sort compare
-
-(* Walk the persisted summary tier against this run's closure digests:
-   an entry whose digest still matches is a validated reuse (hit); a
-   mismatched or orphaned one is stale (invalidated, dropped). Fresh
-   entries are then written. The entries are bookkeeping for the
-   dirty-set closure — they are never injected into a traversal, which
-   would perturb witness discovery order. *)
-let refresh_summaries s (c : Core.Taj.completed) =
-  let fresh = summary_entries c in
-  let stale = Store.bindings s.st ~tier:"summary" in
-  List.iter
-    (fun (key, payload) ->
-       match
-         ( (decode payload : summary_entry option),
-           List.assoc_opt key fresh )
-       with
-       | Some old, Some now when String.equal old.sm_closure now.sm_closure ->
-         hit "summary"
-       | _ ->
-         invalidated "summary";
-         Store.remove s.st ~tier:"summary" ~key)
-    stale;
-  List.iter (fun (key, e) -> fill s ~tier:"summary" ~key e) fresh
-
-(* ------------------------------------------------------------------ *)
 (* Result tier                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type cached_result = { cr_report : string; cr_issues : int; cr_flows : int }
-
-(* cache_dir is where the store lives, not what the analysis computes;
-   zero it so moving a cache directory does not cold-start it *)
-let config_key (config : Core.Config.t) =
-  { config with Core.Config.cache_dir = None }
 
 let result_key ~rules ~config (input : Core.Taj.input) =
   d_val
     ( "raw",
       List.map d_str input.Core.Taj.app_sources,
       input.Core.Taj.descriptor,
-      config_key config,
+      (config : Core.Config.t),
       rules )
 
 (* The semantic result key: parsed-unit AST digests instead of source
@@ -336,27 +188,66 @@ let result_key ~rules ~config (input : Core.Taj.input) =
 let ast_result_key ~rules ~config ~(loaded : Core.Taj.loaded) s =
   match s.front_key with
   | Some fk when loaded.Core.Taj.skipped_units = [] ->
-    Some (d_val ("ast", fk, config_key config, rules))
+    Some (d_val ("ast", fk, config, rules))
   | _ -> None
 
-let lookup_result s ~key = (lookup s ~tier:"result" ~key : cached_result option)
+(* The tier is content-addressed: a result key maps to the digest of its
+   report's payload, and the payload is stored once, under that digest,
+   in the [report] tier. The raw key, the AST key and the raw key of a
+   comment-edited input all share one copy. *)
+let lookup_result s ~key : cached_result option =
+  let found =
+    Option.bind (Store.find s.st ~tier:"result" ~key) (fun digest ->
+      Option.bind (Store.find s.st ~tier:"report" ~key:digest) decode)
+  in
+  (match found with Some _ -> hit "result" | None -> miss "result");
+  found
 
-let commit ?(results = []) ?analysis s =
-  (match analysis with
-   | Some c -> refresh_summaries s c
-   | None -> ());
-  List.iter (fun (key, cr) -> fill s ~tier:"result" ~key cr) results;
+let commit ?(results = []) ?analysis:_ s =
+  List.iter
+    (fun (key, cr) ->
+       let payload = Marshal.to_string (cr : cached_result) [] in
+       let digest = d_str payload in
+       Store.put s.st ~tier:"report" ~key:digest payload;
+       Store.put s.st ~tier:"result" ~key digest)
+    results;
   ignore
     (Telemetry.phase "phase.cache"
        ~args:[ ("op", "save"); ("app", s.app) ]
        (fun () -> Store.save s.st))
 
+let render_report builder report =
+  Format.asprintf "%a" (Core.Report.pp builder) report
+
+let entry_of (c : Core.Taj.completed) =
+  { cr_report = render_report c.Core.Taj.builder c.Core.Taj.report;
+    cr_issues = Core.Report.issue_count c.Core.Taj.report;
+    cr_flows = Core.Report.flow_count c.Core.Taj.report }
+
+(* The one rule for what a finished run stores. [entry] gives a clean
+   run's report; [supervised] passes the one it already rendered for its
+   own outcome, so no run renders twice. *)
+let store_clean s ~rules ~config input (sv : Core.Supervisor.outcome) ~entry =
+  let results =
+    match sv.Core.Supervisor.sv_analysis with
+    | Some { Core.Taj.result = Core.Taj.Completed c; loaded; _ }
+      when (not (Core.Report.is_partial c.Core.Taj.report))
+           && sv.Core.Supervisor.sv_diagnostics = [] ->
+      let cr = entry c in
+      List.map
+        (fun key -> (key, cr))
+        (result_key ~rules ~config input
+         :: Option.to_list (ast_result_key ~rules ~config ~loaded s))
+    | _ -> []
+  in
+  commit ~results s
+
+let finish s ~rules ~config input sv =
+  store_clean s ~rules ~config input sv ~entry:entry_of
+
 (* ------------------------------------------------------------------ *)
 (* Cached supervised analysis                                         *)
 (* ------------------------------------------------------------------ *)
-
-let render_report builder report =
-  Format.asprintf "%a" (Core.Report.pp builder) report
 
 type outcome = {
   i_report : string;
@@ -374,38 +265,18 @@ let from_cache ~diags (cr : cached_result) =
     i_diags = diags }
 
 let supervised ?loaded ~session ~diags ~rules ~options ~config
-    ~(result_keys : string list) (input : Core.Taj.input) : outcome =
+    (input : Core.Taj.input) : outcome =
   let sv = Core.Supervisor.run ~rules ~options ~config ?loaded input in
-  let completed =
+  let cr, partial =
     match sv.Core.Supervisor.sv_analysis with
-    | Some { Core.Taj.result = Core.Taj.Completed c; _ } -> Some c
-    | _ -> None
+    | Some { Core.Taj.result = Core.Taj.Completed c; _ } ->
+      (entry_of c, Core.Report.is_partial c.Core.Taj.report)
+    | _ -> ({ cr_report = ""; cr_issues = 0; cr_flows = 0 }, true)
   in
-  let rendered, issues, flows, partial =
-    match completed with
-    | Some c ->
-      ( render_report c.Core.Taj.builder c.Core.Taj.report,
-        Core.Report.issue_count c.Core.Taj.report,
-        Core.Report.flow_count c.Core.Taj.report,
-        Core.Report.is_partial c.Core.Taj.report )
-    | None -> ("", 0, 0, true)
-  in
-  let clean = (not partial) && sv.Core.Supervisor.sv_diagnostics = [] in
-  (match session with
-   | Some s ->
-     let results =
-       match completed with
-       | Some _ when clean ->
-         let cr =
-           { cr_report = rendered; cr_issues = issues; cr_flows = flows }
-         in
-         List.map (fun k -> (k, cr)) result_keys
-       | _ -> []
-     in
-     let analysis = if clean then completed else None in
-     commit ~results ?analysis s
-   | None -> ());
-  { i_report = rendered; i_issues = issues; i_flows = flows;
+  Option.iter
+    (fun s -> store_clean s ~rules ~config input sv ~entry:(fun _ -> cr))
+    session;
+  { i_report = cr.cr_report; i_issues = cr.cr_issues; i_flows = cr.cr_flows;
     i_partial = partial; i_from_cache = false; i_supervisor = Some sv;
     i_diags = diags }
 
@@ -414,9 +285,7 @@ let analyze ?cache ?(rules = Core.Rules.default_rules)
     ?(config = Core.Config.preset Core.Config.Hybrid_unbounded)
     (input : Core.Taj.input) : outcome =
   match Option.map (fun t -> start t ~app:input.Core.Taj.name) cache with
-  | None ->
-    supervised ~session:None ~diags:[] ~rules ~options ~config
-      ~result_keys:[] input
+  | None -> supervised ~session:None ~diags:[] ~rules ~options ~config input
   | Some s ->
     let diags =
       match corruption s with Some d -> [ d ] | None -> []
@@ -440,19 +309,16 @@ let analyze ?cache ?(rules = Core.Rules.default_rules)
            (* let the supervisor reproduce and record the failure *)
            None
        in
-       let ast_key =
+       match
          Option.bind loaded (fun l ->
-           ast_result_key ~rules ~config ~loaded:l s)
-       in
-       match Option.map (fun key -> (key, lookup_result s ~key)) ast_key with
-       | Some (_, Some cr) ->
+           Option.bind (ast_result_key ~rules ~config ~loaded:l s)
+             (fun key -> lookup_result s ~key))
+       with
+       | Some cr ->
          (* persist the freshly parsed units before answering, so the next
             run with these exact sources hits the raw key outright *)
          commit ~results:[ (raw_key, cr) ] s;
          from_cache ~diags cr
-       | Some (key, None) ->
-         supervised ?loaded ~session:(Some s) ~diags ~rules ~options
-           ~config ~result_keys:[ raw_key; key ] input
        | None ->
          supervised ?loaded ~session:(Some s) ~diags ~rules ~options
-           ~config ~result_keys:[ raw_key ] input)
+           ~config input)

@@ -20,23 +20,18 @@
       {!Strings.Summary} (the sanitization judge's interprocedural
       walk), keyed by the method body exactly like [defuse] — a summary
       is a pure function of the body.
-    - {b summary}: the tabulation summary edges per method, stored under a
-      call-closure (Merkle) digest — the digest of every method body
-      reachable from it in the call graph. Editing a callee flips the
-      closure digests of all its transitive callers (they are
-      invalidated); untouched siblings keep their entries (hits). These
-      entries are validation/accounting only: they are {e never} injected
-      into a traversal, because seeding the worklist would change witness
-      discovery order and break byte-identical reports.
 
     A fifth entry kind, {b result}, memoizes the fully rendered report of
     a clean, complete run under a digest of the entire request (sources,
     descriptor, configuration, rules): a warm re-run of an unchanged
     input — including after a [taj serve] restart — returns it without
-    analyzing at all.
+    analyzing at all. The tier is content-addressed: each result key
+    maps to the digest of its report, and the report is stored once,
+    under that digest, however many keys name it. {!finish} alone
+    decides what a run stores there.
 
-    Counters: [cache.hit] / [cache.miss] / [cache.invalidated], plus
-    per-tier variants ([cache.<tier>.hit], ...). Store I/O runs under a
+    Counters: [cache.hit] / [cache.miss], plus per-tier variants
+    ([cache.<tier>.hit], ...). Store I/O runs under a
     [phase.cache] telemetry span. A corrupt store file surfaces as a
     {!Core.Diagnostics.Cache_corrupt} diagnostic and a cold run. *)
 
@@ -64,8 +59,8 @@ val corruption : session -> Core.Diagnostics.degradation option
 val hooks : session -> Core.Cache_iface.t
 
 (** The raw result-tier key for a request: a digest of the source texts,
-    descriptor, configuration (minus [cache_dir]) and rule set. Computable
-    before any parsing — the key a service consults on admission. *)
+    descriptor, configuration and rule set. Computable before any
+    parsing — the key a service consults on admission. *)
 val result_key :
   rules:Core.Rules.rule list -> config:Core.Config.t -> Core.Taj.input ->
   string
@@ -88,12 +83,14 @@ type cached_result = {
 (** Result-tier lookup; bumps [cache.result.hit]/[.miss]. *)
 val lookup_result : session -> key:string -> cached_result option
 
-(** End the session: validate and refresh the summary tier against the
-    completed analysis (when one is given — pass the analysis only for a
-    clean, complete, undegraded run), store the result entries (same
-    caveat), and persist the store. Safe to call after a degraded or
-    failed run with both options absent: the content-keyed tiers it
-    filled are valid regardless and still get persisted. *)
+(** End the session: store each [(key, report)] of [results] (the
+    report once, under its digest) and persist the store. Pass results
+    only for a clean, complete, undegraded run; {!finish} applies that
+    rule. With [results] absent this is safe after any run: the
+    content-keyed tiers it filled are valid regardless and still get
+    persisted. [analysis] is accepted and ignored, only because the
+    frozen benchmark ([perfbench/]) still passes it; the next change to
+    the benchmark removes it. *)
 val commit :
   ?results:(string * cached_result) list ->
   ?analysis:Core.Taj.completed ->
@@ -101,6 +98,15 @@ val commit :
 
 (** Render a report exactly as the result tier stores it. *)
 val render_report : Sdg.Builder.t -> Core.Report.t -> string
+
+(** End the session after a supervised run of [input] under [rules] and
+    [config]. A clean run (completed, complete report, no supervisor
+    diagnostics) stores its rendered report under its raw key and, when
+    the load defined one, its AST key; every other run stores no result.
+    Either way the store is persisted ({!commit}). *)
+val finish :
+  session -> rules:Core.Rules.rule list -> config:Core.Config.t ->
+  Core.Taj.input -> Core.Supervisor.outcome -> unit
 
 type outcome = {
   i_report : string;          (** rendered report ("" if none) *)
@@ -116,7 +122,7 @@ type outcome = {
 
 (** Supervised analysis through the cache: result-tier lookup, else a
     {!Core.Supervisor.run} with the tier hooks threaded in, then
-    {!commit}. With [cache = None] this is exactly a supervised run (the
+    {!finish}. With [cache = None] this is exactly a supervised run (the
     uncached baseline the metamorphic tests compare against). *)
 val analyze :
   ?cache:t ->

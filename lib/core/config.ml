@@ -45,7 +45,6 @@ type t = {
   refine : bool;                      (* access-path replay of each flow *)
   refine_k : int;                     (* access-path depth bound *)
   refine_steps : int;                 (* per-flow replay step budget *)
-  cache_dir : string option;          (* incremental-cache store directory *)
   triage_filter : bool;
       (* consult the type-qualifier triage verdict before building the
          SDG, skipping methods proven untaint-reachable; reports are
@@ -82,7 +81,6 @@ let preset ?(scale = 1.0) (algorithm : algorithm) : t =
       refine = false;
       refine_k = 3;
       refine_steps = 4096;
-      cache_dir = None;
       triage_filter = true;
       contexts = false }
   in
@@ -122,14 +120,13 @@ let all_algorithms =
    CS configuration does on large applications (Table 3). Each rung is
    paired with the scale it was built at, for diagnostics. *)
 let degradation_ladder ?(scale = 1.0) (c : t) : (float * t) list =
-  (* ladder rungs are fresh presets: carry over the refinement, cache
-     and triage-filter settings so a degraded retry still classifies its
-     (fewer) flows and keeps reading the same store *)
+  (* ladder rungs are fresh presets: carry over the refinement,
+     triage-filter and contexts settings so a degraded retry still
+     classifies its (fewer) flows *)
   let carry (s, cfg) =
     (s, { cfg with refine = c.refine;
                    refine_k = c.refine_k;
                    refine_steps = c.refine_steps;
-                   cache_dir = c.cache_dir;
                    triage_filter = c.triage_filter;
                    contexts = c.contexts })
   in

@@ -27,9 +27,6 @@ type t = {
   refine : bool;                      (** access-path replay of each flow *)
   refine_k : int;                     (** access-path depth bound *)
   refine_steps : int;                 (** per-flow replay step budget *)
-  cache_dir : string option;
-      (** directory of the persistent incremental-cache store; [None]
-          (every preset's default) disables caching entirely *)
   triage_filter : bool;
       (** consult the triage verdict before the SDG scan and the
           per-rule engine, skipping work proven irrelevant; on by

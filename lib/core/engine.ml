@@ -40,9 +40,6 @@ type outcome = {
          missing but the other rules still ran (fault isolation) *)
   refined : refine_summary option;
       (* present iff the access-path refinement stage ran *)
-  summary_edges : (int * int) list;
-      (* union of per-rule IFDS summary edges, sorted; persisted by the
-         incremental cache under a call-closure digest *)
 }
 
 let mode_of (config : Config.t) : Sdg.Tabulation.mode =
@@ -232,7 +229,6 @@ type per_rule = {
   pr_exhausted : bool;
   pr_interrupted : bool;
   pr_fault : Diagnostics.degradation option;
-  pr_summary_edges : (int * int) list;
 }
 
 let run ?(jobs = 1) ?(interrupt = fun () -> false)
@@ -259,8 +255,7 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
           rs_exhausted = false };
       pr_exhausted = false;
       pr_interrupted = false;
-      pr_fault = None;
-      pr_summary_edges = [] }
+      pr_fault = None }
   in
   (* The run's one call-target resolution, built on first use; the
      tabulation and refinement callbacks read the same matcher without
@@ -332,8 +327,7 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
           rs_exhausted = res.Sdg.Tabulation.exhausted };
       pr_exhausted = res.Sdg.Tabulation.exhausted;
       pr_interrupted = res.Sdg.Tabulation.interrupted;
-      pr_fault = None;
-      pr_summary_edges = res.Sdg.Tabulation.summary_edges }
+      pr_fault = None }
   in
   (* fault isolation: a raising rule contributes no flows and a diagnostic;
      the remaining rules still run. Catching *inside* the task keeps an
@@ -355,8 +349,7 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
           Some
             (Diagnostics.Rule_failed
                { rule = rule.Rules.rule_name;
-                 error = Printexc.to_string e });
-        pr_summary_edges = [] }
+                 error = Printexc.to_string e }) }
   in
   let results =
     if jobs <= 1 then List.map guarded rules
@@ -389,7 +382,4 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
     exhausted = List.exists (fun r -> r.pr_exhausted) results;
     interrupted;
     rule_faults = List.filter_map (fun r -> r.pr_fault) results;
-    refined;
-    summary_edges =
-      List.sort_uniq compare
-        (List.concat_map (fun r -> r.pr_summary_edges) results) }
+    refined }

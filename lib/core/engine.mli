@@ -31,10 +31,6 @@ type outcome = {
   refined : refine_summary option;
       (** present iff the access-path refinement stage ran
           ([Config.refine]); it attaches verdicts and never drops flows *)
-  summary_edges : (int * int) list;
-      (** union of the IFDS summary edges every rule's slice derived —
-          sorted (node, param) pairs; the incremental cache persists
-          these per method under a call-closure digest *)
 }
 
 (** Slicing mode implied by a configuration. *)

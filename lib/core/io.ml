@@ -5,9 +5,9 @@
     and fail with [EINTR] at any moment. A signal must trigger the drain
     protocol, never surface as a spurious job, transport or cache
     failure — so all reads, writes, sleeps and accepts go through
-    {!retry_eintr}. This module lives in [core] (historically
-    [Serve.Io], which now re-exports it) so that source reads, the
-    persistent cache store and the transports all share one I/O path. *)
+    {!retry_eintr}. This module lives in [core] so that source reads,
+    the persistent cache store and the transports all share one I/O
+    path. *)
 
 let rec retry_eintr f =
   match f () with

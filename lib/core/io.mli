@@ -3,7 +3,7 @@
     wrappers make sure a signal reaches the drain protocol instead of
     surfacing as a spurious job, transport or cache failure. Source
     reads, the persistent cache store and the serving transports all go
-    through this one path ([Serve.Io] re-exports it). *)
+    through this one path. *)
 
 (** Retry [f] as long as it fails with [Unix_error (EINTR, _, _)]. *)
 val retry_eintr : (unit -> 'a) -> 'a

@@ -62,8 +62,8 @@ val strip_index_of_node : t -> int -> defuse_summary
     returned. [scan_filter] (default: keep everything) is the triage
     pre-filter hook: a node whose method it rejects is not scanned at
     all — sound only when the caller has proven no slice can reach the
-    method (see [Triage]). [defuse_cache] plugs the persistent
-    per-method summary tier into the on-demand def/use memo. *)
+    method (see [Triage]). [defuse_cache] plugs the cache's persistent
+    per-method def/use tier into the on-demand def/use memo. *)
 val build :
   ?interrupt:(unit -> bool) ->
   ?scan_filter:(Jir.Tac.meth -> bool) ->

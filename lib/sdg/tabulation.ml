@@ -88,7 +88,6 @@ type result = {
   interrupted : bool;                     (* stopped by the interrupt poll *)
   parents : Stmt.t Stmt.Table.t;          (* discovery tree for reports *)
   depth : int Stmt.Table.t;               (* hop count from the seed *)
-  summary_edges : (int * int) list;       (* (node, param) reached return *)
 }
 
 exception Budget of string
@@ -466,10 +465,7 @@ let run ?(interrupt = fun () -> false) ?(on_heap_transition = fun () -> ())
     exhausted = st.exhausted;
     interrupted = st.interrupted;
     parents = st.parents;
-    depth = st.depth;
-    summary_edges =
-      List.sort compare
-        (Hashtbl.fold (fun edge () acc -> edge :: acc) st.summaries []) }
+    depth = st.depth }
 
 (** Reconstruct the witness path for a hit by walking discovery parents. *)
 let path_of (r : result) (s : Stmt.t) : Stmt.t list =

@@ -52,12 +52,6 @@ type result = {
   interrupted : bool;                     (** stopped by the interrupt poll *)
   parents : Stmt.t Stmt.Table.t;          (** discovery tree for reports *)
   depth : int Stmt.Table.t;               (** hop count from the seed *)
-  summary_edges : (int * int) list;
-      (** the IFDS summary edges this slice derived — (node, param index)
-          pairs whose parameter taint reached the node's return — in
-          sorted order; the incremental cache persists these per method,
-          keyed by a call-closure digest, and its dirty-set closure
-          decides which survive an edit *)
 }
 
 (** Run a slice from the seed statements (typically source calls).

@@ -9,7 +9,7 @@
 
 type client = {
   c_fd : Unix.file_descr;
-  c_reader : Io.line_reader;
+  c_reader : Core.Io.line_reader;
   c_write : string -> unit;
 }
 
@@ -21,7 +21,7 @@ type t = {
 
 let create path =
   let listen_fd =
-    match Io.bind_unix_socket path with
+    match Core.Io.bind_unix_socket path with
     | Ok fd -> fd
     | Error `Live ->
       raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
@@ -40,10 +40,10 @@ let drop t client =
 (* An admin peer that vanishes mid-reply is routine (a scraper timed
    out); the writer swallows the error and the next read sees EOF. *)
 let accept t =
-  let cfd, _ = Io.accept t.a_listen in
-  let write = Io.make_writer cfd ~on_error:(fun _ -> ()) in
+  let cfd, _ = Core.Io.accept t.a_listen in
+  let write = Core.Io.make_writer cfd ~on_error:(fun _ -> ()) in
   t.a_clients <-
-    { c_fd = cfd; c_reader = Io.line_reader cfd; c_write = write }
+    { c_fd = cfd; c_reader = Core.Io.line_reader cfd; c_write = write }
     :: t.a_clients
 
 (* The client writer appends one newline per reply; a multi-line reply
@@ -66,7 +66,7 @@ let step t ~reply ready =
         | None -> ()
         | Some client ->
           let rec drain () =
-            match Io.read_line_nonblock client.c_reader with
+            match Core.Io.read_line_nonblock client.c_reader with
             | `Line l ->
               if String.trim l <> "" then client.c_write (chomp (reply l));
               drain ()

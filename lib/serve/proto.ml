@@ -136,8 +136,7 @@ let health_json (h : Service.health) =
       ("latency_p95", num h.h_latency_p95);
       ("latency_p99", num h.h_latency_p99);
       ("cache_hits", num h.h_cache_hits);
-      ("cache_misses", num h.h_cache_misses);
-      ("cache_invalidated", num h.h_cache_invalidated) ]
+      ("cache_misses", num h.h_cache_misses) ]
 
 let health_of_json j : (Service.health, string) result =
   let int k = Option.value ~default:0 (Json.int_member k j) in
@@ -172,8 +171,7 @@ let health_of_json j : (Service.health, string) result =
         h_latency_p95 = int "latency_p95";
         h_latency_p99 = int "latency_p99";
         h_cache_hits = int "cache_hits";
-        h_cache_misses = int "cache_misses";
-        h_cache_invalidated = int "cache_invalidated" }
+        h_cache_misses = int "cache_misses" }
 
 (* Telemetry values, for the [Metrics] frame. Kind is a one-letter tag;
    histograms carry their sparse log2 buckets as [lo, count] pairs. *)
@@ -304,7 +302,7 @@ let write fd m =
   Bytes.set b 2 (Char.chr ((n lsr 8) land 0xff));
   Bytes.set b 3 (Char.chr (n land 0xff));
   Bytes.blit_string payload 0 b 4 n;
-  Io.write_all fd (Bytes.unsafe_to_string b)
+  Core.Io.write_all fd (Bytes.unsafe_to_string b)
 
 type reader = {
   r_fd : Unix.file_descr;
@@ -353,10 +351,10 @@ let rec read_nonblock r =
   | None ->
     if r.r_eof then `Eof
     else begin
-      match Io.select [ r.r_fd ] [] [] 0.0 with
+      match Core.Io.select [ r.r_fd ] [] [] 0.0 with
       | [], _, _ -> `Pending
       | _ ->
-        (match Io.read r.r_fd r.r_chunk 0 (Bytes.length r.r_chunk) with
+        (match Core.Io.read r.r_fd r.r_chunk 0 (Bytes.length r.r_chunk) with
          | 0 -> r.r_eof <- true
          | n -> Buffer.add_subbytes r.r_buf r.r_chunk 0 n
          | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
@@ -370,5 +368,5 @@ let rec read_block r =
   match read_nonblock r with
   | (`Msg _ | `Eof | `Error _) as v -> v
   | `Pending ->
-    ignore (Io.select [ r.r_fd ] [] [] 0.5);
+    ignore (Core.Io.select [ r.r_fd ] [] [] 0.5);
     read_block r

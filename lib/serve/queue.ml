@@ -42,7 +42,7 @@ type 'a push_result =
   | Admitted_shedding of 'a            (** the evicted lower-priority job *)
   | Rejected_full
 
-let create ?(now = Unix.gettimeofday) ?(sleep = Io.sleepf) ~cap () =
+let create ?(now = Unix.gettimeofday) ?(sleep = Core.Io.sleepf) ~cap () =
   { cap = max 1 cap; entries = []; next_seq = 0; draining = false;
     lock = Mutex.create (); nonempty = Condition.create (); now; sleep }
 

@@ -332,16 +332,16 @@ let execute t (job : job) : exec_outcome =
     (match Option.bind session Cache.Incr.corruption with
      | Some d -> record_diag t d
      | None -> ());
-    let result_key =
-      Cache.Incr.result_key ~rules:Rules.default_rules ~config input
-    in
     (* a memory-pressure run answers Degraded even when complete, so it
        neither consults nor feeds the result tier *)
     let cached =
       if pressure > 0 then None
       else
         Option.bind session (fun s ->
-          Cache.Incr.lookup_result s ~key:result_key)
+          Cache.Incr.lookup_result s
+            ~key:
+              (Cache.Incr.result_key ~rules:Rules.default_rules ~config
+                 input))
     in
     match cached with
     | Some cr ->
@@ -363,37 +363,19 @@ let execute t (job : job) : exec_outcome =
           { reason = Printexc.to_string e; severity = Fault.classify e;
             breaker_counts = true }
       | outcome ->
+        Option.iter
+          (fun s ->
+             if pressure > 0 then Cache.Incr.commit s
+             else
+               Cache.Incr.finish s ~rules:Rules.default_rules ~config input
+                 outcome)
+          session;
         let degradations = List.length outcome.Supervisor.sv_diagnostics in
-        let commit ?completed () =
-          match session with
-          | None -> ()
-          | Some s ->
-            (match completed, outcome.Supervisor.sv_analysis with
-             | Some c, Some analysis ->
-               let cr =
-                 { Cache.Incr.cr_report =
-                     Cache.Incr.render_report c.Taj.builder c.Taj.report;
-                   cr_issues = Report.issue_count c.Taj.report;
-                   cr_flows = Report.flow_count c.Taj.report }
-               in
-               let keys =
-                 result_key
-                 :: Option.to_list
-                      (Cache.Incr.ast_result_key
-                         ~rules:Rules.default_rules ~config
-                         ~loaded:analysis.Taj.loaded s)
-               in
-               Cache.Incr.commit
-                 ~results:(List.map (fun k -> (k, cr)) keys)
-                 ~analysis:c s
-             | _ -> Cache.Incr.commit s)
-        in
         (match outcome.Supervisor.sv_triage with
          | Some v ->
            (* rung zero answered: a terminal, degraded response carrying
               the triage sink findings — never a failure. This is the
               floor under "every admitted job gets an answer". *)
-           commit ();
            Exec_ok
              { st = Degraded; why = "type_only";
                issues = List.length (Triage.findings v);
@@ -409,32 +391,24 @@ let execute t (job : job) : exec_outcome =
            if
              Report.is_partial c.Taj.report
              || outcome.Supervisor.sv_diagnostics <> []
-           then begin
-             commit ();
+           then
              Exec_ok
                { st = Degraded; why = "supervisor_degraded"; issues;
                  degradations; verdict = None; mismatched }
-           end
-           else if pressure > 0 then begin
-             commit ();
+           else if pressure > 0 then
              Exec_ok
                { st = Degraded; why = "memory_pressure"; issues;
                  degradations; verdict = None; mismatched }
-           end
-           else begin
-             commit ~completed:c ();
+           else
              Exec_ok
                { st = Completed; why = ""; issues; degradations;
                  verdict = None; mismatched }
-           end
          | Some { Taj.result = Taj.Did_not_complete reason; _ } ->
-           commit ();
            Exec_failed
              { reason = "did_not_complete: " ^ reason;
                severity = Fault.Permanent;
                breaker_counts = rq.rq_deadline = None }
          | None ->
-           commit ();
            Exec_failed
              { reason = "load_failed"; severity = Fault.Permanent;
                breaker_counts = true })
@@ -690,8 +664,7 @@ type health = {
   h_latency_p95 : int;
   h_latency_p99 : int;
   h_cache_hits : int;              (** incremental-cache tier hits … *)
-  h_cache_misses : int;
-  h_cache_invalidated : int;       (** … and evicted stale entries *)
+  h_cache_misses : int;            (** … and misses *)
 }
 
 (* Latency percentiles and cache-tier counters come from the telemetry
@@ -738,8 +711,7 @@ let health t =
     h_latency_p95 = latency_quantile 0.95;
     h_latency_p99 = latency_quantile 0.99;
     h_cache_hits = telemetry_counter "cache.hit";
-    h_cache_misses = telemetry_counter "cache.miss";
-    h_cache_invalidated = telemetry_counter "cache.invalidated" }
+    h_cache_misses = telemetry_counter "cache.miss" }
 
 (** A drain is clean when no admitted job was shed and no job was turned
     away by a full queue: the service kept every promise it made. Failed
@@ -841,7 +813,6 @@ let health_json (h : health) =
          ("latency_ms_p99", num h.h_latency_p99);
          ("cache_hits", num h.h_cache_hits);
          ("cache_misses", num h.h_cache_misses);
-         ("cache_invalidated", num h.h_cache_invalidated);
          ("clean_drain", Json.Bool (clean_drain h)) ])
 
 (* ------------------------------------------------------------------ *)

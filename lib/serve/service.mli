@@ -165,7 +165,6 @@ type health = {
       (** incremental-cache tier counters ({!Cache.Incr}); in a cluster
           worker these are the worker's own post-fork counts *)
   h_cache_misses : int;
-  h_cache_invalidated : int;
 }
 
 val health : t -> health

@@ -120,19 +120,19 @@ let test_proto_partial_frames () =
   let r = Serve.Proto.reader b in
   Alcotest.(check bool) "nothing yet: pending" true
     (Serve.Proto.read_nonblock r = `Pending);
-  Serve.Io.write_all a (String.sub frame 0 3);
+  Core.Io.write_all a (String.sub frame 0 3);
   Alcotest.(check bool) "torn length prefix: pending" true
     (Serve.Proto.read_nonblock r = `Pending);
-  Serve.Io.write_all a (String.sub frame 3 5);
+  Core.Io.write_all a (String.sub frame 3 5);
   Alcotest.(check bool) "torn payload: pending" true
     (Serve.Proto.read_nonblock r = `Pending);
-  Serve.Io.write_all a
+  Core.Io.write_all a
     (String.sub frame 8 (String.length frame - 8));
   (match Serve.Proto.read_nonblock r with
    | `Msg Serve.Proto.Drain -> ()
    | _ -> Alcotest.fail "expected the completed Drain frame");
   (* a frame torn by a crash: length prefix promises more than arrives *)
-  Serve.Io.write_all a (String.sub frame 0 6);
+  Core.Io.write_all a (String.sub frame 0 6);
   Unix.close a;
   (match Serve.Proto.read_block r with
    | `Eof -> ()
@@ -438,7 +438,7 @@ let test_cluster_admin_under_chaos () =
         (List.length !responses);
       (* the crash wrote a merged dump; the dead worker's lane is pid
          [victim index + 2] *)
-      let doc = Serve.Io.read_file dump in
+      let doc = Core.Io.read_file dump in
       Alcotest.(check bool) "flight dump is non-empty" true
         (String.length doc > 0);
       (match Serve.Json.parse doc with

@@ -1,5 +1,5 @@
 (* The incremental cache (lib/cache): metamorphic cache-equivalence over
-   the Table 2 suite, corruption chaos, and the dirty-set closure.
+   the Table 2 suite, corruption chaos, and what the store holds.
 
    The contract under test is absolute: a cached run must be
    byte-identical to the equivalent uncached run — cold (filling the
@@ -266,8 +266,7 @@ let test_write_fault_only_costs_warmth () =
   Alcotest.(check bool) "post-fault warm" true warm.Cache.Incr.i_from_cache
 
 (* ------------------------------------------------------------------ *)
-(* Dirty-set closure: a callee edit invalidates its transitive        *)
-(* callers' summaries; untouched siblings keep theirs                 *)
+(* A callee edit re-analyzes; a clean run stores its report once      *)
 (* ------------------------------------------------------------------ *)
 
 let closure_unit ~c_body =
@@ -298,13 +297,7 @@ let counter_value name =
   | Some (Obs.Telemetry.V_counter n) -> n
   | _ -> 0
 
-let test_dirty_closure () =
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.disable ();
-      Obs.Telemetry.reset ())
-  @@ fun () ->
+let test_callee_edit () =
   with_dir @@ fun dir ->
   let cache = Cache.Incr.create ~dir in
   let cold = run ~cache (closure_input ~c_body:"return s;") in
@@ -312,21 +305,48 @@ let test_dirty_closure () =
     cold.Cache.Incr.i_partial;
   Alcotest.(check int) "closure cold found the two flows" 2
     cold.Cache.Incr.i_issues;
-  Obs.Telemetry.reset ();
-  (* edit the deepest callee: Chain.deep, Chain.mid, Chain.top carry it
-     in their call closures; Sibling.pass does not *)
+  (* edit the deepest callee, which Chain.mid and Chain.top reach *)
   let edited =
     run ~cache (closure_input ~c_body:"String t = s; return t;")
   in
   Alcotest.(check bool) "closure edit re-analyzes" false
     edited.Cache.Incr.i_from_cache;
   Alcotest.(check int) "closure edit keeps both flows" 2
-    edited.Cache.Incr.i_issues;
-  Alcotest.(check int)
-    "exactly the three transitive callers of the edit are invalidated" 3
-    (counter_value "cache.summary.invalidated");
-  Alcotest.(check bool) "the untouched sibling's summary survives" true
-    (counter_value "cache.summary.hit" >= 1)
+    edited.Cache.Incr.i_issues
+
+(* Every frame after the store's header is one marshaled
+   [((tier, key), payload)] entry; count the payloads, over all tiers,
+   that hold [report]. *)
+let report_copies dir report =
+  match Cache.Frame.read_all (Io.read_file (store_file dir)) with
+  | [] -> Alcotest.fail "store has no header"
+  | _header :: entries ->
+    List.length
+      (List.filter
+         (fun frame ->
+            let ((_, payload) : (string * string) * string) =
+              Marshal.from_string frame 0
+            in
+            Test_telemetry.contains ~needle:report payload)
+         entries)
+
+(* A clean run names its report by a raw and an AST key, and a
+   comment-edit hit adds the edited input's raw key; the store still
+   holds the report once. *)
+let test_report_stored_once () =
+  with_dir @@ fun dir ->
+  let cache = Cache.Incr.create ~dir in
+  let input = closure_input ~c_body:"return s;" in
+  let cold = run ~cache input in
+  Alcotest.(check bool) "clean cold run" false cold.Cache.Incr.i_partial;
+  let report = cold.Cache.Incr.i_report in
+  Alcotest.(check int) "cold run: one report payload" 1
+    (report_copies dir report);
+  let commented = run ~cache (comment_edit input) in
+  Alcotest.(check bool) "comment edit hits" true
+    commented.Cache.Incr.i_from_cache;
+  Alcotest.(check int) "after the comment-edit hit: still one" 1
+    (report_copies dir report)
 
 (* ------------------------------------------------------------------ *)
 (* Front-tier hits: re-linked to the image, then analyzed             *)
@@ -457,8 +477,9 @@ let suite =
       test_read_fault_falls_back_cold;
     Alcotest.test_case "cache:write fault only costs warmth" `Quick
       test_write_fault_only_costs_warmth;
-    Alcotest.test_case "dirty-set closure invalidation" `Quick
-      test_dirty_closure;
+    Alcotest.test_case "callee edit re-analyzes" `Quick test_callee_edit;
+    Alcotest.test_case "a clean report is stored once" `Quick
+      test_report_stored_once;
     Alcotest.test_case "def/use summary replay" `Quick
       test_defuse_roundtrip;
     Alcotest.test_case "front hit analyzed under another config" `Slow

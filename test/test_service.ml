@@ -58,7 +58,7 @@ end
 
 let service_config ?(workers = 2) ?(queue_cap = 256) ?(max_retries = 2)
     ?(seed = 7) ?(breaker_threshold = 5) ?(breaker_cooldown = 3600.0)
-    ?mem_soft_limit_mb ?(sleep = Serve.Io.sleepf) () =
+    ?mem_soft_limit_mb ?(sleep = Core.Io.sleepf) () =
   { Serve.Service.default_config with
     workers; queue_cap; max_retries; seed; breaker_threshold;
     breaker_cooldown; mem_soft_limit_mb; sleep }
@@ -558,7 +558,7 @@ let test_service_shed_and_queue_full () =
   let rec wait_empty n =
     if n = 0 then Alcotest.fail "blocker never started"
     else if (Serve.Service.health t).Serve.Service.h_queue_depth > 0 then begin
-      Serve.Io.sleepf 0.005;
+      Core.Io.sleepf 0.005;
       wait_empty (n - 1)
     end
   in
@@ -803,6 +803,106 @@ let test_service_degrades_under_pressure () =
     h.Serve.Service.h_rung
 
 (* ------------------------------------------------------------------ *)
+(* The service's cache path                                           *)
+(* ------------------------------------------------------------------ *)
+
+let cached_service ?mem_soft_limit_mb dir =
+  Serve.Service.create
+    ~config:
+      { (service_config ~workers:1 ?mem_soft_limit_mb ()) with
+        Serve.Service.cache_dir = Some dir }
+    ()
+
+(* submit one request and wait for its terminal response *)
+let answer t rq =
+  let col = Collector.create () in
+  Serve.Service.submit t rq ~respond:(Collector.respond col);
+  List.hd (Collector.await col 1)
+
+let with_counters f =
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.disable ();
+      Obs.Telemetry.reset ())
+    f
+
+(* The result entries in the store the service kept for [app]; the store
+   file must exist, so an empty answer means the run committed without
+   feeding the tier. *)
+let result_entries dir app =
+  let path = Filename.concat dir (app ^ ".tajcache") in
+  Alcotest.(check bool) (app ^ ": store committed") true
+    (Sys.file_exists path);
+  Cache.Store.bindings (Cache.Store.load path) ~tier:"result"
+
+let test_service_cache_answers_repeat () =
+  with_counters @@ fun () ->
+  Test_incremental.with_dir @@ fun dir ->
+  let rq = Serve.Service.request ~app:"BlueBlog" ~scale:0.02 in
+  let check_hit ~what ~hits ~issues (r : Serve.Service.response) =
+    Alcotest.(check bool) (what ^ ": completed") true
+      (r.Serve.Service.rp_status = Serve.Service.Completed);
+    Alcotest.(check int) (what ^ ": answered from the result tier") hits
+      (Test_incremental.counter_value "cache.result.hit");
+    Alcotest.(check int) (what ^ ": same issues") issues
+      r.Serve.Service.rp_issues
+  in
+  let t = cached_service dir in
+  let first = answer t (rq "first") in
+  let issues = first.Serve.Service.rp_issues in
+  check_hit ~what:"first" ~hits:0 ~issues first;
+  check_hit ~what:"second" ~hits:1 ~issues (answer t (rq "second"));
+  Serve.Service.await_drained t;
+  (* a fresh service over the same directory starts warm *)
+  let t = cached_service dir in
+  check_hit ~what:"after restart" ~hits:2 ~issues (answer t (rq "third"));
+  Serve.Service.await_drained t
+
+(* A memory-pressure run answers Degraded even when it completes, so it
+   must neither consult nor feed the result tier. *)
+let test_service_cache_pressure_not_stored () =
+  with_counters @@ fun () ->
+  Test_incremental.with_dir @@ fun dir ->
+  let t = cached_service ~mem_soft_limit_mb:0 dir in
+  let r = answer t (Serve.Service.request ~source:two_flows "pressed") in
+  Serve.Service.await_drained t;
+  Alcotest.(check string) "completed under pressure" "memory_pressure"
+    r.Serve.Service.rp_reason;
+  Alcotest.(check int) "the tier was not consulted" 0
+    (Test_incremental.counter_value "cache.result.miss");
+  Alcotest.(check int) "no result entry" 0
+    (List.length (result_entries dir "pressed"))
+
+(* Degraded answers are never stored: a rung-zero triage answer and a run
+   that completed only after a contained fault walked it down the
+   ladder. *)
+let test_service_cache_degraded_not_stored () =
+  Fault.reset ();
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  Test_incremental.with_dir @@ fun dir ->
+  let t = cached_service dir in
+  let triage =
+    answer t
+      (Serve.Service.request ~source:two_flows
+         ~algorithm:Config.Type_triage "triage")
+  in
+  Alcotest.(check (option string)) "answered at rung zero"
+    (Some "type_only") triage.Serve.Service.rp_verdict;
+  Fault.arm Fault.site_andersen ~after:1;
+  let faulted =
+    answer t (Serve.Service.request ~source:two_flows "faulted")
+  in
+  Serve.Service.await_drained t;
+  Alcotest.(check string) "completed degraded" "supervisor_degraded"
+    faulted.Serve.Service.rp_reason;
+  List.iter
+    (fun app ->
+       Alcotest.(check int) (app ^ ": no result entry") 0
+         (List.length (result_entries dir app)))
+    [ "triage"; "faulted" ]
+
+(* ------------------------------------------------------------------ *)
 (* Graceful drain on SIGTERM                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -832,7 +932,7 @@ let test_sigterm_drains_without_losing_jobs () =
        let rec wait_flag n =
          if n = 0 then Alcotest.fail "signal flag never set"
          else if not (Serve.Service.signal_pending t) then begin
-           Serve.Io.sleepf 0.005;
+           Core.Io.sleepf 0.005;
            wait_flag (n - 1)
          end
        in
@@ -951,7 +1051,7 @@ let test_request_decoding () =
 let test_retry_eintr () =
   let calls = ref 0 in
   let v =
-    Serve.Io.retry_eintr (fun () ->
+    Core.Io.retry_eintr (fun () ->
         incr calls;
         if !calls < 3 then
           raise (Unix.Unix_error (Unix.EINTR, "read", ""))
@@ -962,7 +1062,7 @@ let test_retry_eintr () =
   Alcotest.check_raises "other Unix errors propagate"
     (Unix.Unix_error (Unix.EBADF, "read", ""))
     (fun () ->
-       Serve.Io.retry_eintr (fun () ->
+       Core.Io.retry_eintr (fun () ->
            raise (Unix.Unix_error (Unix.EBADF, "read", ""))))
 
 let test_fault_taxonomy () =
@@ -986,12 +1086,12 @@ let test_fault_taxonomy () =
    process: the writer reports the first EPIPE through [on_error] and
    swallows everything after. *)
 let test_writer_broken_pipe () =
-  Serve.Io.ignore_sigpipe ();
+  Core.Io.ignore_sigpipe ();
   let r, w = Unix.pipe () in
   Unix.close r;
   let errors = ref [] in
   let write =
-    Serve.Io.make_writer ~on_error:(fun e -> errors := e :: !errors) w
+    Core.Io.make_writer ~on_error:(fun e -> errors := e :: !errors) w
   in
   write "first line after the peer died";
   Alcotest.(check bool) "EPIPE reported once, not raised" true
@@ -1015,12 +1115,12 @@ let test_stale_socket_handling () =
   Unix.close dead;
   Alcotest.(check bool) "socket file left behind" true
     (Sys.file_exists path);
-  (match Serve.Io.bind_unix_socket path with
+  (match Core.Io.bind_unix_socket path with
    | Ok fd ->
      (* now play the live server: listen, and check a second bind is
         refused instead of stealing the path *)
      Unix.listen fd 8;
-     (match Serve.Io.bind_unix_socket path with
+     (match Core.Io.bind_unix_socket path with
       | Error `Live -> ()
       | Ok fd' ->
         Unix.close fd';
@@ -1073,6 +1173,12 @@ let suite =
       test_watchdog_degrades_config;
     Alcotest.test_case "watchdog: jobs degrade under pressure" `Slow
       test_service_degrades_under_pressure;
+    Alcotest.test_case "cache: a repeated app answers from the tier" `Slow
+      test_service_cache_answers_repeat;
+    Alcotest.test_case "cache: memory pressure stores no result" `Slow
+      test_service_cache_pressure_not_stored;
+    Alcotest.test_case "cache: degraded answers store no result" `Slow
+      test_service_cache_degraded_not_stored;
     Alcotest.test_case "drain: SIGTERM loses no accepted job" `Slow
       test_sigterm_drains_without_losing_jobs;
     Alcotest.test_case "protocol: JSON parser" `Quick test_json_parser;
