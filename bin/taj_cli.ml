@@ -143,7 +143,7 @@ let no_cache_flag =
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 (* the session (when caching is on) carries the open store and the hooks
-   threaded into the supervisor; the caller finishes it after the run *)
+   threaded into the supervisor; the caller commits it after the run *)
 let cache_session ~cache_dir ~no_cache ~app =
   match (if no_cache then None else cache_dir) with
   | None -> None
@@ -494,10 +494,9 @@ let analyze_cmd =
         Config.triage_filter = not no_triage_filter }
     in
     let outcome = Supervisor.run ~options ~config input in
-    Option.iter
-      (fun s ->
-         Cache.Incr.finish s ~rules:Rules.default_rules ~config input outcome)
-      session;
+    (* persist the content-keyed tiers only: [analyze] never answers from
+       the result tier, so a stored report would never be read *)
+    Option.iter (fun s -> Cache.Incr.commit s) session;
     (* export before the exit-code branches so a partial or failed run
        still yields its trace and metrics *)
     telemetry_export ~trace ~metrics;

@@ -30,11 +30,26 @@ let d_val v = d_str (Marshal.to_string v [])
 (* Handle                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Residency: a store stays in memory only while reads want it. A
+   successful commit hands the store to its file and drops it from
+   [stores]; a failed save keeps it, so a full disk costs no warmth. A
+   store that is only read (a result hit) stays, and the loads that push
+   the resident bytes past [budget] evict the least recently started
+   stores. A session keeps its own store object after an eviction: if a
+   later [start] reloads the file, two objects exist for one file and the
+   last save wins. Entries lost that way cost misses, never a different
+   answer, since every entry is keyed by a digest of its content. *)
+type resident = { store : Store.t; mutable started : int }
+
 type t = {
   t_dir : string;
-  stores : (string, Store.t) Hashtbl.t;
+  stores : (string, resident) Hashtbl.t;
+  mutable starts : int;   (* [start] calls so far: the LRU clock *)
   mutex : Mutex.t;
 }
+
+(* what resident stores may hold in key and payload bytes *)
+let budget = 64 * 1024 * 1024
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -46,7 +61,8 @@ let rec mkdir_p dir =
 
 let create ~dir =
   mkdir_p dir;
-  { t_dir = dir; stores = Hashtbl.create 8; mutex = Mutex.create () }
+  { t_dir = dir; stores = Hashtbl.create 8; starts = 0;
+    mutex = Mutex.create () }
 
 let dir t = t.t_dir
 
@@ -60,22 +76,60 @@ let sanitize app =
 
 let store_path t app = Filename.concat t.t_dir (sanitize app ^ ".tajcache")
 
-let store t app =
+let locked t f =
   Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-       match Hashtbl.find_opt t.stores app with
-       | Some s -> s
-       | None ->
-         let s =
-           Telemetry.phase "phase.cache"
-             ~args:[ ("op", "load"); ("app", app) ]
-             (fun () -> Store.load (store_path t app))
-           |> fst
-         in
-         Hashtbl.replace t.stores app s;
-         s)
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+
+(* Evict the least recently started stores, never [keep], until the
+   resident ones fit the budget. The caller holds [t.mutex]. *)
+let trim t ~keep =
+  let total =
+    Hashtbl.fold (fun _ r acc -> acc + Store.bytes r.store) t.stores 0
+  in
+  if total > budget then
+    Hashtbl.fold
+      (fun app r acc ->
+         if String.equal app keep then acc
+         else (r.started, app, Store.bytes r.store) :: acc)
+      t.stores []
+    |> List.sort compare
+    |> List.fold_left
+         (fun total (_, app, bytes) ->
+            if total > budget then begin
+              Hashtbl.remove t.stores app;
+              total - bytes
+            end
+            else total)
+         total
+    |> ignore
+
+(* Loads run under the table lock, so one app is never loaded twice at
+   once. *)
+let store t app =
+  locked t (fun () ->
+    t.starts <- t.starts + 1;
+    match Hashtbl.find_opt t.stores app with
+    | Some r ->
+      r.started <- t.starts;
+      r.store
+    | None ->
+      let s =
+        Telemetry.phase "phase.cache"
+          ~args:[ ("op", "load"); ("app", app) ]
+          (fun () -> Store.load (store_path t app))
+        |> fst
+      in
+      Hashtbl.replace t.stores app { store = s; started = t.starts };
+      trim t ~keep:app;
+      s)
+
+(* A committed store lives in its file from now on; drop it unless the
+   table already holds a newer object for [app]. *)
+let release t app s =
+  locked t (fun () ->
+    match Hashtbl.find_opt t.stores app with
+    | Some r when r.store == s -> Hashtbl.remove t.stores app
+    | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Session                                                            *)
@@ -84,6 +138,7 @@ let store t app =
 type session = {
   app : string;
   st : Store.t;
+  cache : t;
   (* the last frontend-tier key this session's hooks computed: the digest
      of the parsed unit ASTs plus the descriptor. It doubles as the
      semantic half of the AST-keyed result entry, which is what makes a
@@ -91,7 +146,7 @@ type session = {
   mutable front_key : string option;
 }
 
-let start t ~app = { app; st = store t app; front_key = None }
+let start t ~app = { app; st = store t app; cache = t; front_key = None }
 
 let corruption s =
   Option.map
@@ -211,10 +266,12 @@ let commit ?(results = []) ?analysis:_ s =
        Store.put s.st ~tier:"report" ~key:digest payload;
        Store.put s.st ~tier:"result" ~key digest)
     results;
-  ignore
-    (Telemetry.phase "phase.cache"
-       ~args:[ ("op", "save"); ("app", s.app) ]
-       (fun () -> Store.save s.st))
+  let saved, _ =
+    Telemetry.phase "phase.cache"
+      ~args:[ ("op", "save"); ("app", s.app) ]
+      (fun () -> Store.save s.st)
+  in
+  if saved then release s.cache s.app s.st
 
 let render_report builder report =
   Format.asprintf "%a" (Core.Report.pp builder) report

@@ -35,7 +35,12 @@
     [phase.cache] telemetry span. A corrupt store file surfaces as a
     {!Core.Diagnostics.Cache_corrupt} diagnostic and a cold run. *)
 
-(** A cache handle: the store directory plus its per-app open stores. *)
+(** A cache handle: the store directory plus the stores it keeps in
+    memory. A store stays resident only while reads want it: a
+    successful {!commit} hands it to its file and drops it, and a load
+    that takes the resident stores past a constant 64 MiB of keys and
+    payloads evicts the least recently started ones. An evicted store
+    reloads from its file at its next {!start}. *)
 type t
 
 (** Open (creating the directory if needed) a cache rooted at [dir]. *)
@@ -46,7 +51,8 @@ val dir : t -> string
 (** One run's view of one application's store. *)
 type session
 
-(** Open [app]'s store (loading its file under a [phase.cache] span). *)
+(** Open [app]'s store (loading its file under a [phase.cache] span
+    unless it is resident). *)
 val start : t -> app:string -> session
 
 (** The [Cache_corrupt] diagnostic to report, when the store file had to
@@ -88,9 +94,11 @@ val lookup_result : session -> key:string -> cached_result option
     only for a clean, complete, undegraded run; {!finish} applies that
     rule. With [results] absent this is safe after any run: the
     content-keyed tiers it filled are valid regardless and still get
-    persisted. [analysis] is accepted and ignored, only because the
-    frozen benchmark ([perfbench/]) still passes it; the next change to
-    the benchmark removes it. *)
+    persisted. A successful save drops the store from memory; a failed
+    one keeps it resident, so a full disk costs no warmth. [analysis] is
+    accepted and ignored, only because the frozen benchmark
+    ([perfbench/]) still passes it; the next change to the benchmark
+    removes it. *)
 val commit :
   ?results:(string * cached_result) list ->
   ?analysis:Core.Taj.completed ->

@@ -9,6 +9,7 @@ type t = {
   entries : (string * string, string) Hashtbl.t;
   mutex : Mutex.t;
   mutable corruption : string option;
+  mutable bytes : int;   (* key plus payload lengths over [entries] *)
 }
 
 let path t = t.path
@@ -19,7 +20,23 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 let fresh ?corruption path =
-  { path; entries = Hashtbl.create 64; mutex = Mutex.create (); corruption }
+  { path; entries = Hashtbl.create 64; mutex = Mutex.create (); corruption;
+    bytes = 0 }
+
+(* [bytes] bookkeeping; callers hold [t.mutex] *)
+let entry_bytes (_, key) payload = String.length key + String.length payload
+
+let drop t k =
+  match Hashtbl.find_opt t.entries k with
+  | Some old ->
+    t.bytes <- t.bytes - entry_bytes k old;
+    Hashtbl.remove t.entries k
+  | None -> ()
+
+let add t k payload =
+  drop t k;
+  Hashtbl.add t.entries k payload;
+  t.bytes <- t.bytes + entry_bytes k payload
 
 (* Checksummed framing means a payload that decodes is byte-for-byte what
    an earlier run wrote, and the version header pins the encoding — so
@@ -52,10 +69,11 @@ let load path =
             List.iter
               (fun payload ->
                  let k, v = decode_entry payload in
-                 Hashtbl.replace t.entries k v)
+                 add t k v)
               entries
           with Frame.Corrupt reason ->
             Hashtbl.reset t.entries;
+            t.bytes <- 0;
             t.corruption <- Some reason);
          t
        end)
@@ -82,11 +100,9 @@ let save t =
 let find t ~tier ~key =
   locked t (fun () -> Hashtbl.find_opt t.entries (tier, key))
 
-let put t ~tier ~key payload =
-  locked t (fun () -> Hashtbl.replace t.entries (tier, key) payload)
+let put t ~tier ~key payload = locked t (fun () -> add t (tier, key) payload)
 
-let remove t ~tier ~key =
-  locked t (fun () -> Hashtbl.remove t.entries (tier, key))
+let remove t ~tier ~key = locked t (fun () -> drop t (tier, key))
 
 let bindings t ~tier =
   locked t (fun () ->
@@ -96,3 +112,5 @@ let bindings t ~tier =
   |> List.sort compare
 
 let entry_count t = locked t (fun () -> Hashtbl.length t.entries)
+
+let bytes t = locked t (fun () -> t.bytes)

@@ -48,3 +48,7 @@ val remove : t -> tier:string -> key:string -> unit
 val bindings : t -> tier:string -> (string * string) list
 
 val entry_count : t -> int
+
+(** The key plus payload lengths of every entry: what the store holds in
+    memory, up to table overhead. *)
+val bytes : t -> int

@@ -183,8 +183,9 @@ let record_diag t d =
 
 (* Inline jobs are keyed by a hash of their source, not their (unique)
    request id: a repeatedly crashing inline unit trips a breaker like a
-   named app does, and the breaker table stays bounded by distinct
-   workloads rather than growing one dead cell per inline job. *)
+   named app does, the breaker table stays bounded by distinct workloads
+   rather than growing one dead cell per inline job, and a repeated
+   source opens the cache store its first run committed. *)
 let breaker_key (rq : request) =
   match rq.rq_app, rq.rq_source with
   | Some a, _ -> a
@@ -192,7 +193,10 @@ let breaker_key (rq : request) =
   | None, None -> "inline:invalid"
 
 (* The same key doubles as the cluster's consistent-hash routing key, so
-   repeated submissions of one application land on one warm worker. *)
+   repeated submissions of one workload land on one warm worker, and
+   names the cache store a request opens. Two sources whose hashes
+   collide share a store, which is harmless: every entry in it is keyed
+   by a digest of its full content. *)
 let job_key = breaker_key
 
 (* ------------------------------------------------------------------ *)
@@ -260,6 +264,8 @@ let build_input (rq : request) : (Taj.input, string) result =
        Ok (Workloads.Codegen.to_input
              (Workloads.Apps.generate ~scale:rq.rq_scale a)))
   | None, Some src ->
+    (* the name only labels telemetry and errors; the cache store is
+       named by [job_key] *)
     Ok { Taj.name = rq.rq_id; app_sources = [ src ];
          descriptor = rq.rq_descriptor }
   | None, None -> Error "empty_request"
@@ -327,7 +333,7 @@ let execute t (job : job) : exec_outcome =
       else rq.rq_deadline
     in
     let session =
-      Option.map (fun c -> Cache.Incr.start c ~app:input.Taj.name) t.cache
+      Option.map (fun c -> Cache.Incr.start c ~app:(job_key rq)) t.cache
     in
     (match Option.bind session Cache.Incr.corruption with
      | Some d -> record_diag t d

@@ -42,7 +42,9 @@ val status_name : status -> string
 
 (** Stable key identifying the workload of a request: the application
     name, or a hash of the inline source. Used for the per-app circuit
-    breakers and as the cluster's consistent-hash routing key. *)
+    breakers, as the cluster's consistent-hash routing key, and as the
+    name of the cache store the request opens, so a repeated inline
+    source answers from the result tier under any request id. *)
 val job_key : request -> string
 
 type response = {

@@ -349,6 +349,69 @@ let test_report_stored_once () =
     (report_copies dir report)
 
 (* ------------------------------------------------------------------ *)
+(* Residency: which stores a handle keeps in memory                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A successful commit hands the store to its file: with the file gone,
+   the same handle has nothing left to answer from. *)
+let test_commit_evicts () =
+  with_dir @@ fun dir ->
+  let cache = Cache.Incr.create ~dir in
+  let input = closure_input ~c_body:"return s;" in
+  let cold = run ~cache input in
+  Alcotest.(check bool) "clean cold run" false cold.Cache.Incr.i_partial;
+  Sys.remove (store_file dir);
+  let again = run ~cache input in
+  Alcotest.(check bool) "the committed store left memory" false
+    again.Cache.Incr.i_from_cache;
+  check_report ~what:"re-run" ~reference:cold.Cache.Incr.i_report again
+
+(* A failed save keeps the store resident, so warmth survives a full
+   disk for as long as the handle lives. *)
+let test_failed_save_stays_resident () =
+  with_dir @@ fun dir ->
+  Fault.arm Fault.site_cache_write ~after:1 ~once:false;
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  let cache = Cache.Incr.create ~dir in
+  let input = closure_input ~c_body:"return s;" in
+  let cold = run ~cache input in
+  Alcotest.(check bool) "nothing was persisted" true (Sys.readdir dir = [||]);
+  let warm = run ~cache input in
+  Alcotest.(check bool) "the unsaved store answers" true
+    warm.Cache.Incr.i_from_cache;
+  check_report ~what:"warm" ~reference:cold.Cache.Incr.i_report warm
+
+(* Three stores of about 24 MiB each exceed the 64 MiB budget together:
+   loading the third evicts the least recently started, the first. With
+   the files deleted, only a resident store can still answer. *)
+let test_budget_evicts_least_recently_started () =
+  with_dir @@ fun dir ->
+  let path app = Filename.concat dir (app ^ ".tajcache") in
+  let entry =
+    Marshal.to_string
+      { Cache.Incr.cr_report = String.make (24 * 1024 * 1024) 'r';
+        cr_issues = 1; cr_flows = 1 }
+      []
+  in
+  let apps = [ "A"; "B"; "C" ] in
+  List.iter
+    (fun app ->
+       let s = Cache.Store.load (path app) in
+       Cache.Store.put s ~tier:"report" ~key:"digest" entry;
+       Cache.Store.put s ~tier:"result" ~key:"key" "digest";
+       Alcotest.(check bool) (app ^ ": written") true (Cache.Store.save s))
+    apps;
+  let cache = Cache.Incr.create ~dir in
+  List.iter (fun app -> ignore (Cache.Incr.start cache ~app)) apps;
+  List.iter (fun app -> Sys.remove (path app)) apps;
+  let answers app =
+    Cache.Incr.lookup_result (Cache.Incr.start cache ~app) ~key:"key"
+    |> Option.is_some
+  in
+  Alcotest.(check bool) "C, started last, stays resident" true (answers "C");
+  Alcotest.(check bool) "A, started first, was evicted" false (answers "A")
+
+(* ------------------------------------------------------------------ *)
 (* Front-tier hits: re-linked to the image, then analyzed             *)
 (* ------------------------------------------------------------------ *)
 
@@ -480,6 +543,12 @@ let suite =
     Alcotest.test_case "callee edit re-analyzes" `Quick test_callee_edit;
     Alcotest.test_case "a clean report is stored once" `Quick
       test_report_stored_once;
+    Alcotest.test_case "a committed store leaves memory" `Quick
+      test_commit_evicts;
+    Alcotest.test_case "a failed save keeps the store resident" `Quick
+      test_failed_save_stays_resident;
+    Alcotest.test_case "the byte budget evicts the least recently started"
+      `Quick test_budget_evicts_least_recently_started;
     Alcotest.test_case "def/use summary replay" `Quick
       test_defuse_roundtrip;
     Alcotest.test_case "front hit analyzed under another config" `Slow

@@ -827,11 +827,14 @@ let with_counters f =
       Obs.Telemetry.reset ())
     f
 
-(* The result entries in the store the service kept for [app]; the store
-   file must exist, so an empty answer means the run committed without
-   feeding the tier. *)
-let result_entries dir app =
-  let path = Filename.concat dir (app ^ ".tajcache") in
+(* The result entries in the store the service kept for [rq], which it
+   names by the request's job key (a ':' becomes '_' in the file name);
+   the store file must exist, so an empty answer means the run committed
+   without feeding the tier. *)
+let result_entries dir rq =
+  let app = Serve.Service.job_key rq in
+  let file = String.map (function ':' -> '_' | c -> c) app ^ ".tajcache" in
+  let path = Filename.concat dir file in
   Alcotest.(check bool) (app ^ ": store committed") true
     (Sys.file_exists path);
   Cache.Store.bindings (Cache.Store.load path) ~tier:"result"
@@ -865,14 +868,15 @@ let test_service_cache_pressure_not_stored () =
   with_counters @@ fun () ->
   Test_incremental.with_dir @@ fun dir ->
   let t = cached_service ~mem_soft_limit_mb:0 dir in
-  let r = answer t (Serve.Service.request ~source:two_flows "pressed") in
+  let rq = Serve.Service.request ~source:two_flows "pressed" in
+  let r = answer t rq in
   Serve.Service.await_drained t;
   Alcotest.(check string) "completed under pressure" "memory_pressure"
     r.Serve.Service.rp_reason;
   Alcotest.(check int) "the tier was not consulted" 0
     (Test_incremental.counter_value "cache.result.miss");
   Alcotest.(check int) "no result entry" 0
-    (List.length (result_entries dir "pressed"))
+    (List.length (result_entries dir rq))
 
 (* Degraded answers are never stored: a rung-zero triage answer and a run
    that completed only after a contained fault walked it down the
@@ -882,25 +886,104 @@ let test_service_cache_degraded_not_stored () =
   Fun.protect ~finally:Fault.reset @@ fun () ->
   Test_incremental.with_dir @@ fun dir ->
   let t = cached_service dir in
-  let triage =
-    answer t
-      (Serve.Service.request ~source:two_flows
-         ~algorithm:Config.Type_triage "triage")
+  let triage_rq =
+    Serve.Service.request ~source:two_flows ~algorithm:Config.Type_triage
+      "triage"
   in
+  let triage = answer t triage_rq in
   Alcotest.(check (option string)) "answered at rung zero"
     (Some "type_only") triage.Serve.Service.rp_verdict;
   Fault.arm Fault.site_andersen ~after:1;
-  let faulted =
-    answer t (Serve.Service.request ~source:two_flows "faulted")
-  in
+  let faulted_rq = Serve.Service.request ~source:two_flows "faulted" in
+  let faulted = answer t faulted_rq in
   Serve.Service.await_drained t;
   Alcotest.(check string) "completed degraded" "supervisor_degraded"
     faulted.Serve.Service.rp_reason;
   List.iter
-    (fun app ->
-       Alcotest.(check int) (app ^ ": no result entry") 0
-         (List.length (result_entries dir app)))
-    [ "triage"; "faulted" ]
+    (fun (rq : Serve.Service.request) ->
+       Alcotest.(check int) (rq.Serve.Service.rq_id ^ ": no result entry") 0
+         (List.length (result_entries dir rq)))
+    [ triage_rq; faulted_rq ]
+
+(* The store an inline request opens is named by its source, not its
+   request id, so a repeated source answers from the result tier under
+   any id, also after a restart; another descriptor is another input. *)
+let test_service_cache_repeated_source () =
+  with_counters @@ fun () ->
+  Test_incremental.with_dir @@ fun dir ->
+  let rq = Serve.Service.request ~source:two_flows in
+  let check_answer ~what ~hits ~issues (r : Serve.Service.response) =
+    Alcotest.(check bool) (what ^ ": completed") true
+      (r.Serve.Service.rp_status = Serve.Service.Completed);
+    Alcotest.(check int) (what ^ ": result-tier hits") hits
+      (Test_incremental.counter_value "cache.result.hit");
+    Alcotest.(check int) (what ^ ": same issues") issues
+      r.Serve.Service.rp_issues
+  in
+  let t = cached_service dir in
+  let a = answer t (rq "a") in
+  let issues = a.Serve.Service.rp_issues in
+  check_answer ~what:"a" ~hits:0 ~issues a;
+  check_answer ~what:"b, the same source" ~hits:1 ~issues (answer t (rq "b"));
+  ignore
+    (answer t
+       (Serve.Service.request ~source:two_flows ~descriptor:"servlet Page"
+          "c"));
+  Alcotest.(check int) "c, another descriptor: misses" 1
+    (Test_incremental.counter_value "cache.result.hit");
+  Serve.Service.await_drained t;
+  let t = cached_service dir in
+  check_answer ~what:"d, after restart" ~hits:2 ~issues (answer t (rq "d"));
+  Serve.Service.await_drained t
+
+(* A stream of inline requests, each under a new id, cycling over a
+   fixed set of sources: the store files and the live heap plateau at a
+   bound set by the sources, not by the request count. *)
+let test_service_cache_soak () =
+  Test_incremental.with_dir @@ fun dir ->
+  let k = 20 and n = 100 in
+  let sources =
+    Array.init k (fun i ->
+      Printf.sprintf
+        {|class Soak%d extends HttpServlet {
+            public void doGet(HttpServletRequest req, HttpServletResponse resp) {
+              resp.getWriter().println(req.getParameter("p%d"));
+            }
+          }|}
+        i i)
+  in
+  let t = cached_service dir in
+  let sent = ref 0 in
+  let send_until total =
+    while !sent < total do
+      let r =
+        answer t
+          (Serve.Service.request ~source:sources.(!sent mod k)
+             (Printf.sprintf "soak-%d" !sent))
+      in
+      Alcotest.(check bool) (r.Serve.Service.rp_id ^ ": completed") true
+        (r.Serve.Service.rp_status = Serve.Service.Completed);
+      incr sent
+    done
+  in
+  let measure () =
+    Gc.full_major ();
+    let files =
+      Array.to_list (Sys.readdir dir)
+      |> List.filter (fun f -> Filename.check_suffix f ".tajcache")
+    in
+    (List.length files, (Gc.stat ()).Gc.live_words * (Sys.word_size / 8))
+  in
+  send_until n;
+  let files_n, live_n = measure () in
+  send_until (4 * n);
+  let files_4n, live_4n = measure () in
+  Serve.Service.await_drained t;
+  Alcotest.(check int) "one store file per source after N" k files_n;
+  Alcotest.(check int) "one store file per source after 4N" k files_4n;
+  if live_4n - live_n >= 512 * 1024 then
+    Alcotest.failf "live heap grew %d bytes from %d to %d requests"
+      (live_4n - live_n) n (4 * n)
 
 (* ------------------------------------------------------------------ *)
 (* Graceful drain on SIGTERM                                          *)
@@ -1179,6 +1262,10 @@ let suite =
       test_service_cache_pressure_not_stored;
     Alcotest.test_case "cache: degraded answers store no result" `Slow
       test_service_cache_degraded_not_stored;
+    Alcotest.test_case "cache: a repeated inline source answers from the tier"
+      `Slow test_service_cache_repeated_source;
+    Alcotest.test_case "cache: soak holds store files and heap flat" `Slow
+      test_service_cache_soak;
     Alcotest.test_case "drain: SIGTERM loses no accepted job" `Slow
       test_sigterm_drains_without_losing_jobs;
     Alcotest.test_case "protocol: JSON parser" `Quick test_json_parser;
