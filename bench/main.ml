@@ -31,19 +31,20 @@
                     (default)
 
    Options: --scale <float> (default 0.05) scales workload sizes and the
-   published bounds together; --jobs <int> (default: TAJ_JOBS or 1) sizes
-   the Domain worker pool — per-app table rows and the per-rule/per-unit
-   stages inside each analysis run in parallel, with output identical to
-   --jobs 1; --refine switches on the access-path flow-refinement pass, so
-   table3/csv rows carry confirmed/plausible verdict counts; --trace <file>
-   writes a Chrome trace-event JSON of the whole bench run; --metrics
-   prints the telemetry metrics table on stderr. *)
+   published bounds together; --jobs <int> (default 1) runs the per-app
+   table rows on that many domains, with output identical to --jobs 1,
+   and sets the service subcommand's worker count (each analysis itself
+   runs sequentially); --refine switches on the access-path
+   flow-refinement pass, so table3/csv rows carry confirmed/plausible
+   verdict counts; --trace <file> writes a Chrome trace-event JSON of the
+   whole bench run; --metrics prints the telemetry metrics table on
+   stderr. *)
 
 open Core
 open Workloads
 
 let scale = ref 0.05
-let jobs = ref (match Parallel.env_jobs () with Some n -> n | None -> 1)
+let jobs = ref 1
 let refine = ref false
 let trace = ref None
 let metrics = ref false
@@ -547,19 +548,16 @@ let scaling () =
   header "Scaling: hybrid analysis cost vs application size";
   Printf.printf
     "(the paper's scalability claim: TAJ analyzes applications of\n\
-    \ virtually any size; hybrid cost should grow near-linearly;\n\
-    \ jobs = %d worker domain(s) inside each run)\n\n"
-    !jobs;
+    \ virtually any size; hybrid cost should grow near-linearly)\n\n";
   Printf.printf "%-8s %9s %9s %10s %10s %10s %10s\n" "scale" "methods"
     "cg-nodes" "frontend" "triage" "hybrid" "ci";
   let a = Option.get (Apps.find "GridSphere") in
-  (* rows stay sequential so each row's timing is uncontended; --jobs
-     parallelizes the stages *inside* each load/run *)
+  (* rows stay sequential so each row's timing is uncontended *)
   List.iter
     (fun s ->
        let g = Apps.generate ~scale:s a in
        let loaded, t_frontend =
-         Obs.Telemetry.timed (fun () -> Taj.load ~jobs:!jobs (Codegen.to_input g))
+         Obs.Telemetry.timed (fun () -> Taj.load (Codegen.to_input g))
        in
        let st = Jir.Program.stats loaded.Taj.program in
        let _, t_triage =
@@ -569,7 +567,7 @@ let scaling () =
        let time_of alg =
          match
            Obs.Telemetry.timed (fun () ->
-             (Taj.run ~jobs:!jobs loaded (Config.preset ~scale:s alg)).Taj.result)
+             (Taj.run loaded (Config.preset ~scale:s alg)).Taj.result)
          with
          | Taj.Completed c, t -> (t, c.Taj.cg_nodes)
          | Taj.Did_not_complete _, _ -> (nan, 0)
@@ -896,9 +894,7 @@ let edit_last f (input : Taj.input) =
 
 let incremental () =
   header "Incremental cache: cold vs warm vs one-edit latency";
-  let options =
-    { Supervisor.default_options with scale = !scale; jobs = !jobs }
-  in
+  let options = { Supervisor.default_options with scale = !scale } in
   let config = Config.preset ~scale:!scale Config.Hybrid_optimized in
   let root =
     Filename.concat (Filename.get_temp_dir_name ())

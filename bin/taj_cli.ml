@@ -45,20 +45,6 @@ let scale =
   let doc = "Scale factor for workload sizes and analysis bounds." in
   Arg.(value & opt float 0.05 & info [ "scale" ] ~docv:"FLOAT" ~doc)
 
-let jobs =
-  let doc =
-    "Worker domains for the parallel stages (frontend parse, per-rule \
-     tabulation, per-configuration scoring). 1 runs fully sequentially; \
-     any value produces identical results. Defaults to the TAJ_JOBS \
-     environment variable, or the number of cores."
-  in
-  let default =
-    match Core.Parallel.env_jobs () with
-    | Some n -> n
-    | None -> Core.Parallel.default_jobs ()
-  in
-  Arg.(value & opt int default & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
 let descriptor_file =
   let doc = "Deployment descriptor file (servlet/action/ejb lines)." in
   Arg.(value & opt (some file) None & info [ "d"; "descriptor" ] ~docv:"FILE" ~doc)
@@ -67,7 +53,7 @@ let trace_file =
   let doc =
     "Record a span trace of the run and write it to $(docv) as Chrome \
      trace-event JSON (loadable at chrome://tracing or ui.perfetto.dev). \
-     Each worker domain gets its own track."
+     Under taj serve, each worker domain gets its own track."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -297,7 +283,7 @@ let triage_finding_json (f : Triage.finding) =
 (* issues + the supervisor's diagnostics block; [builder] is absent exactly
    when no attempt completed, in which case the report has no issues.
    [completed] (the successful attempt, when there is one) contributes the
-   worker-pool size and the per-phase wall-clock breakdown. *)
+   per-phase wall-clock breakdown. *)
 let emit_json ?builder ?completed (outcome : Supervisor.outcome)
     (report : Report.t) =
   let issues =
@@ -308,10 +294,9 @@ let emit_json ?builder ?completed (outcome : Supervisor.outcome)
     | None -> ""
     | Some c ->
       Printf.sprintf
-        "  \"jobs\": %d,\n\
-        \  \"phases\": { \"frontend\": %.3f, \"pointer\": %.3f, \
+        "  \"phases\": { \"frontend\": %.3f, \"pointer\": %.3f, \
          \"sdg\": %.3f, \"taint\": %.3f, \"total\": %.3f },\n"
-        c.Taj.jobs c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
+        c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
         c.Taj.times.Taj.t_sdg c.Taj.times.Taj.t_taint c.Taj.times.Taj.t_total
   in
   let metrics =
@@ -425,7 +410,7 @@ let analyze_cmd =
                 is byte-identical either way; this exists for \
                 cross-checking and for timing the filter's effect.")
   in
-  let run algorithm scale jobs descriptor_file srcs json stats csrf deadline
+  let run algorithm scale descriptor_file srcs json stats csrf deadline
       no_degrade verify_ir triage no_triage_filter refine refine_k
       refine_steps contexts no_contexts trace metrics cache_dir no_cache =
     let algorithm = if triage then Config.Type_triage else algorithm in
@@ -436,7 +421,6 @@ let analyze_cmd =
         deadline;
         degrade = not no_degrade;
         scale;
-        jobs;
         cache =
           (match session with
            | Some s -> Cache.Incr.hooks s
@@ -448,7 +432,7 @@ let analyze_cmd =
     if stats then Obs.Telemetry.enable ();
     if verify_ir then begin
       let loaded =
-        match Taj.load ~lenient:true ~jobs input with
+        match Taj.load ~lenient:true input with
         | loaded -> loaded
         | exception Taj.Load_error msg ->
           Printf.eprintf "error: %s\n" msg;
@@ -542,9 +526,9 @@ let analyze_cmd =
     | Some ({ Taj.result = Taj.Completed c; _ } as analysis) ->
       if stats then begin
         Printf.eprintf
-          "call-graph: %d nodes, %d edges; jobs %d; frontend %.3fs, \
-           pointer %.3fs, sdg %.3fs, taint %.3fs, total %.3fs\n"
-          c.Taj.cg_nodes c.Taj.cg_edges c.Taj.jobs
+          "call-graph: %d nodes, %d edges; frontend %.3fs, pointer %.3fs, \
+           sdg %.3fs, taint %.3fs, total %.3fs\n"
+          c.Taj.cg_nodes c.Taj.cg_edges
           c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
           c.Taj.times.Taj.t_sdg c.Taj.times.Taj.t_taint
           c.Taj.times.Taj.t_total;
@@ -624,7 +608,7 @@ let analyze_cmd =
       `P "6 if --verify-ir found IR well-formedness violations." ]
   in
   Cmd.v (Cmd.info "analyze" ~doc ~man)
-    Term.(const run $ algorithm $ scale $ jobs $ descriptor_file $ sources
+    Term.(const run $ algorithm $ scale $ descriptor_file $ sources
           $ json $ stats $ csrf $ deadline $ no_degrade $ verify_ir
           $ triage $ no_triage_filter $ refine_flag $ refine_k
           $ refine_steps $ contexts_flag $ no_contexts_flag
@@ -676,33 +660,26 @@ let dump_ir_cmd =
 (* ------------------------------------------------------------------ *)
 
 let explain_cmd =
-  let run scale jobs descriptor_file srcs =
+  let run scale descriptor_file srcs =
     let input = load_input ~name:"cli" ~srcs ~descriptor_file in
     let loaded =
-      match Taj.load ~jobs input with
+      match Taj.load input with
       | loaded -> loaded
       | exception Taj.Load_error msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 1
     in
-    match
-      Taj.run ~jobs loaded (Config.preset ~scale Config.Hybrid_unbounded)
-    with
+    match Taj.run loaded (Config.preset ~scale Config.Hybrid_unbounded) with
     | { Taj.result = Taj.Did_not_complete reason; _ } ->
       Printf.eprintf "analysis did not complete: %s\n" reason;
       exit 3
     | { Taj.result = Taj.Completed c; _ } ->
       let b = c.Taj.builder in
       let table = loaded.Taj.program.Jir.Program.table in
-      (* each issue's explanation is an independent backward slice over the
-         shared read-only SDG: render them in parallel, print in order *)
-      if jobs > 1 then Sdg.Builder.precompute b;
-      let explain_issue (i, (ir : Report.issue_report)) =
-        let buf = Buffer.create 256 in
-        let ppf = Fmt.with_buffer buf in
-        let m = Rules.matcher table in
+      let m = Rules.matcher table in
+      let explain_issue i (ir : Report.issue_report) =
         let fl = ir.Report.ir_representative in
-        Fmt.pf ppf "@.== issue %d [%a] sink %a@." (i + 1) Rules.pp_issue
+        Fmt.pr "@.== issue %d [%a] sink %a@." (i + 1) Rules.pp_issue
           ir.Report.ir_issue (Report.pp_stmt b) fl.Flows.fl_sink;
         (* backward-slice every sensitive argument of the sink *)
         (match Sdg.Builder.call_of b fl.Flows.fl_sink with
@@ -724,22 +701,18 @@ let explain_cmd =
                         (fun rule -> Rules.source_of m rule t <> None)
                         Rules.default_rules)
                 in
-                Fmt.pf ppf "  argument %d: %d producer statement(s), %d \
-                            untrusted source(s)@."
+                Fmt.pr "  argument %d: %d producer statement(s), %d \
+                        untrusted source(s)@."
                   arg
                   (Sdg.Stmt.Set.cardinal r.Sdg.Backward.slice)
                   (List.length producers);
                 List.iter
-                  (fun s -> Fmt.pf ppf "    source: %a@." (Report.pp_stmt b) s)
+                  (fun s -> Fmt.pr "    source: %a@." (Report.pp_stmt b) s)
                   producers)
              sensitive
-         | None -> ());
-        Buffer.contents buf
+         | None -> ())
       in
-      let issues =
-        List.mapi (fun i ir -> (i, ir)) c.Taj.report.Report.issues
-      in
-      List.iter print_string (Parallel.map ~jobs explain_issue issues);
+      List.iteri explain_issue c.Taj.report.Report.issues;
       if c.Taj.report.Report.issues = [] then
         print_endline "no issues to explain"
   in
@@ -748,7 +721,7 @@ let explain_cmd =
      every contributing untrusted source."
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(const run $ scale $ jobs $ descriptor_file $ sources)
+    Term.(const run $ scale $ descriptor_file $ sources)
 
 (* ------------------------------------------------------------------ *)
 (* jsp                                                                *)
@@ -775,7 +748,7 @@ let jsp_cmd =
          else '_')
       base
   in
-  let run algorithm scale jobs pages analyze_flag =
+  let run algorithm scale pages analyze_flag =
     let sources =
       List.map
         (fun path ->
@@ -792,7 +765,7 @@ let jsp_cmd =
     else begin
       let input = { Taj.name = "jsp"; app_sources = sources; descriptor = "" } in
       match
-        Taj.analyze ~jobs ~config:(Config.preset ~scale algorithm) input
+        Taj.analyze ~config:(Config.preset ~scale algorithm) input
       with
       | exception Taj.Load_error msg ->
         Printf.eprintf "error: %s\n" msg;
@@ -807,7 +780,7 @@ let jsp_cmd =
   in
   let doc = "Translate JSP pages to servlets (and optionally analyze them)." in
   Cmd.v (Cmd.info "jsp" ~doc)
-    Term.(const run $ algorithm $ scale $ jobs $ pages $ analyze_flag)
+    Term.(const run $ algorithm $ scale $ pages $ analyze_flag)
 
 (* ------------------------------------------------------------------ *)
 (* graph                                                              *)
@@ -944,10 +917,8 @@ let score_cmd =
                 so the scored reports must be identical either way; this \
                 flag exists for CI to check exactly that.")
   in
-  let run_rungs app ~scale ~jobs ~algorithm ~csv =
-    let rows =
-      Workloads.Score.run_rungs ~scale ~jobs ~algorithm app
-    in
+  let run_rungs app ~scale ~algorithm ~csv =
+    let rows = Workloads.Score.run_rungs ~scale ~algorithm app in
     Printf.printf "%-20s %7s %5s %5s %5s %9s %8s\n" "rung" "issues" "TP"
       "FP" "FN" "accuracy" "time";
     List.iter
@@ -991,7 +962,7 @@ let score_cmd =
       close_out oc;
       Printf.printf "wrote %s\n" file
   in
-  let run name algorithm rung csv no_filter scale jobs refine refine_k
+  let run name algorithm rung csv no_filter scale refine refine_k
       refine_steps contexts trace metrics =
     match Workloads.Apps.find name with
     | None ->
@@ -999,12 +970,12 @@ let score_cmd =
       exit 1
     | Some app when rung ->
       telemetry_setup ~trace ~metrics;
-      run_rungs app ~scale ~jobs ~algorithm ~csv;
+      run_rungs app ~scale ~algorithm ~csv;
       telemetry_export ~trace ~metrics
     | Some app ->
       telemetry_setup ~trace ~metrics;
       let runs =
-        Workloads.Score.run_app ~scale ~jobs ~refine ~refine_k ~refine_steps
+        Workloads.Score.run_app ~scale ~refine ~refine_k ~refine_steps
           ~triage_filter:(not no_filter) ~contexts app
       in
       telemetry_export ~trace ~metrics;
@@ -1083,7 +1054,7 @@ let score_cmd =
   in
   Cmd.v (Cmd.info "score" ~doc)
     Term.(const run $ app_name $ algorithm $ rung_flag $ rung_csv
-          $ score_no_filter $ scale $ jobs $ refine_flag $ refine_k
+          $ score_no_filter $ scale $ refine_flag $ refine_k
           $ refine_steps $ contexts_flag $ trace_file $ metrics_flag)
 
 (* ------------------------------------------------------------------ *)
@@ -1138,11 +1109,6 @@ let serve_cmd =
     Arg.(value & opt int 2
          & info [ "workers" ] ~docv:"N"
              ~doc:"Worker domains executing jobs concurrently.")
-  in
-  let job_jobs =
-    Arg.(value & opt int 1
-         & info [ "job-jobs" ] ~docv:"N"
-             ~doc:"Parallel worker-pool size inside each job's analysis.")
   in
   let queue_cap =
     Arg.(value & opt int 64
@@ -1294,7 +1260,7 @@ let serve_cmd =
          & info [ "flight-dump" ] ~docv:"FILE"
              ~doc:"Where the flight-recorder dump is written.")
   in
-  let run socket workers job_jobs queue_cap max_retries retry_base seed
+  let run socket workers queue_cap max_retries retry_base seed
       breaker_threshold breaker_cooldown mem_soft_mb drain_grace arms
       cluster crash_retries respawn_base respawn_max ring_replicas
       worker_breaker_threshold worker_breaker_cooldown admin_socket
@@ -1319,7 +1285,7 @@ let serve_cmd =
       arms;
     let config =
       { Serve.Service.default_config with
-        workers; job_jobs; queue_cap; max_retries; retry_base; seed;
+        workers; queue_cap; max_retries; retry_base; seed;
         breaker_threshold; breaker_cooldown;
         mem_soft_limit_mb = mem_soft_mb; drain_grace;
         cache_dir = (if no_cache then None else cache_dir) }
@@ -1443,7 +1409,7 @@ let serve_cmd =
          $(b,status) instead of the process exit code." ]
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
-    Term.(const run $ socket $ workers $ job_jobs $ queue_cap $ max_retries
+    Term.(const run $ socket $ workers $ queue_cap $ max_retries
           $ retry_base $ seed $ breaker_threshold $ breaker_cooldown
           $ mem_soft_mb $ drain_grace $ arms $ cluster $ crash_retries
           $ respawn_base $ respawn_max $ ring_replicas

@@ -358,8 +358,8 @@ let analyze ?cache ?(rules = Core.Rules.default_rules)
           result key: a comment-only edit lands here and stops here *)
        let loaded =
          match
-           Core.Taj.load ~lenient:true ~jobs:options.Core.Supervisor.jobs
-             ~cache:options.Core.Supervisor.cache input
+           Core.Taj.load ~lenient:true ~cache:options.Core.Supervisor.cache
+             input
          with
          | l -> Some l
          | exception _ ->

@@ -9,16 +9,13 @@
     poll it through {!exceeded}; the call is amortized so that the
     [gettimeofday] syscall happens only once every [probe_mask + 1] polls.
 
-    One budget may be polled from several domains at once (the parallel
-    taint engine shares the attempt's budget across its workers), so the
-    counters and the cancellation/trip flags are [Atomic]. The step count
-    is a global fetch-and-add: with a step budget of [m], the pool as a
-    whole performs at most ~[m] steps, exactly as the sequential engine
-    would. A poll writes shared state only when a step budget is armed
-    (or on the trip itself): the common no-limit poll is two atomic
-    loads of lines nobody writes, so a pool hammering one budget does
-    not ping-pong a counter cache line. Deadline probes are amortized
-    per domain through a domain-local poll counter. *)
+    The cancellation token may be set from another domain while the run
+    polls, so the counters and the cancellation/trip flags are [Atomic],
+    which keeps a budget safe to poll from any domain. A poll writes
+    shared state only when a step budget is armed (or on the trip
+    itself): the common no-limit poll is two atomic loads. Deadline
+    probes are amortized per domain through a domain-local poll counter,
+    since serve workers poll their own budgets concurrently. *)
 
 type t = {
   started : float;

@@ -1,9 +1,9 @@
 (** Wall-clock deadlines, step budgets and cancellation for one analysis
     attempt. Long-running loops poll {!exceeded}; the [gettimeofday] probe
     is amortized over polls, so the check is cheap enough for inner loops.
-    Counters and flags are [Atomic]: one budget may be polled concurrently
-    by every worker domain of a parallel stage, and a trip or cancellation
-    observed by one worker latches for all of them. *)
+    Counters and flags are [Atomic]: the cancellation token may be set
+    from another domain while the run polls, and a trip or cancellation
+    latches for every poller. *)
 
 type t
 

@@ -138,11 +138,8 @@ let dedup_path (path : Sdg.Stmt.t list) =
 (* ------------------------------------------------------------------ *)
 
 (* Replay each reported flow with the field-sensitive access-path engine
-   and attach a verdict. Per-flow replays are independent over the
-   read-only SDG, so they parallelize exactly like the per-rule stage;
-   the index-ordered merge keeps flow order (and thus the report)
-   byte-identical across job counts. Never drops a flow. *)
-let refine_flows ~jobs ~interrupt ~(id_of : Tac.mref -> string)
+   and attach a verdict, in flow order. Never drops a flow. *)
+let refine_flows ~interrupt ~(id_of : Tac.mref -> string)
     ~(builder : Sdg.Builder.t) ~(heapgraph : Pointer.Heapgraph.t)
     ~(config : Config.t) (flows : Flows.t list) :
   Flows.t list * refine_summary * bool =
@@ -179,12 +176,7 @@ let refine_flows ~jobs ~interrupt ~(id_of : Tac.mref -> string)
   let results =
     Telemetry.with_span "phase.refine"
       ~args:[ ("flows", string_of_int (List.length flows)) ]
-    @@ fun () ->
-    if jobs <= 1 then List.map refine_one flows
-    else begin
-      Sdg.Builder.precompute builder;
-      Parallel.map ~jobs refine_one flows
-    end
+    @@ fun () -> List.map refine_one flows
   in
   let summary =
     List.fold_left
@@ -217,11 +209,8 @@ let refine_flows ~jobs ~interrupt ~(id_of : Tac.mref -> string)
   in
   (List.map (fun (fl, _, _) -> fl) results, summary, interrupted)
 
-(* Everything one rule's slice produced, kept separate per rule so that
-   rules can run on different domains and still merge into the exact
-   outcome the sequential loop builds: flows concatenated in rule order,
-   filtered counts summed, stats in rule order, exhausted/interrupted
-   or-ed, fault diagnostics in rule order. *)
+(* Everything one rule's slice produced; the outcome merges them in rule
+   order. *)
 type per_rule = {
   pr_flows : Flows.t list;
   pr_filtered : int;
@@ -231,7 +220,7 @@ type per_rule = {
   pr_fault : Diagnostics.degradation option;
 }
 
-let run ?(jobs = 1) ?(interrupt = fun () -> false)
+let run ?(interrupt = fun () -> false)
     ?(on_heap_transition = fun () -> ())
     ?(skip_rule = fun (_ : Rules.rule) -> false)
     ~(prog : Program.t) ~(builder : Sdg.Builder.t)
@@ -258,11 +247,10 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
       pr_fault = None }
   in
   (* The run's one call-target resolution, built on first use; the
-     tabulation and refinement callbacks read the same matcher without
-     writing it. *)
+     tabulation and refinement callbacks read the same matcher. *)
   let m = Rules.matcher prog.Program.table in
   let resolution = lazy (resolve_calls m builder) in
-  let id_of = Rules.canonical_readonly m in
+  let id_of = Rules.canonical m in
   let run_rule rule =
     Telemetry.with_span "taint.rule"
       ~args:[ ("rule", rule.Rules.rule_name) ]
@@ -330,8 +318,7 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
       pr_fault = None }
   in
   (* fault isolation: a raising rule contributes no flows and a diagnostic;
-     the remaining rules still run. Catching *inside* the task keeps an
-     injected fault contained to the worker that hit it. *)
+     the remaining rules still run *)
   let guarded rule =
     try if skip_rule rule then skipped_rule rule else run_rule rule with
     | e ->
@@ -351,22 +338,13 @@ let run ?(jobs = 1) ?(interrupt = fun () -> false)
                { rule = rule.Rules.rule_name;
                  error = Printexc.to_string e }) }
   in
-  let results =
-    if jobs <= 1 then List.map guarded rules
-    else begin
-      (* rules slice over a shared, read-only SDG and resolution: force
-         their lazy parts now so worker domains never write to them *)
-      Sdg.Builder.precompute builder;
-      ignore (Lazy.force resolution);
-      Parallel.map ~jobs guarded rules
-    end
-  in
+  let results = List.map guarded rules in
   let flows = List.concat_map (fun r -> r.pr_flows) results in
   let interrupted = List.exists (fun r -> r.pr_interrupted) results in
   let flows, refined, interrupted =
     if config.Config.refine && flows <> [] then begin
       let flows, summary, refine_interrupted =
-        refine_flows ~jobs ~interrupt ~id_of ~builder ~heapgraph ~config flows
+        refine_flows ~interrupt ~id_of ~builder ~heapgraph ~config flows
       in
       (* an interrupt mid-refinement demotes the remaining flows to
          Plausible and surfaces through the normal partial-result path —

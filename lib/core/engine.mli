@@ -52,13 +52,8 @@ val resolve_calls :
     answered with the synthesized zero record an empty-seed run would
     produce — sound only when the caller has proven the rule matches no
     source call in the program (see [Triage.rule_has_source]).
-    With [jobs > 1] the rules run on a {!Parallel.map} domain pool over the
-    shared read-only SDG and call-target resolution (both are built or
-    warmed first; per-node indexes are memoized domain-locally); the merged
-    outcome is structurally identical to the sequential one, and
-    [jobs <= 1] (the default) is exactly the sequential loop. *)
+    Rules run one after another, in list order. *)
 val run :
-  ?jobs:int ->
   ?interrupt:(unit -> bool) ->
   ?on_heap_transition:(unit -> unit) ->
   ?skip_rule:(Rules.rule -> bool) ->

@@ -9,8 +9,8 @@
 
     The registry is global, mutable state — acceptable because it exists
     purely for tests, which call {!reset} between cases. Ticks can arrive
-    from every worker domain of a parallel stage, so the table is guarded
-    by a mutex; an atomic armed-site count keeps the production fast path
+    from several domains at once (concurrent serve workers share the one
+    registry), so the table is guarded by a mutex; an atomic armed-site count keeps the production fast path
     (nothing armed) completely lock-free. A firing action is decided under
     the lock but *performed* outside it, so a [Stall] in one worker never
     blocks the other workers' ticks, and the raised {!Injected} stays

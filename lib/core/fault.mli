@@ -1,9 +1,9 @@
 (** Test-only fault-injection registry. Tests arm faults at named pipeline
     sites; the pipeline calls {!tick} at those sites and the fault fires on
     the Nth tick. Production runs never arm anything, so ticks are a single
-    atomic load. The registry is domain-safe: ticks may arrive from every
-    worker of a parallel stage, and a fault fires in (and stays contained
-    to) the worker whose tick triggered it. Global state: call {!reset}
+    atomic load. The registry is domain-safe: ticks may arrive from
+    concurrent serve workers, and a fault fires in (and stays contained
+    to) the domain whose tick triggered it. Global state: call {!reset}
     between test cases. *)
 
 exception Injected of string

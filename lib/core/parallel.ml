@@ -1,49 +1,33 @@
 (** Fixed-size Domain worker pool with a deterministic, index-ordered
-    merge.
+    merge, for fan-out across independent analysis runs (the bench
+    harness's per-app rows); a single run is always sequential.
 
-    The three independently-parallel stages of the pipeline (per-unit
-    frontend work, per-rule taint tabulation, per-app benchmark rows) all
-    reduce to the same primitive: apply [f] to every element of a list,
-    on up to [jobs] domains, and return the results in the input order as
-    if [List.map] had run. Tasks are pulled from a shared atomic counter
-    (work stealing), so scheduling is nondeterministic — but results are
-    written into a slot per input index, which makes the merge
-    deterministic regardless of which domain ran which task.
+    Apply [f] to every element of a list, on up to [jobs] domains, and
+    return the results in the input order as if [List.map] had run.
+    Tasks are pulled from a shared atomic counter (work stealing), so
+    scheduling is nondeterministic — but results are written into a slot
+    per input index, which makes the merge deterministic regardless of
+    which domain ran which task.
 
     Exceptions are captured per task; after every worker has joined, the
     exception of the lowest-index failed task is re-raised with its
     original backtrace. All tasks run even when an early one fails —
-    fault isolation across tasks is the caller's job (e.g. the taint
-    engine catches per-rule faults inside the task), this module only
+    fault isolation across tasks is the caller's job (e.g. the bench
+    harness turns a failed app into a failure row), this module only
     guarantees that one poisoned task cannot prevent the others from
     completing or leave a domain unjoined.
 
     [jobs <= 1] (or a singleton/empty input) never spawns a domain and is
     exactly [List.map f xs] — same evaluation order, same eager raise on
-    the first failing element — so sequential runs are byte-identical to
-    the pre-parallel pipeline. *)
+    the first failing element. *)
 
 type 'a task_result =
   | Done of 'a
   | Raised of exn * Printexc.raw_backtrace
 
-(* Tasks executed across all parallel stages. Jobs-dependent only in how
-   they are distributed, not in how many there are. *)
+(* Tasks executed on the pool. Jobs-dependent only in how they are
+   distributed, not in how many there are. *)
 let m_tasks = Obs.Telemetry.counter "parallel.tasks"
-
-(** The pool size used when the caller does not pin one: every core the
-    runtime recommends. *)
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
-(** [TAJ_JOBS] environment override, used by the CLI/bench defaults and
-    the CI determinism job. *)
-let env_jobs () =
-  match Sys.getenv_opt "TAJ_JOBS" with
-  | None -> None
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some n when n >= 1 -> Some n
-     | Some _ | None -> None)
 
 let run_task f x =
   match f x with
@@ -53,8 +37,7 @@ let run_task f x =
 (** [map ~jobs f xs]: parallel [List.map f xs] on at most [jobs] domains
     (including the calling one). Deterministic output order; re-raises the
     first (lowest-index) task exception after joining all workers. *)
-let map ?jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+let map ~jobs (f : 'a -> 'b) (xs : 'a list) : 'b list =
   match xs with
   | [] -> []
   | _ when jobs <= 1 -> List.map f xs

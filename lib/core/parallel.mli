@@ -1,5 +1,7 @@
 (** Fixed-size Domain worker pool with a deterministic, index-ordered
-    merge — the primitive behind every parallel stage of the pipeline.
+    merge, for fan-out across independent analysis runs (the bench
+    harness's per-app rows). A single analysis run never uses it: every
+    run is sequential.
 
     [map ~jobs f xs] behaves exactly like [List.map f xs] but runs tasks
     on up to [jobs] domains. Results come back in input order no matter
@@ -7,14 +9,5 @@
     every worker has joined, the exception of the lowest-index failed
     task is re-raised with its original backtrace (the other tasks still
     ran to completion). With [jobs <= 1], or an empty/singleton input, no
-    domain is spawned and the call is literally [List.map] — sequential
-    runs stay byte-identical to the pre-parallel pipeline. *)
-
-(** [Domain.recommended_domain_count], floored at 1. *)
-val default_jobs : unit -> int
-
-(** The [TAJ_JOBS] environment override (positive integer), if set and
-    well-formed. Used for CLI/bench defaults and by CI. *)
-val env_jobs : unit -> int option
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+    domain is spawned and the call is literally [List.map]. *)
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -174,13 +174,6 @@ let canonical (m : matcher) (target : Tac.mref) : string =
     Hashtbl.replace m.canon target c;
     c
 
-(** [canonical] without recording: a target [m] has not resolved yet is
-    resolved afresh, so readers on several domains can share [m]. *)
-let canonical_readonly (m : matcher) (target : Tac.mref) : string =
-  match Hashtbl.find_opt m.canon target with
-  | Some c -> c
-  | None -> resolve m.table target
-
 let source_of (m : matcher) (rule : rule) (target : Tac.mref) : source option =
   source_of_id rule (canonical m target)
 

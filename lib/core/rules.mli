@@ -64,11 +64,6 @@ val matcher : Jir.Classtable.t -> matcher
     the static target resolves to. A memo hit formats nothing. *)
 val canonical : matcher -> Jir.Tac.mref -> string
 
-(** {!canonical} that never writes the memo: a target the matcher has not
-    resolved yet is resolved afresh and not recorded. Readers on several
-    domains may share one matcher this way once no domain writes it. *)
-val canonical_readonly : matcher -> Jir.Tac.mref -> string
-
 val source_of : matcher -> rule -> Jir.Tac.mref -> source option
 val is_sink_arg : matcher -> rule -> Jir.Tac.mref -> int -> bool
 val sink_of : matcher -> rule -> Jir.Tac.mref -> sink option

@@ -18,7 +18,7 @@ type options = {
   degrade : bool;             (** walk the ladder on budget exhaustion *)
   scale : float;              (** scale the ladder's presets were built at *)
   cancel : bool Atomic.t;     (** shared cooperative cancellation token *)
-  jobs : int;                 (** worker-pool size for parallel stages *)
+  jobs : int;                 (** ignored; see supervisor.mli *)
   cache : Cache_iface.t;      (** incremental-cache hooks; [none] = off *)
 }
 
@@ -96,7 +96,7 @@ let run ?(rules = Rules.default_rules) ?(options = default_options)
   match
     match loaded with
     | Some l -> l
-    | None -> Taj.load ~lenient:true ~jobs:options.jobs ~cache:options.cache input
+    | None -> Taj.load ~lenient:true ~cache:options.cache input
   with
   | exception e ->
     (* total frontend failure: still a value, never an exception *)
@@ -149,7 +149,7 @@ let run ?(rules = Rules.default_rules) ?(options = default_options)
             [ ("algorithm", Config.algorithm_name cfg.Config.algorithm);
               ("scale", Printf.sprintf "%.3f" scale) ]
           (fun () ->
-             Taj.run ~rules ~jobs:options.jobs ~budget ~diagnostics
+             Taj.run ~rules ~budget ~diagnostics
                ~cache:options.cache loaded cfg)
       with
       | exception e ->

@@ -9,16 +9,18 @@ type options = {
   degrade : bool;             (** walk the ladder on budget exhaustion *)
   scale : float;              (** scale the ladder's presets are built at *)
   cancel : bool Atomic.t;     (** shared cooperative cancellation token *)
-  jobs : int;                 (** worker-pool size for the parallel stages
-                                  (frontend parse, per-rule tabulation);
-                                  1 = fully sequential *)
+  jobs : int;                 (** ignored: every run is sequential.
+                                  The field stays only because the
+                                  benchmark's record literals set it;
+                                  the next change to the benchmark
+                                  deletes it *)
   cache : Cache_iface.t;      (** incremental-cache hooks threaded into
                                   every rung's load and run;
                                   {!Cache_iface.none} = caching off *)
 }
 
-(** No deadline, degradation enabled, scale 1.0, fresh token, jobs 1,
-    no cache. *)
+(** No deadline, degradation enabled, scale 1.0, fresh token, no
+    cache. *)
 val default_options : options
 
 (** One rung of the ladder that actually executed. *)

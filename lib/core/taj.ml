@@ -50,7 +50,6 @@ type completed = {
   heapgraph : Pointer.Heapgraph.t;
   cg_nodes : int;
   cg_edges : int;
-  jobs : int;                       (** worker-pool size this run used *)
   times : phase_times;
   diagnostics : Diagnostics.degradation list;
       (** degradations recorded during this run (also in the report) *)
@@ -94,17 +93,14 @@ let now = Unix.gettimeofday
 (** Parse, lower, synthesize and rewrite. Configuration-independent.
     With [lenient] (the supervisor's mode), a unit that fails to lex/parse
     is skipped and recorded in [skipped_units] instead of failing the whole
-    load — frontend fault isolation. With [jobs > 1], units parse on a
-    {!Parallel.map} domain pool (each unit's parse touches only unit-local
-    state); results merge in unit order, so the loaded program is identical
-    to a sequential load. *)
-let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
+    load — frontend fault isolation. *)
+let load ?(lenient = false) ?(cache = Cache_iface.none)
     (input : input) : loaded =
   wrap_frontend_errors input.name @@ fun () ->
   let (prog, reflection_stats, synthesized_sources, skipped), frontend_seconds =
     Telemetry.phase "phase.frontend" ~args:[ ("app", input.name) ]
     @@ fun () ->
-    let parse_unit (i, src) =
+    let parse_unit i src =
       Telemetry.with_span "frontend.parse_unit"
         ~args:[ ("unit", string_of_int i) ]
       @@ fun () ->
@@ -121,8 +117,7 @@ let load ?(lenient = false) ?(jobs = 1) ?(cache = Cache_iface.none)
     in
     let parsed =
       Telemetry.with_span "frontend.parse" @@ fun () ->
-      Parallel.map ~jobs parse_unit
-        (List.mapi (fun i src -> (i, src)) input.app_sources)
+      List.mapi parse_unit input.app_sources
     in
     let app_units =
       List.filter_map (function Either.Left u -> Some u | _ -> None) parsed
@@ -279,7 +274,7 @@ let record_budget_stop (diagnostics : Diagnostics.t) (budget : Budget.t)
     [Did_not_complete] with a recorded [Phase_fault], so the supervisor can
     walk the degradation ladder. New degradations are appended to
     [diagnostics] (shared across supervisor attempts). *)
-let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
+let run ?(rules = Rules.default_rules) ?budget ?diagnostics
     ?(cache = Cache_iface.none) (loaded : loaded) (config : Config.t) :
   analysis =
   let budget =
@@ -400,7 +395,7 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
          record_budget_stop diagnostics budget Sdg;
        (match
           Telemetry.phase "phase.taint" @@ fun () ->
-          Engine.run ~jobs
+          Engine.run
             ~interrupt:(fun () ->
               Fault.tick Fault.site_tabulation;
               interrupt ())
@@ -458,7 +453,6 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
                     { report; outcome; andersen; builder; heapgraph;
                       cg_nodes = Pointer.Callgraph.node_count cg;
                       cg_edges = Pointer.Callgraph.edge_count cg;
-                      jobs = max 1 jobs;
                       times =
                         { t_frontend = loaded.frontend_seconds;
                           t_pointer; t_sdg; t_taint;
@@ -468,7 +462,6 @@ let run ?(rules = Rules.default_rules) ?(jobs = 1) ?budget ?diagnostics
           end))
 
 (** Convenience: load and analyze in one call. *)
-let analyze ?rules ?(jobs = 1)
-    ?(config = Config.preset Config.Hybrid_unbounded) ?cache (input : input) :
-  analysis =
-  run ?rules ~jobs ?cache (load ~jobs ?cache input) config
+let analyze ?rules ?(config = Config.preset Config.Hybrid_unbounded) ?cache
+    (input : input) : analysis =
+  run ?rules ?cache (load ?cache input) config

@@ -41,7 +41,6 @@ type completed = {
   heapgraph : Pointer.Heapgraph.t;
   cg_nodes : int;
   cg_edges : int;
-  jobs : int;                       (** worker-pool size this run used *)
   times : phase_times;
   diagnostics : Diagnostics.degradation list;
       (** degradations recorded during this run (also in the report) *)
@@ -65,28 +64,21 @@ exception Load_error of string
 
 (** With [lenient] (the supervisor's mode), a unit that fails to lex/parse
     is skipped and recorded in [skipped_units] instead of failing the
-    whole load. With [jobs > 1] (default 1), compilation units parse on a
-    {!Parallel.map} domain pool; the loaded program is identical to a
-    sequential load. [cache] supplies the incremental-cache hooks
+    whole load. [cache] supplies the incremental-cache hooks
     ({!Cache_iface.none} when absent): per-unit parses and the
     whole-program frontend product may then be satisfied from cached
     entries instead of recomputed. *)
-val load :
-  ?lenient:bool -> ?jobs:int -> ?cache:Cache_iface.t -> input -> loaded
+val load : ?lenient:bool -> ?cache:Cache_iface.t -> input -> loaded
 
 (** [budget] supplies the wall-clock deadline / cancellation token, polled
     cooperatively in every long-running loop; an expiry mid-phase yields a
     [Partial] report with whatever flows were already found. A phase that
     raises becomes [Did_not_complete] with a recorded [Phase_fault]. New
     degradations are appended to [diagnostics] (shareable across
-    supervisor attempts). With [jobs > 1] (default 1) the taint rules run
-    on a {!Parallel.map} domain pool; results are structurally identical
-    to the sequential run, and the budget/deadline keeps working across
-    domains. [cache] threads the incremental-cache hooks into the SDG
+    supervisor attempts). [cache] threads the incremental-cache hooks into the SDG
     builder (per-method def/use summaries). *)
 val run :
   ?rules:Rules.rule list ->
-  ?jobs:int ->
   ?budget:Budget.t ->
   ?diagnostics:Diagnostics.t ->
   ?cache:Cache_iface.t ->
@@ -106,7 +98,6 @@ val triage :
 (** [load] + [run]. *)
 val analyze :
   ?rules:Rules.rule list ->
-  ?jobs:int ->
   ?config:Config.t ->
   ?cache:Cache_iface.t ->
   input -> analysis

@@ -23,21 +23,22 @@
 
     {2 Multicore safety}
 
-    Span and instant events are recorded into a {e per-domain} buffer
-    (domain-local storage), so worker domains of [Core.Parallel] never
-    contend or interleave; each domain's events form its own track in the
-    trace ([tid] = domain id). Buffers register themselves in a global
-    list at first use and survive their domain's death, so events from
-    short-lived workers are still present when the main domain drains the
-    trace after the joins. Metric updates are single atomic RMW
-    operations on shared cells; sums are therefore order-independent and
-    a deterministic parallel stage produces byte-identical counter values
-    at any [jobs] (memo hit/miss counters excepted — worker domains keep
-    private memos by design).
+    Analyses run concurrently on several domains: [taj serve] worker
+    domains, and the bench harness's per-app fan-out. Span and instant
+    events are recorded into a {e per-domain} buffer (domain-local
+    storage), so those domains never contend or interleave; each
+    domain's events form its own track in the trace ([tid] = domain
+    id). Buffers register themselves in a global list at first use and
+    survive their domain's death, so events from short-lived workers are
+    still present when the main domain drains the trace after the joins.
+    Metric updates are single atomic RMW operations on shared cells;
+    sums are therefore order-independent, and runs fanned out over any
+    number of domains produce the same counter values as the same runs
+    made one after another.
 
     Draining ([events], [trace_json], [metrics]) and [reset] must not run
-    concurrently with recording; the pipeline only drains after its
-    parallel stages have joined. *)
+    concurrently with recording; callers drain only after the domains
+    they started have joined. *)
 
 (* ------------------------------------------------------------------ *)
 (* Enabled flag                                                       *)

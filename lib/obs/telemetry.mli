@@ -34,8 +34,8 @@
 
     {b Main domain after joins only}: {!events}, {!trace_json},
     {!write_trace} and {!reset} assume no domain is concurrently
-    recording; the pipeline only drains full traces after its parallel
-    stages have joined. *)
+    recording; callers drain full traces only after the domains they
+    started have joined. *)
 
 (** {1 Enabling} *)
 

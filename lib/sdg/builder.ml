@@ -11,9 +11,6 @@ module Keys = Pointer.Keys
 module Telemetry = Obs.Telemetry
 open Jir
 
-(* Telemetry. The def/use memo counters are the one advertised exception
-   to jobs-independence: worker domains keep private memo tables, so the
-   miss count (duplicated construction) legitimately varies with [jobs]. *)
 let m_nodes_scanned = Telemetry.counter "sdg.nodes_scanned"
 let m_memo_hits = Telemetry.counter "sdg.defuse_memo_hits"
 let m_memo_misses = Telemetry.counter "sdg.defuse_memo_misses"
@@ -75,8 +72,6 @@ type t = {
   prog : Program.t;
   a : Pointer.Andersen.t;
   cg : Pointer.Callgraph.t;
-  uid : int;                         (* keys worker-domain side tables *)
-  owner : Domain.id;                 (* the domain that built this t *)
   node_indexes : (int, node_index) Hashtbl.t;
   (* global heap indexes *)
   inst_loads : (int * Keys.field, Stmt.t list ref) Hashtbl.t;
@@ -221,32 +216,9 @@ let materialize_summary ~node (s : defuse_summary) : node_index =
 
 (* The def/use indexes are memoized per node, on demand: most nodes are
    never touched by a slice, so forcing them all up front costs more
-   than the slicing itself. Under the parallel engine the memo must not
-   become a data race, so each *worker* domain fills a private table
-   (below) while the building domain keeps using [t.node_indexes];
-   duplicated construction across workers is idempotent and bounded by
-   what each worker actually visits. Worker domains live for one
-   [Parallel.map], so their side tables die with them; [uid] keying
-   protects the main domain-turned-worker case where the DLS outlives
-   one builder. *)
-let dls_node_indexes :
-  (int, (int, node_index) Hashtbl.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
+   than the slicing itself. *)
 let node_index t n =
-  let tbl =
-    if Domain.self () = t.owner then t.node_indexes
-    else begin
-      let per_builder = Domain.DLS.get dls_node_indexes in
-      match Hashtbl.find_opt per_builder t.uid with
-      | Some tbl -> tbl
-      | None ->
-        let tbl = Hashtbl.create 256 in
-        Hashtbl.replace per_builder t.uid tbl;
-        tbl
-    end
-  in
-  match Hashtbl.find_opt tbl n with
+  match Hashtbl.find_opt t.node_indexes n with
   | Some ni ->
     Telemetry.incr m_memo_hits;
     ni
@@ -266,7 +238,7 @@ let node_index t n =
            dc.dc_store m (strip_index ni);
            ni)
     in
-    Hashtbl.replace tbl n ni;
+    Hashtbl.replace t.node_indexes n ni;
     ni
 
 let strip_index_of_node t n = strip_index (node_index t n)
@@ -647,16 +619,12 @@ let compute_threads t =
       (Pointer.Callgraph.successors t.cg node)
   done
 
-let next_uid = Atomic.make 0
-
 let build ?(interrupt = fun () -> false) ?(scan_filter = fun _ -> true)
     ?defuse_cache (prog : Program.t) (a : Pointer.Andersen.t) : t =
   Telemetry.with_span "sdg.build" @@ fun () ->
   let t =
     { prog; a;
       cg = Pointer.Andersen.call_graph a;
-      uid = Atomic.fetch_and_add next_uid 1;
-      owner = Domain.self ();
       node_indexes = Hashtbl.create 256;
       inst_loads = Hashtbl.create 1024;
       static_loads = Hashtbl.create 64;
@@ -695,21 +663,3 @@ let build ?(interrupt = fun () -> false) ?(scan_filter = fun _ -> true)
 
 let interrupted t = t.interrupted
 
-(* ------------------------------------------------------------------ *)
-(* Parallel-phase preparation                                         *)
-(* ------------------------------------------------------------------ *)
-
-(** Warm the one cache that stays *shared* under the parallel engine:
-    the class table's subclass memo, reached transitively through
-    {!throws_for}/{!catches_for}. Forcing [throws_for] for every recorded
-    catch class warms exactly the (thrown-key class × catch class)
-    subclass queries tabulation can make: the thrown points-to sets it
-    recomputes are the ones recorded by the build scan. The per-node
-    def/use memo needs no warming — worker domains fill private side
-    tables (see {!node_index}). Idempotent; call once before handing [t]
-    to worker domains. *)
-let precompute t =
-  let table = t.prog.Program.table in
-  List.iter
-    (fun (_, cls) -> ignore (throws_for t ~table cls : Stmt.t list))
-    !(t.catches)

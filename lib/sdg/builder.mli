@@ -43,9 +43,8 @@ type defuse_summary = {
     summary only when its stored body digest matches the method passed —
     validation (and hit/miss/invalidation accounting) lives on the cache
     side; the builder blindly rebinds whatever it gets. [dc_store] is
-    called with a freshly built summary on every lookup miss. Both may
-    be called from worker domains concurrently and must synchronize
-    internally. *)
+    called with a freshly built summary on every lookup miss. A cache
+    that concurrent runs share must synchronize internally. *)
 type defuse_cache = {
   dc_lookup : Jir.Tac.meth -> defuse_summary option;
   dc_store : Jir.Tac.meth -> defuse_summary -> unit;
@@ -73,14 +72,6 @@ val build :
 (** Did [interrupt] stop the build before every node was indexed? *)
 val interrupted : t -> bool
 
-(** Warm the caches that stay shared across worker domains (the subclass
-    queries reachable from the recorded throws/catches) so that parallel
-    slicing only reads them; the per-node def/use memo is domain-local
-    and needs no warming. Required before sharing [t] across worker
-    domains; idempotent, and a no-op for correctness in sequential
-    runs. *)
-val precompute : t -> unit
-
 val node_meth : t -> int -> Jir.Tac.meth
 val instr_of : t -> Stmt.t -> Jir.Tac.instr option
 val call_of : t -> Stmt.t -> Jir.Tac.call option
@@ -102,8 +93,8 @@ type base_use =
   | B_dict of Stmt.t * Keys.field list (** dict get: any of these fields *)
 
 (** The base-pointer uses of register [v] in node [node], in program
-    order. Built per node on first use, under the same per-domain memo
-    as {!uses_of}, so runs that never ask pay nothing. *)
+    order. Built per node on first use, under the same memo as
+    {!uses_of}, so runs that never ask pay nothing. *)
 val base_uses_of : t -> node:int -> Jir.Tac.var -> base_use list
 
 type writes =

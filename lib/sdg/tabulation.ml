@@ -26,8 +26,9 @@ module Telemetry = Obs.Telemetry
 open Jir
 
 (* Telemetry: per-slice consumption of the §6.2 budgets, accumulated into
-   process-wide counters at slice end (order-independent sums, so a
-   parallel per-rule stage reports the same totals as a sequential one). *)
+   process-wide counters at slice end (order-independent sums, so runs
+   on concurrent serve workers add up to the same totals as sequential
+   ones). *)
 let m_steps = Telemetry.counter "taint.steps"
 let m_heap_transitions = Telemetry.counter "taint.heap_transitions"
 let m_visited = Telemetry.counter "taint.visited"

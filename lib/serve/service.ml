@@ -80,7 +80,6 @@ type response = {
 
 type config = {
   workers : int;                   (** worker domains executing jobs *)
-  job_jobs : int;                  (** [Core.Parallel] pool inside a job *)
   queue_cap : int;
   max_retries : int;               (** transient re-executions per job *)
   retry_base : float;              (** first backoff, seconds *)
@@ -105,7 +104,7 @@ type config = {
 }
 
 let default_config =
-  { workers = 2; job_jobs = 1; queue_cap = 64; max_retries = 2;
+  { workers = 2; queue_cap = 64; max_retries = 2;
     retry_base = 0.05; retry_factor = 2.0; retry_max_delay = 2.0;
     seed = 0; breaker_threshold = 5; breaker_cooldown = 30.0;
     mem_soft_limit_mb = None; drain_grace = Some 30.0; cache_dir = None;
@@ -357,7 +356,7 @@ let execute t (job : job) : exec_outcome =
     | None ->
       let options =
         { Supervisor.default_options with
-          deadline; scale; jobs = t.cfg.job_jobs;
+          deadline; scale;
           cache =
             (match session with
              | Some s -> Cache.Incr.hooks s

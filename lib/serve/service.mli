@@ -68,8 +68,7 @@ type response = {
 (** {1 Configuration} *)
 
 type config = {
-  workers : int;
-  job_jobs : int;                  (** [Core.Parallel] pool inside a job *)
+  workers : int;                   (** worker domains executing jobs *)
   queue_cap : int;
   max_retries : int;
   retry_base : float;

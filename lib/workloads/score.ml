@@ -142,7 +142,7 @@ let sanitization_of (truth : Ground_truth.t) (builder : Sdg.Builder.t)
 (** Run one algorithm over a loaded app and score it. [refine] switches on
     the access-path second pass; [refine_k]/[refine_steps] tune it;
     [contexts] switches on the sanitization judge. *)
-let run_config ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
+let run_config ?(refine = false) ?(refine_k = 3)
     ?(refine_steps = 4096) ?(triage_filter = true) ?(contexts = false)
     ~(loaded : Taj.loaded) ~(truth : Ground_truth.t) ~(app : string)
     ~(scale : float) (algorithm : Config.algorithm) : run =
@@ -152,7 +152,7 @@ let run_config ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
   in
   (* wall clock, not CPU time: Table 3 reports elapsed analysis time *)
   let analysis, seconds =
-    Obs.Telemetry.timed (fun () -> Taj.run ~jobs loaded config)
+    Obs.Telemetry.timed (fun () -> Taj.run loaded config)
   in
   match analysis.Taj.result with
   | Taj.Did_not_complete _ ->
@@ -173,34 +173,34 @@ let run_config ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
       r_sanitization = sanitization_of truth c.Taj.builder c.Taj.report }
 
 (** Run all five Table 1 configurations over one app. *)
-let run_app ?(scale = 0.05) ?(jobs = 1) ?(refine = false) ?(refine_k = 3)
+let run_app ?(scale = 0.05) ?(refine = false) ?(refine_k = 3)
     ?(refine_steps = 4096) ?(triage_filter = true) ?(contexts = false)
     ?(algorithms = Config.all_algorithms) (a : Apps.app) : run list =
   let g = Apps.generate ~scale a in
-  let loaded = Taj.load ~jobs (Codegen.to_input g) in
+  let loaded = Taj.load (Codegen.to_input g) in
   List.map
-    (run_config ~jobs ~refine ~refine_k ~refine_steps ~triage_filter
+    (run_config ~refine ~refine_k ~refine_steps ~triage_filter
        ~contexts ~loaded ~truth:g.Codegen.g_truth ~app:a.Apps.name ~scale)
     algorithms
 
 (** {!run_app}, but a failure is returned as [(phase, error)] instead of
     raised — the machine-readable form the bench harness needs to emit
     failure rows with phase attribution. *)
-let run_app_result ?(scale = 0.05) ?(jobs = 1) ?(refine = false)
+let run_app_result ?(scale = 0.05) ?(refine = false)
     ?(refine_k = 3) ?(refine_steps = 4096) ?(triage_filter = true)
     ?(contexts = false) ?(algorithms = Config.all_algorithms)
     (a : Apps.app) : (run list, string * string) result =
   match Apps.generate ~scale a with
   | exception e -> Error ("generate", Printexc.to_string e)
   | g ->
-    (match Taj.load ~jobs (Codegen.to_input g) with
+    (match Taj.load (Codegen.to_input g) with
      | exception e -> Error ("frontend", Printexc.to_string e)
      | loaded ->
        (match
           List.map
-            (run_config ~jobs ~refine ~refine_k ~refine_steps
-               ~triage_filter ~contexts ~loaded ~truth:g.Codegen.g_truth
-               ~app:a.Apps.name ~scale)
+            (run_config ~refine ~refine_k ~refine_steps ~triage_filter
+               ~contexts ~loaded ~truth:g.Codegen.g_truth ~app:a.Apps.name
+               ~scale)
             algorithms
         with
         | runs -> Ok runs
@@ -259,10 +259,10 @@ let classify_triage (truth : Ground_truth.t)
     would try, ending at the type-triage rung zero. The rung-zero row is
     scored from the triage findings directly — recall there must not lose
     a planted true positive (over-approximation), only precision may. *)
-let run_rungs ?(scale = 0.05) ?(jobs = 1)
-    ?(algorithm = Config.Hybrid_optimized) (a : Apps.app) : rung_run list =
+let run_rungs ?(scale = 0.05) ?(algorithm = Config.Hybrid_optimized)
+    (a : Apps.app) : rung_run list =
   let g = Apps.generate ~scale a in
-  let loaded = Taj.load ~jobs (Codegen.to_input g) in
+  let loaded = Taj.load (Codegen.to_input g) in
   let truth = g.Codegen.g_truth in
   let base = Config.preset ~scale algorithm in
   let rungs = (scale, base) :: Config.degradation_ladder ~scale base in
@@ -283,7 +283,7 @@ let run_rungs ?(scale = 0.05) ?(jobs = 1)
        end
        else
          let analysis, seconds =
-           Obs.Telemetry.timed (fun () -> Taj.run ~jobs loaded cfg)
+           Obs.Telemetry.timed (fun () -> Taj.run loaded cfg)
          in
          match analysis.Taj.result with
          | Taj.Did_not_complete _ ->

@@ -53,18 +53,16 @@ val classify_issues :
   classification
 
 val run_config :
-  ?jobs:int -> ?refine:bool -> ?refine_k:int -> ?refine_steps:int ->
+  ?refine:bool -> ?refine_k:int -> ?refine_steps:int ->
   ?triage_filter:bool -> ?contexts:bool ->
   loaded:Core.Taj.loaded -> truth:Ground_truth.t ->
   app:string -> scale:float -> Core.Config.algorithm -> run
 
 (** Run the given configurations (default: all five) over one app.
-    [jobs] sizes the worker pool inside each analysis (frontend parse and
-    per-rule tabulation); default 1 = sequential. [triage_filter] (default
-    on) lets the metamorphic CI check score with the pre-filter disabled —
+    [triage_filter] (default on) lets the metamorphic CI check score with the pre-filter disabled —
     the reports must not change. *)
 val run_app :
-  ?scale:float -> ?jobs:int -> ?refine:bool -> ?refine_k:int ->
+  ?scale:float -> ?refine:bool -> ?refine_k:int ->
   ?refine_steps:int -> ?triage_filter:bool -> ?contexts:bool ->
   ?algorithms:Core.Config.algorithm list ->
   Apps.app -> run list
@@ -73,7 +71,7 @@ val run_app :
     [phase] one of ["generate"], ["frontend"], ["analysis"] — so partial
     bench runs stay machine-readable. *)
 val run_app_result :
-  ?scale:float -> ?jobs:int -> ?refine:bool -> ?refine_k:int ->
+  ?scale:float -> ?refine:bool -> ?refine_k:int ->
   ?refine_steps:int -> ?triage_filter:bool -> ?contexts:bool ->
   ?algorithms:Core.Config.algorithm list ->
   Apps.app -> (run list, string * string) result
@@ -98,5 +96,5 @@ val classify_triage :
     Rung zero must not lose a planted true positive — it over-approximates
     — so only its precision column is allowed to drop. *)
 val run_rungs :
-  ?scale:float -> ?jobs:int -> ?algorithm:Core.Config.algorithm ->
-  Apps.app -> rung_run list
+  ?scale:float -> ?algorithm:Core.Config.algorithm -> Apps.app ->
+  rung_run list

@@ -5,9 +5,9 @@
    byte-identical to the equivalent uncached run — cold (filling the
    cache), warm (result-tier hit), after a comment-only edit (semantic
    result hit through the AST digests), and after a real edit (partial
-   tier reuse) — at jobs=1 and jobs=4. A corrupted store may only ever
-   cost warmth: cold fallback plus a [Cache_corrupt] diagnostic, never a
-   crash, never a different report. *)
+   tier reuse). A corrupted store may only ever cost warmth: cold
+   fallback plus a [Cache_corrupt] diagnostic, never a crash, never a
+   different report. *)
 
 open Core
 
@@ -58,9 +58,7 @@ let semantic_edit =
   edit_unit ~f:(fun src ->
     src ^ "\nclass CacheProbeOrphan { int probe(int x) { return x; } }\n")
 
-let run ?cache ?(jobs = 1) input =
-  let options = { Supervisor.default_options with jobs } in
-  Cache.Incr.analyze ?cache ~options input
+let run ?cache input = Cache.Incr.analyze ?cache input
 
 let check_report ~what ~reference (o : Cache.Incr.outcome) =
   Alcotest.(check bool) (what ^ ": completed") false o.Cache.Incr.i_partial;
@@ -103,16 +101,7 @@ let check_app app_name =
     "semantic edit re-analyzes" false edited_warm.Cache.Incr.i_from_cache;
   check_report
     ~what:"semantic edit" ~reference:edited_reference.Cache.Incr.i_report
-    edited_warm;
-  (* cross-jobs: a cache filled at jobs=4 must serve jobs=1 untouched *)
-  with_dir @@ fun dir4 ->
-  let cache4 = Cache.Incr.create ~dir:dir4 in
-  let cold4 = run ~cache:cache4 ~jobs:4 input in
-  Alcotest.(check bool) "jobs=4 cold misses" false cold4.Cache.Incr.i_from_cache;
-  check_report ~what:"jobs=4 cold" ~reference cold4;
-  let warm1 = run ~cache:cache4 ~jobs:1 input in
-  Alcotest.(check bool) "jobs=1 warm hits" true warm1.Cache.Incr.i_from_cache;
-  check_report ~what:"jobs=1 on jobs=4 cache" ~reference warm1
+    edited_warm
 
 let test_equivalence_suite () =
   List.iter

@@ -2,6 +2,7 @@
    - inserting a sanitizer on a flow never increases the issue count;
    - duplicating a servlet under a fresh name exactly doubles its issues;
    - adding unreachable code changes nothing;
+   - permuting compilation units never changes which issues are reported;
    - DOT export is well-formed for arbitrary generated apps. *)
 
 open Core
@@ -73,6 +74,61 @@ let prop_counts_match_unsanitized =
        in
        issues_of srcs = expected)
 
+(* Permuting compilation-unit order changes node ids and witness paths,
+   but never which issues are reported. *)
+let unit_cell = {|class Cell { String v; }|}
+
+let unit_helper = {|class Helper { String pass(String s) { return s; } }|}
+
+let unit_page =
+  {|class Page extends HttpServlet {
+      public void doGet(HttpServletRequest req, HttpServletResponse resp) {
+        Cell c = new Cell();
+        Helper h = new Helper();
+        c.v = h.pass(req.getParameter("x"));
+        resp.getWriter().println(c.v);
+        Connection conn = DriverManager.getConnection("jdbc:db");
+        Statement st = conn.createStatement();
+        String s = h.pass(c.v);
+        st.executeQuery(s);
+      }
+    }|}
+
+(* node-id-independent view of a completed run: sorted
+   (issue, sink, group size) strings plus the totals.  Witness paths and
+   LCPs are deliberately excluded — they may legitimately differ when
+   unit order (hence worklist order) changes. *)
+let canonical srcs =
+  match
+    (Taj.analyze { Taj.name = "meta"; app_sources = srcs; descriptor = "" })
+      .Taj.result
+  with
+  | Taj.Did_not_complete reason -> Alcotest.failf "did not complete: %s" reason
+  | Taj.Completed c ->
+    let issues =
+      List.map
+        (fun (ir : Report.issue_report) ->
+           Fmt.str "%s | sink %a | %d flow(s)"
+             (Rules.issue_name ir.Report.ir_issue)
+             (Report.pp_stmt c.Taj.builder)
+             ir.Report.ir_representative.Flows.fl_sink
+             ir.Report.ir_flow_count)
+        c.Taj.report.Report.issues
+    in
+    (List.sort compare issues, Report.flow_count c.Taj.report)
+
+let test_unit_permutation () =
+  let base = canonical [ unit_cell; unit_helper; unit_page ] in
+  Alcotest.(check bool) "fixture reports at least two issues" true
+    (List.length (fst base) >= 2);
+  List.iteri
+    (fun i perm ->
+       Alcotest.(check (pair (list string) int))
+         (Printf.sprintf "permutation %d" i)
+         base (canonical perm))
+    [ [ unit_page; unit_cell; unit_helper ];
+      [ unit_helper; unit_page; unit_cell ] ]
+
 let test_dot_wellformed () =
   let g =
     Workloads.Apps.generate ~scale:0.02
@@ -140,5 +196,6 @@ let suite =
     Alcotest.test_case "duplication doubles" `Quick test_duplication_doubles;
     Alcotest.test_case "unreachable code inert" `Quick
       test_unreachable_code_is_inert;
+    Alcotest.test_case "unit permutation" `Quick test_unit_permutation;
     Alcotest.test_case "dot well-formed" `Quick test_dot_wellformed;
     QCheck_alcotest.to_alcotest prop_counts_match_unsanitized ]

@@ -1,16 +1,10 @@
-(* The multicore engine's contract: parallelism is an implementation
-   detail. [Parallel.map ~jobs] is observationally [List.map]; a jobs=N
-   analysis produces a report structurally identical to the jobs=1 run on
-   every workload app under every algorithm configuration; and fault
-   injection inside a worker domain degrades exactly as it does
-   sequentially — no hung domains, no lost diagnostics. *)
+(* [Parallel.map], the pool behind fan-out across independent analysis
+   runs: it is observationally [List.map], and the runs it fans out give
+   the same results as the same runs made one after another — every
+   workload app under every algorithm configuration. A single run never
+   uses the pool. *)
 
 open Core
-
-(* the pool size the parallel half of each comparison runs at; CI pins it
-   via TAJ_JOBS=4 *)
-let par_jobs =
-  match Parallel.env_jobs () with Some n when n > 1 -> n | _ -> 4
 
 (* ------------------------------------------------------------------ *)
 (* Parallel.map: property and unit tests                              *)
@@ -74,7 +68,7 @@ let test_map_sequential_when_jobs_one () =
     [ 3; 2; 1 ] !trace
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: jobs=1 and jobs=N agree on every app x configuration  *)
+(* Determinism: runs fanned out over the pool match sequential runs   *)
 (* ------------------------------------------------------------------ *)
 
 let scale = 0.02
@@ -119,211 +113,21 @@ let check_digest ~ctx (seq : digest) (par : digest) =
   Alcotest.(check (pair int int)) (ctx ^ ": callgraph size") seq.d_cg
     par.d_cg
 
-(* one fresh load per jobs mode: this also proves the parallel frontend
-   yields the same program (dispatcher naming included) as the
-   sequential one *)
+(* each configuration loads the app afresh, as a bench row or a serve
+   request does, so concurrent runs share only process-wide state (the
+   model-JDK image, the fault registry, telemetry) *)
 let check_app_determinism (a : Workloads.Apps.app) () =
-  let g = Workloads.Apps.generate ~scale a in
-  let input = Workloads.Codegen.to_input g in
-  let seq = Taj.load ~jobs:1 input in
-  let par = Taj.load ~jobs:par_jobs input in
-  Alcotest.(check bool) "parallel load: reflection stats equal" true
-    (seq.Taj.reflection_stats = par.Taj.reflection_stats);
-  Alcotest.(check int) "parallel load: synthesized sources equal"
-    seq.Taj.synthesized_sources par.Taj.synthesized_sources;
-  Alcotest.(check (list (pair int string))) "parallel load: skipped units"
-    seq.Taj.skipped_units par.Taj.skipped_units;
-  List.iter
-    (fun alg ->
-       let ctx = a.Workloads.Apps.name ^ "/" ^ Config.algorithm_name alg in
-       let config = Config.preset ~scale alg in
-       let d1 = digest (Taj.run ~jobs:1 seq config) in
-       let dn = digest (Taj.run ~jobs:par_jobs par config) in
-       check_digest ~ctx d1 dn)
-    Config.all_algorithms
-
-(* ------------------------------------------------------------------ *)
-(* Metamorphic: permuting compilation-unit order changes node ids and *)
-(* witness paths, but never which issues are reported                 *)
-(* ------------------------------------------------------------------ *)
-
-let input srcs = { Taj.name = "parallel"; app_sources = srcs; descriptor = "" }
-
-let unit_cell = {|class Cell { String v; }|}
-
-let unit_helper = {|class Helper { String pass(String s) { return s; } }|}
-
-let unit_page =
-  {|class Page extends HttpServlet {
-      public void doGet(HttpServletRequest req, HttpServletResponse resp) {
-        Cell c = new Cell();
-        Helper h = new Helper();
-        c.v = h.pass(req.getParameter("x"));
-        resp.getWriter().println(c.v);
-        Connection conn = DriverManager.getConnection("jdbc:db");
-        Statement st = conn.createStatement();
-        String s = h.pass(c.v);
-        st.executeQuery(s);
-      }
-    }|}
-
-(* node-id-independent view of a completed run: sorted
-   (issue, sink, group size) strings plus the totals.  Witness paths and
-   LCPs are deliberately excluded — they may legitimately differ when
-   unit order (hence worklist order) changes. *)
-let canonical (analysis : Taj.analysis) =
-  match analysis.Taj.result with
-  | Taj.Did_not_complete reason -> Alcotest.failf "did not complete: %s" reason
-  | Taj.Completed c ->
-    let issues =
-      List.map
-        (fun (ir : Report.issue_report) ->
-           Fmt.str "%s | sink %a | %d flow(s)"
-             (Rules.issue_name ir.Report.ir_issue)
-             (Report.pp_stmt c.Taj.builder)
-             ir.Report.ir_representative.Flows.fl_sink
-             ir.Report.ir_flow_count)
-        c.Taj.report.Report.issues
-    in
-    (List.sort compare issues, Report.flow_count c.Taj.report)
-
-let test_metamorphic_unit_permutation () =
-  let units = [ unit_cell; unit_helper; unit_page ] in
-  let permutations =
-    [ units;
-      [ unit_page; unit_cell; unit_helper ];
-      [ unit_helper; unit_page; unit_cell ] ]
+  let input = Workloads.Codegen.to_input (Workloads.Apps.generate ~scale a) in
+  let run alg =
+    (alg, digest (Taj.run (Taj.load input) (Config.preset ~scale alg)))
   in
-  let base = canonical (Taj.analyze ~jobs:1 (input units)) in
-  Alcotest.(check bool) "fixture reports at least two issues" true
-    (List.length (fst base) >= 2);
-  List.iteri
-    (fun i perm ->
-       List.iter
-         (fun jobs ->
-            Alcotest.(check (pair (list string) int))
-              (Printf.sprintf "permutation %d at jobs %d" i jobs)
-              base
-              (canonical (Taj.analyze ~jobs (input perm))))
-         [ 1; par_jobs ])
-    permutations
-
-(* ------------------------------------------------------------------ *)
-(* Stress: fault injection inside worker domains                      *)
-(* ------------------------------------------------------------------ *)
-
-let two_flows =
-  {|class Cell { String v; }
-    class Page extends HttpServlet {
-      public void doGet(HttpServletRequest req, HttpServletResponse resp) {
-        Cell c = new Cell();
-        c.v = req.getParameter("x");
-        resp.getWriter().println(c.v);
-        Connection conn = DriverManager.getConnection("jdbc:db");
-        Statement st = conn.createStatement();
-        st.executeQuery(c.v);
-      }
-    }|}
-
-let par_options =
-  { Supervisor.default_options with Supervisor.jobs = par_jobs }
-
-let supervise_par () = Supervisor.run ~options:par_options (input [ two_flows ])
-
-(* same acceptance contract as the sequential resilience suite: the fault
-   fires in some worker, is contained to it, and the supervisor still
-   produces a completed (possibly degraded) run *)
-let check_contained_parallel site =
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset @@ fun () ->
-  Fault.arm site ~after:1;
-  let outcome = supervise_par () in
-  Alcotest.(check bool) (site ^ ": fault fired in a worker") true
-    (Fault.fired site > 0);
-  Alcotest.(check bool) (site ^ ": degradation recorded") true
-    (outcome.Supervisor.sv_diagnostics <> []);
-  match outcome.Supervisor.sv_analysis with
-  | Some { Taj.result = Taj.Completed _; _ } -> ()
-  | Some { Taj.result = Taj.Did_not_complete _; _ } | None ->
-    Alcotest.failf "%s: no rung completed at jobs=%d: %s" site par_jobs
-      (Fmt.str "%a"
-         (Fmt.list ~sep:Fmt.comma Diagnostics.pp_degradation)
-         outcome.Supervisor.sv_diagnostics)
-
-let test_worker_fault_parse () = check_contained_parallel Fault.site_parse
-
-let test_worker_fault_tabulation () =
-  check_contained_parallel Fault.site_tabulation
-
-let test_worker_fault_heap () = check_contained_parallel Fault.site_heap
-
-let test_worker_rule_fault_is_isolated () =
-  (* the faulted rule is charged, the rules running on sibling domains
-     still report their flows — same contract as sequentially *)
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset @@ fun () ->
-  Fault.arm Fault.site_tabulation ~after:1;
-  let outcome = supervise_par () in
-  Alcotest.(check bool) "one rule failed" true
-    (List.exists
-       (function Diagnostics.Rule_failed _ -> true | _ -> false)
-       outcome.Supervisor.sv_diagnostics);
-  Alcotest.(check bool) "sibling rules still found flows" true
-    (Report.issue_count outcome.Supervisor.sv_report >= 1);
-  Alcotest.(check bool) "the report is marked partial" true
-    (Report.is_partial outcome.Supervisor.sv_report)
-
-let test_worker_stall_does_not_hang () =
-  (* a stalled worker delays its own rule only; the run joins every
-     domain and completes with both flows and no degradation *)
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset @@ fun () ->
-  Fault.arm ~action:(Fault.Stall 0.05) Fault.site_tabulation ~after:1;
-  let outcome = supervise_par () in
-  Alcotest.(check int) "stall fired once" 1 (Fault.fired Fault.site_tabulation);
-  Alcotest.(check bool) "no degradation from a mere stall" true
-    (outcome.Supervisor.sv_diagnostics = []);
-  Alcotest.(check bool) "complete report" false
-    (Report.is_partial outcome.Supervisor.sv_report);
-  Alcotest.(check int) "both flows found" 2
-    (Report.issue_count outcome.Supervisor.sv_report)
-
-let test_worker_persistent_fault_walks_ladder () =
-  (* with jobs=N the degradation ladder fires exactly as sequentially:
-     every rung attempted in order, every Downgraded event recorded *)
-  Fault.reset ();
-  Fun.protect ~finally:Fault.reset @@ fun () ->
-  Fault.arm ~once:false Fault.site_andersen ~after:1;
-  let outcome = supervise_par () in
-  Alcotest.(check (list string)) "every rung was attempted, in order"
-    [ "hybrid-unbounded"; "hybrid-prioritized"; "hybrid-optimized";
-      "hybrid-optimized"; "hybrid-optimized"; "triage" ]
-    (List.map
-       (fun (a : Supervisor.attempt) ->
-          Config.algorithm_name a.Supervisor.at_algorithm)
-       outcome.Supervisor.sv_attempts);
-  Alcotest.(check int) "no Downgraded event was lost" 5
-    (List.length
-       (List.filter
-          (function Diagnostics.Downgraded _ -> true | _ -> false)
-          outcome.Supervisor.sv_diagnostics));
-  Alcotest.(check bool) "the final report is partial" true
-    (Report.is_partial outcome.Supervisor.sv_report)
-
-let test_budget_cancel_across_domains () =
-  (* a cancellation token set on the main domain is observed by budget
-     polls inside worker domains *)
-  let token = Atomic.make true in
-  let options = { par_options with Supervisor.cancel = token } in
-  let outcome = Supervisor.run ~options (input [ two_flows ]) in
-  Alcotest.(check bool) "a cancellation event was recorded" true
-    (List.exists
-       (function Diagnostics.Cancelled _ -> true | _ -> false)
-       outcome.Supervisor.sv_diagnostics);
-  Alcotest.(check bool) "the report is partial" true
-    (Report.is_partial outcome.Supervisor.sv_report)
-
-(* ------------------------------------------------------------------ *)
+  List.iter2
+    (fun (alg, d1) (_, dn) ->
+       check_digest
+         ~ctx:(a.Workloads.Apps.name ^ "/" ^ Config.algorithm_name alg)
+         d1 dn)
+    (List.map run Config.all_algorithms)
+    (Parallel.map ~jobs:4 run Config.all_algorithms)
 
 let suite =
   [ QCheck_alcotest.to_alcotest prop_matches_list_map;
@@ -332,23 +136,7 @@ let suite =
     Alcotest.test_case "map re-raises first exception after join" `Quick
       test_map_first_exception;
     Alcotest.test_case "map jobs=1 is sequential" `Quick
-      test_map_sequential_when_jobs_one;
-    Alcotest.test_case "metamorphic: unit permutation" `Quick
-      test_metamorphic_unit_permutation;
-    Alcotest.test_case "worker fault in parse contained" `Quick
-      test_worker_fault_parse;
-    Alcotest.test_case "worker fault in tabulation contained" `Quick
-      test_worker_fault_tabulation;
-    Alcotest.test_case "worker fault in heap transition contained" `Quick
-      test_worker_fault_heap;
-    Alcotest.test_case "worker rule fault is isolated" `Quick
-      test_worker_rule_fault_is_isolated;
-    Alcotest.test_case "worker stall does not hang the pool" `Quick
-      test_worker_stall_does_not_hang;
-    Alcotest.test_case "persistent fault walks ladder at jobs=N" `Quick
-      test_worker_persistent_fault_walks_ladder;
-    Alcotest.test_case "cancellation crosses domains" `Quick
-      test_budget_cancel_across_domains ]
+      test_map_sequential_when_jobs_one ]
   @ List.map
       (fun (a : Workloads.Apps.app) ->
          Alcotest.test_case

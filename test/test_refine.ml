@@ -1,6 +1,6 @@
 (* Tests for the access-path flow-refinement pass: replay units, the
-   heap-merge demotion that motivates it, k-limit widening, budget
-   demotion, and jobs=1 vs jobs=N determinism. *)
+   heap-merge demotion that motivates it, k-limit widening and budget
+   demotion. *)
 
 open Core
 
@@ -53,16 +53,15 @@ let test_access_path_project () =
 (* Pipeline helpers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let analyze ?(jobs = 1) ?(refine = true) ?(refine_k = 3)
-    ?(refine_steps = 4096) srcs =
+let analyze ?(refine = true) ?(refine_k = 3) ?(refine_steps = 4096) srcs =
   let loaded =
-    Taj.load ~jobs { Taj.name = "refine"; app_sources = srcs; descriptor = "" }
+    Taj.load { Taj.name = "refine"; app_sources = srcs; descriptor = "" }
   in
   let config =
     { (Config.preset Config.Hybrid_unbounded) with
       Config.refine; refine_k; refine_steps }
   in
-  match (Taj.run ~jobs loaded config).Taj.result with
+  match (Taj.run loaded config).Taj.result with
   | Taj.Completed c -> c
   | Taj.Did_not_complete r -> Alcotest.failf "did not complete: %s" r
 
@@ -233,28 +232,6 @@ let test_budget_exhaustion_demotes () =
       (rf.Engine.rf_budget > 0)
   | None -> Alcotest.fail "refine summary missing"
 
-(* ------------------------------------------------------------------ *)
-(* Determinism                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_parallel_determinism () =
-  (* verdicts and report rendering must be byte-identical whether the
-     refine stage runs on one domain or four *)
-  let a = Option.get (Workloads.Apps.find "Friki") in
-  let g = Workloads.Apps.generate ~scale:0.02 a in
-  let run jobs =
-    let loaded = Taj.load ~jobs (Workloads.Codegen.to_input g) in
-    let config =
-      { (Config.preset ~scale:0.02 Config.Hybrid_unbounded) with
-        Config.refine = true }
-    in
-    match (Taj.run ~jobs loaded config).Taj.result with
-    | Taj.Completed c ->
-      Fmt.str "%a" (Report.pp c.Taj.builder) c.Taj.report
-    | Taj.Did_not_complete r -> Alcotest.failf "did not complete: %s" r
-  in
-  Alcotest.(check string) "jobs=1 == jobs=4" (run 1) (run 4)
-
 let suite =
   [ Alcotest.test_case "access-path push/k-limit" `Quick
       test_access_path_push;
@@ -267,6 +244,4 @@ let suite =
       test_carrier_flow_confirmed;
     Alcotest.test_case "k-limit widening" `Quick test_k_limit_widening;
     Alcotest.test_case "budget exhaustion demotes" `Quick
-      test_budget_exhaustion_demotes;
-    Alcotest.test_case "parallel determinism" `Quick
-      test_parallel_determinism ]
+      test_budget_exhaustion_demotes ]

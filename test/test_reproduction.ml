@@ -198,7 +198,7 @@ let pinned_precise =
 
 let report_md5 config (a : Apps.app) =
   let g = Apps.generate ~scale:pin_scale a in
-  match (Taj.analyze ~jobs:1 ~config (Codegen.to_input g)).Taj.result with
+  match (Taj.analyze ~config (Codegen.to_input g)).Taj.result with
   | Taj.Completed c ->
     Digest.to_hex
       (Digest.string (Cache.Incr.render_report c.Taj.builder c.Taj.report))
@@ -261,7 +261,7 @@ let solver_md5 (a : Apps.app) =
   let open Pointer in
   let g = Apps.generate ~scale:pin_scale a in
   let config = Config.preset ~scale:pin_scale Config.Hybrid_unbounded in
-  match (Taj.analyze ~jobs:1 ~config (Codegen.to_input g)).Taj.result with
+  match (Taj.analyze ~config (Codegen.to_input g)).Taj.result with
   | Taj.Completed c ->
     let an = c.Taj.andersen in
     let u = Andersen.universe an in

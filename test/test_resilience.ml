@@ -246,14 +246,29 @@ let test_cancellation_yields_partial_report () =
   Alcotest.(check bool) "the report is partial" true
     (Report.is_partial outcome.Supervisor.sv_report)
 
+(* a stall is a delay, not a fault: it must leave the run as complete as
+   an unfaulted one *)
 let test_unfaulted_run_is_complete () =
-  Fault.reset ();
-  let outcome = supervise () in
-  Alcotest.(check bool) "no diagnostics" true
-    (outcome.Supervisor.sv_diagnostics = []);
-  Alcotest.(check bool) "complete report" false
-    (Report.is_partial outcome.Supervisor.sv_report);
-  Alcotest.(check int) "both flows found" 2 (issue_count outcome)
+  List.iter
+    (fun (what, arm, stalls) ->
+       Fault.reset ();
+       Fun.protect ~finally:Fault.reset @@ fun () ->
+       arm ();
+       let outcome = supervise () in
+       Alcotest.(check int) (what ^ ": stalls fired") stalls
+         (Fault.fired Fault.site_tabulation);
+       Alcotest.(check bool) (what ^ ": no diagnostics") true
+         (outcome.Supervisor.sv_diagnostics = []);
+       Alcotest.(check bool) (what ^ ": complete report") false
+         (Report.is_partial outcome.Supervisor.sv_report);
+       Alcotest.(check int) (what ^ ": both flows found") 2
+         (issue_count outcome))
+    [ ("unfaulted", ignore, 0);
+      ( "stalled tabulation",
+        (fun () ->
+           Fault.arm ~action:(Fault.Stall 0.05) Fault.site_tabulation
+             ~after:1),
+        1 ) ]
 
 let suite =
   [ Alcotest.test_case "budget deadline" `Quick test_budget_deadline;

@@ -36,10 +36,7 @@ let test_canonicalization_through_subclass () =
          expected
          (Rules.canonical m (mref cls "w" arity)))
     [ ("SubOut", 2, "Out.w/2"); ("SubOut", 3, "Out.w/3");
-      ("Out", 3, "Out.w/3"); ("SubOut", 2, "Out.w/2") ];
-  Alcotest.(check string) "a read-only query resolves what the memo lacks"
-    "HttpServletRequest.getHeader/2"
-    (Rules.canonical_readonly m (mref "MyRequest" "getHeader" 2))
+      ("Out", 3, "Out.w/3"); ("SubOut", 2, "Out.w/2") ]
 
 let test_source_matching () =
   let table = table_of [] in
@@ -151,7 +148,7 @@ let test_resolution_agreement () =
             let ctx = Printf.sprintf "%s: %s" name reference_id in
             Alcotest.(check string) (ctx ^ ": canonical id") reference_id id;
             Alcotest.(check string) (ctx ^ ": callbacks read the same id") id
-              (Rules.canonical_readonly m t);
+              (Rules.canonical m t);
             List.iter
               (fun (rule : Rules.rule) ->
                  let reference = Rules.matcher table in

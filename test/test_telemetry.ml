@@ -1,8 +1,8 @@
 (* The observability layer: span balance and nesting on a real pipeline
-   run, Chrome-trace JSON well-formedness, counter determinism across
-   worker-pool sizes, resilience events (budget trips, injected faults,
-   ladder steps) as instants on the trace, and the disabled-mode
-   overhead guard. *)
+   run, per-domain tracks and Chrome-trace JSON well-formedness under
+   fan-out across runs, counter determinism across fan-out pool sizes,
+   resilience events (budget trips, injected faults, ladder steps) as
+   instants on the trace, and the disabled-mode overhead guard. *)
 
 open Core
 module Telemetry = Obs.Telemetry
@@ -45,7 +45,7 @@ let two_flows =
       }
     }|}
 
-(* a second unit, so the parallel frontend parse has more than one task *)
+(* a second unit, so the frontend parses more than one unit *)
 let second_unit =
   {|class Other extends HttpServlet {
       public void doGet(HttpServletRequest req, HttpServletResponse resp) {
@@ -53,8 +53,17 @@ let second_unit =
       }
     }|}
 
-let analyze ?(jobs = 1) () =
-  Taj.analyze ~jobs (input [ two_flows; second_unit ])
+let analyze () = Taj.analyze (input [ two_flows; second_unit ])
+
+(* four analyses fanned out over a four-domain pool, the fan-out the
+   bench harness uses: each pool domain records on its own track *)
+let analyze_fanned_out () =
+  List.iter
+    (fun a ->
+       match a.Taj.result with
+       | Taj.Completed _ -> ()
+       | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r)
+    (Parallel.map ~jobs:4 analyze [ (); (); (); () ])
 
 (* ------------------------------------------------------------------ *)
 (* Metric primitives                                                  *)
@@ -187,7 +196,7 @@ let check_nesting evs =
 
 let test_span_nesting () =
   Telemetry.enable ();
-  (match (analyze ~jobs:2 ()).Taj.result with
+  (match (analyze ()).Taj.result with
    | Taj.Completed _ -> ()
    | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r);
   let spans = check_nesting (Telemetry.events ()) in
@@ -215,9 +224,7 @@ let test_span_on_raise () =
 
 let test_domain_tracks () =
   Telemetry.enable ();
-  (match (analyze ~jobs:4 ()).Taj.result with
-   | Taj.Completed _ -> ()
-   | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r);
+  analyze_fanned_out ();
   let spans = check_nesting (Telemetry.events ()) in
   let tids =
     List.sort_uniq compare (List.map (fun e -> e.Telemetry.ev_tid) spans)
@@ -366,9 +373,7 @@ end
 
 let test_trace_json () =
   Telemetry.enable ();
-  (match (analyze ~jobs:4 ()).Taj.result with
-   | Taj.Completed _ -> ()
-   | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r);
+  analyze_fanned_out ();
   let doc =
     match Json.parse (Telemetry.trace_json ()) with
     | doc -> doc
@@ -446,15 +451,15 @@ let test_metrics_json () =
 (* Determinism across pool sizes                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Order-independent sums: identical at any jobs. The def/use memo
-   hit/miss counters and parallel.tasks are jobs-dependent by design
-   (worker domains keep private memos; the sequential path bypasses the
-   pool) and are deliberately absent here. *)
+(* Order-independent sums: identical however the runs are spread over
+   the pool. parallel.tasks is absent: a one-domain pool is [List.map]
+   and counts no task. *)
 let deterministic_counters =
   [ "pointer.propagations"; "pointer.dispatches"; "pointer.fixpoint_rounds";
     "pointer.nodes_processed"; "pointer.dropped_calls";
     "pointer.cg_nodes_created"; "pointer.cg_edges_created";
-    "sdg.nodes_scanned"; "taint.steps"; "taint.heap_transitions";
+    "sdg.nodes_scanned"; "sdg.defuse_memo_hits"; "sdg.defuse_memo_misses";
+    "taint.steps"; "taint.heap_transitions";
     "taint.visited"; "taint.hits"; "taint.flows"; "taint.seeds";
     "taint.rules"; "taint.slices" ]
 
@@ -473,13 +478,14 @@ let test_metrics_determinism () =
     Workloads.Apps.generate ~scale:0.02
       (Option.get (Workloads.Apps.find "Friki"))
   in
+  let analyze () =
+    match (Taj.analyze (Workloads.Codegen.to_input g)).Taj.result with
+    | Taj.Completed _ -> ()
+    | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r
+  in
   let run jobs =
     Telemetry.reset ();
-    (match
-       (Taj.analyze ~jobs (Workloads.Codegen.to_input g)).Taj.result
-     with
-     | Taj.Completed _ -> ()
-     | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r);
+    ignore (Parallel.map ~jobs analyze [ (); (); (); () ] : unit list);
     snapshot_counters ()
   in
   let seq = run 1 and par = run 4 in

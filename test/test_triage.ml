@@ -250,17 +250,17 @@ let prop_subtype_index_matches_is_subclass =
 (* pre-filter metamorphic contract                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rendered_report ~jobs ~filter loaded =
+let rendered_report ~filter loaded =
   let config =
     { (Config.preset ~scale:0.02 Config.Hybrid_optimized) with
       Config.triage_filter = filter }
   in
-  match (Taj.run ~jobs loaded config).Taj.result with
+  match (Taj.run loaded config).Taj.result with
   | Taj.Did_not_complete r -> Alcotest.failf "did not complete: %s" r
   | Taj.Completed c -> Fmt.str "%a" (Report.pp c.Taj.builder) c.Taj.report
 
-(* The whole benchmark suite, filter on vs off, sequential and at
-   jobs=4: the filter may only skip work, never change a report byte. *)
+(* The whole benchmark suite, filter on vs off: the filter may only skip
+   work, never change a report byte. *)
 let test_filter_byte_identity_all_apps () =
   List.iter
     (fun (a : Workloads.Apps.app) ->
@@ -269,15 +269,10 @@ let test_filter_byte_identity_all_apps () =
            (Workloads.Codegen.to_input
               (Workloads.Apps.generate ~scale:0.02 a))
        in
-       let baseline = rendered_report ~jobs:1 ~filter:false loaded in
-       List.iter
-         (fun jobs ->
-            Alcotest.(check string)
-              (Printf.sprintf "%s: filtered report identical at jobs=%d"
-                 a.Workloads.Apps.name jobs)
-              baseline
-              (rendered_report ~jobs ~filter:true loaded))
-         [ 1; 4 ])
+       Alcotest.(check string)
+         (a.Workloads.Apps.name ^ ": filtered report identical")
+         (rendered_report ~filter:false loaded)
+         (rendered_report ~filter:true loaded))
     Workloads.Apps.table2
 
 (* ------------------------------------------------------------------ *)
