@@ -488,6 +488,89 @@ let test_cluster_drain_aggregates () =
        | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* Socket transport                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The coordinator's loop blocks this process, and this runner spawns no
+   domain, so the client is a forked process: it sends [lines] over the
+   job socket, reads [expect] answers, writes their ids to [out] and
+   stops the coordinator with SIGTERM. *)
+let fork_client ~path ~out ~expect lines =
+  match Unix.fork () with
+  | 0 ->
+    let code =
+      try
+        let rec connect tries =
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          match Unix.connect fd (Unix.ADDR_UNIX path) with
+          | () -> fd
+          | exception Unix.Unix_error _ when tries > 0 ->
+            Unix.close fd;
+            Unix.sleepf 0.01;
+            connect (tries - 1)
+        in
+        let fd = connect 2000 in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+        Core.Io.write_all fd
+          (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+        let r = Core.Io.line_reader fd in
+        let ids =
+          List.init expect (fun _ ->
+            match Core.Io.read_line r with
+            | None -> "eof"
+            | Some l ->
+              (match Serve.Json.parse l with
+               | Ok j ->
+                 (match Serve.Json.member "id" j with
+                  | Some (Serve.Json.Str id) -> id
+                  | _ -> "null")
+               | Error _ -> "unparsable"))
+        in
+        Core.Io.write_file out (String.concat "\n" ids);
+        Unix.close fd;
+        0
+      with _ -> 1
+    in
+    Unix.kill (Unix.getppid ()) Sys.sigterm;
+    Unix._exit code
+  | pid -> pid
+
+let test_cluster_socket_round_trip () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "taj-cluster-%d.sock" (Unix.getpid ()))
+  in
+  let out = Filename.temp_file "taj-cluster-client" ".txt" in
+  let saved =
+    List.map (fun s -> (s, Sys.signal s Sys.Signal_default))
+      [ Sys.sigterm; Sys.sigint; Sys.sigusr1 ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+      try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let c = Serve.Cluster.create ~config:(cluster_config ~size:2 ()) () in
+      let job id = Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id in
+      let client =
+        fork_client ~path ~out ~expect:4
+          [ job "s1"; ""; job "s2"; job "s3"; "not json" ]
+      in
+      let h = Serve.Cluster.run_socket c path in
+      let _, status = Unix.waitpid [] client in
+      Alcotest.(check bool) "the client exited cleanly" true
+        (status = Unix.WEXITED 0);
+      Alcotest.(check (list string)) "one answer per non-empty line"
+        [ "null"; "s1"; "s2"; "s3" ]
+        (List.sort compare
+           (String.split_on_char '\n' (Core.Io.read_file out)));
+      Alcotest.(check int) "three jobs reached the workers" 3
+        h.Serve.Cluster.ch_submitted;
+      Alcotest.(check bool) "clean drain" true (Serve.Cluster.clean_drain h);
+      Alcotest.(check bool) "socket file removed" false
+        (Sys.file_exists path))
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "proto: frame round-trip" `Quick
@@ -510,4 +593,6 @@ let suite =
       "admin: aggregated replies and flight dump under SIGKILL" `Slow
       test_cluster_admin_under_chaos;
     Alcotest.test_case "drain: aggregates per-worker health" `Slow
-      test_cluster_drain_aggregates ]
+      test_cluster_drain_aggregates;
+    Alcotest.test_case "transport: socket round trip" `Slow
+      test_cluster_socket_round_trip ]

@@ -1213,6 +1213,191 @@ let test_stale_socket_handling () =
   (try Unix.unlink path with Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
+(* Transports                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let sock_path tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "taj-%s-%d.sock" tag (Unix.getpid ()))
+
+(* a serving loop installs the drain handlers; give the runner its own
+   back afterwards *)
+let with_signals f =
+  let saved =
+    List.map (fun s -> (s, Sys.signal s Sys.Signal_default))
+      [ Sys.sigterm; Sys.sigint; Sys.sigusr1 ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (s, b) -> Sys.set_signal s b) saved)
+    f
+
+(* Run the service's socket transport on its own domain while [client]
+   talks to it; a drain requested from here must end the loop. *)
+let with_socket_server ?admin t path client =
+  with_signals @@ fun () ->
+  let server =
+    Domain.spawn (fun () -> Serve.Service.run_socket ?admin t path)
+  in
+  let result = match client () with v -> Ok v | exception e -> Error e in
+  Serve.Service.request_drain t;
+  let h = Domain.join server in
+  match result with Ok v -> (v, h) | Error e -> raise e
+
+let connect path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      (* a transport that never answers fails the test, not the run *)
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
+      fd
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.01;
+      go (tries - 1)
+  in
+  go 1000
+
+let send fd lines =
+  Core.Io.write_all fd (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let read_lines reader n =
+  List.init n (fun _ ->
+    match Core.Io.read_line reader with
+    | Some l -> l
+    | None -> Alcotest.fail "the transport closed before answering")
+
+let rec read_to_eof reader =
+  match Core.Io.read_line reader with
+  | Some l -> l :: read_to_eof reader
+  | None -> []
+
+let parse_line l =
+  match Serve.Json.parse l with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "unparsable line %S: %s" l e
+
+let line_id l =
+  match Serve.Json.member "id" (parse_line l) with
+  | Some (Serve.Json.Str id) -> id
+  | Some Serve.Json.Null -> "null"
+  | _ -> Alcotest.failf "line without an id: %S" l
+
+let job id = Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id
+
+let sorted l = List.sort compare l
+
+(* One answer per non-empty line, in NDJSON; a line that does not parse
+   as a request is rejected with its id (or null); blank lines get
+   nothing; the last line is the drain's health snapshot, the very value
+   the transport returns. *)
+let test_stdio_transport () =
+  with_signals @@ fun () ->
+  let t = Serve.Service.create ~config:(service_config ()) () in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  send in_w
+    [ job "a"; ""; "   "; "not json"; {|{"app":"BlueBlog"}|};
+      {|{"id":"no-app"}|}; job "b" ];
+  Unix.close in_w;
+  let h = Serve.Service.run_stdio ~stdin:in_r ~stdout:out_w t in
+  Unix.close in_r;
+  Unix.close out_w;
+  let lines = read_to_eof (Core.Io.line_reader out_r) in
+  Unix.close out_r;
+  let answers, last =
+    match List.rev lines with
+    | last :: rest -> (List.rev rest, last)
+    | [] -> Alcotest.fail "no output"
+  in
+  Alcotest.(check string) "the last line is the returned health"
+    (Serve.Service.health_json h) last;
+  Alcotest.(check (list string)) "one answer per non-empty line"
+    (sorted [ "a"; "b"; "null"; "null"; "no-app" ])
+    (sorted (List.map line_id answers));
+  let status id =
+    List.filter_map
+      (fun l ->
+         if line_id l = id then Serve.Json.str_member "status" (parse_line l)
+         else None)
+      answers
+  in
+  Alcotest.(check (list string)) "jobs completed" [ "completed"; "completed" ]
+    (status "a" @ status "b");
+  Alcotest.(check (list string)) "unparsable lines rejected"
+    [ "rejected"; "rejected"; "rejected" ]
+    (status "null" @ status "no-app");
+  Alcotest.(check int) "two submissions reached the engine" 2
+    h.Serve.Service.h_submitted
+
+(* Two clients at once: each gets the answers to its own lines, and the
+   drain's health line goes to every client still connected. *)
+let test_socket_transport_two_clients () =
+  let path = sock_path "two" in
+  let t = Serve.Service.create ~config:(service_config ()) () in
+  (* both connections stay open across the drain *)
+  let ((c1, r1, one), (c2, r2, two)), h =
+    with_socket_server t path @@ fun () ->
+    let c1 = connect path and c2 = connect path in
+    send c1 [ job "x1"; job "x2" ];
+    send c2 [ job "y1" ];
+    let r1 = Core.Io.line_reader c1 and r2 = Core.Io.line_reader c2 in
+    let one = read_lines r1 2 and two = read_lines r2 1 in
+    ((c1, r1, one), (c2, r2, two))
+  in
+  Alcotest.(check (list string)) "client one: its own answers"
+    [ "x1"; "x2" ] (sorted (List.map line_id one));
+  Alcotest.(check (list string)) "client two: its own answer" [ "y1" ]
+    (List.map line_id two);
+  List.iter
+    (fun r ->
+       match read_to_eof r with
+       | [ l ] ->
+         Alcotest.(check string) "health line after the drain"
+           (Serve.Service.health_json h) l
+       | ls -> Alcotest.failf "expected one health line, got %d" (List.length ls))
+    [ r1; r2 ];
+  Unix.close c1;
+  Unix.close c2;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+
+(* The admin socket: one reply per command line, shaped by the command;
+   an unknown command is answered, a blank line is not. *)
+let test_admin_socket () =
+  let path = sock_path "jobs" and admin = sock_path "admin" in
+  let t = Serve.Service.create ~config:(service_config ()) () in
+  let (), _ =
+    with_socket_server ~admin t path @@ fun () ->
+    let a = connect admin in
+    let r = Core.Io.line_reader a in
+    send a [ "health" ];
+    let health = parse_line (List.hd (read_lines r 1)) in
+    Alcotest.(check (option string)) "health parses" (Some "health")
+      (Serve.Json.str_member "event" health);
+    send a [ "metrics" ];
+    let rec until_eof acc =
+      match read_lines r 1 with
+      | [ "# EOF" ] -> List.rev acc
+      | [ l ] -> until_eof (l :: acc)
+      | _ -> assert false
+    in
+    ignore (until_eof []);
+    send a [ "bogus" ];
+    let err = parse_line (List.hd (read_lines r 1)) in
+    Alcotest.(check (option string)) "unknown command answered"
+      (Some "unknown_command") (Serve.Json.str_member "error" err);
+    Alcotest.(check (option string)) "naming the command" (Some "bogus")
+      (Serve.Json.str_member "command" err);
+    send a [ "" ];
+    Unix.shutdown a Unix.SHUTDOWN_SEND;
+    Alcotest.(check (list string)) "a blank line gets nothing" []
+      (read_to_eof r);
+    Unix.close a
+  in
+  Alcotest.(check bool) "admin socket file removed" false
+    (Sys.file_exists admin)
+
+(* ------------------------------------------------------------------ *)
 
 let suite =
   [ Alcotest.test_case "queue: bound rejects explicitly" `Quick
@@ -1277,4 +1462,10 @@ let suite =
     Alcotest.test_case "io: broken pipe contained" `Quick
       test_writer_broken_pipe;
     Alcotest.test_case "io: stale socket reclaimed, live refused" `Quick
-      test_stale_socket_handling ]
+      test_stale_socket_handling;
+    Alcotest.test_case "transport: stdio answers every line" `Slow
+      test_stdio_transport;
+    Alcotest.test_case "transport: two socket clients" `Slow
+      test_socket_transport_two_clients;
+    Alcotest.test_case "transport: admin socket commands" `Quick
+      test_admin_socket ]
