@@ -1290,6 +1290,20 @@ let serve_cmd =
         mem_soft_limit_mb = mem_soft_mb; drain_grace;
         cache_dir = (if no_cache then None else cache_dir) }
     in
+    let jobs =
+      match socket with
+      | Some path -> Serve.Transport.Socket path
+      | None -> Serve.Transport.stdio
+    in
+    (* either socket path, on either engine: the error names the path
+       that failed, and nothing bound is left behind *)
+    let serving serve =
+      try serve ()
+      with Unix.Unix_error (e, fn, path) ->
+        Printf.eprintf "error: cannot serve on %s: %s (%s)\n" path
+          (Unix.error_message e) fn;
+        exit 1
+    in
     if cluster > 0 then begin
       (* telemetry is enabled (or not) before the fork so workers
          inherit the flag; each writes its own trace file at drain and
@@ -1304,14 +1318,7 @@ let serve_cmd =
       in
       let c = Serve.Cluster.create ~config:ccfg () in
       let h =
-        match socket with
-        | Some path ->
-          (try Serve.Cluster.run_socket ?admin:admin_socket c path
-           with Unix.Unix_error (e, fn, arg) ->
-             Printf.eprintf "error: cannot serve on %s: %s (%s %s)\n" path
-               (Unix.error_message e) fn arg;
-             exit 1)
-        | None -> Serve.Cluster.run_stdio ?admin:admin_socket c
+        serving (fun () -> Serve.Cluster.serve ?admin:admin_socket c jobs)
       in
       (match trace with
        | Some path ->
@@ -1335,14 +1342,7 @@ let serve_cmd =
         ~config:{ config with Serve.Service.flight_dump } ()
     in
     let h =
-      match socket with
-      | Some path ->
-        (try Serve.Service.run_socket ?admin:admin_socket service path
-         with Unix.Unix_error (e, fn, arg) ->
-           Printf.eprintf "error: cannot serve on %s: %s (%s %s)\n" path
-             (Unix.error_message e) fn arg;
-           exit 1)
-      | None -> Serve.Service.run_stdio ?admin:admin_socket service
+      serving (fun () -> Serve.Service.serve ?admin:admin_socket service jobs)
     in
     telemetry_export ~trace ~metrics;
     Printf.eprintf

@@ -137,6 +137,26 @@ let pp_issue_report (b : Sdg.Builder.t) ppf (ir : issue_report) =
     (Fmt.list ~sep:Fmt.cut (pp_stmt b))
     ir.ir_representative.Flows.fl_path
 
+(** The (mismatched-sanitizer, unsanitized) counts read back from a
+    rendering's first line, the header {!pp} writes; [None] when the
+    header carries none. A stored rendering then answers what
+    {!sanitization_counts} answers for the live report. *)
+let read_sanitization_counts rendered =
+  let header =
+    match String.index_opt rendered '\n' with
+    | Some i -> String.sub rendered 0 i
+    | None -> rendered
+  in
+  match String.rindex_opt header '(' with
+  | None -> None
+  | Some i ->
+    (try
+       Scanf.sscanf
+         (String.sub header i (String.length header - i))
+         "(%d mismatched-sanitizer, %d unsanitized)%!"
+         (fun m u -> Some (m, u))
+     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+
 let pp (b : Sdg.Builder.t) ppf (t : t) =
   Fmt.pf ppf "@[<v>%d issue(s) from %d flow(s)%a%a@,%a@]"
     (issue_count t) (flow_count t)

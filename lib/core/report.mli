@@ -54,3 +54,7 @@ val sanitization_counts : t -> (int * int) option
 val pp_stmt : Sdg.Builder.t -> Format.formatter -> Sdg.Stmt.t -> unit
 val pp_issue_report : Sdg.Builder.t -> Format.formatter -> issue_report -> unit
 val pp : Sdg.Builder.t -> Format.formatter -> t -> unit
+
+(** {!sanitization_counts} read back from the header line {!pp} writes
+    first: the result tier keeps the rendering, not the report. *)
+val read_sanitization_counts : string -> (int * int) option

@@ -685,18 +685,13 @@ let flush_pending t ~force =
   t.pending <- later;
   List.iter (fun (_, cj) -> dispatch t cj) due
 
-(** One supervision step: poll worker pipes (crash detection included),
-    deliver due reroutes, refill due respawn slots. [timeout] bounds the
-    select wait; keep it small when interleaving with a transport. *)
-let pump t ~timeout =
-  signal_dump_pending t;
-  let fds =
-    Array.to_list t.slots
-    |> List.filter_map (fun s ->
-      if s.s_state = Up then Some s.s_fd else None)
-  in
-  (* wake early if a reroute or respawn comes due before [timeout] *)
-  let tnow = now t in
+let worker_fds t =
+  Array.to_list t.slots
+  |> List.filter_map (fun s -> if s.s_state = Up then Some s.s_fd else None)
+
+(* The select wait: [timeout], or less when a reroute or respawn falls
+   due before it. *)
+let wake t ~timeout =
   let next_due =
     List.fold_left
       (fun a (d, _) -> Float.min a d)
@@ -708,12 +703,15 @@ let pump t ~timeout =
          infinity t.slots)
       t.pending
   in
-  let timeout =
-    if next_due = infinity then timeout
-    else Float.max 0.0 (Float.min timeout (next_due -. tnow))
-  in
-  let ready, _, _ = if fds = [] then ([], [], []) else Io.select fds [] [] timeout in
-  if fds = [] && timeout > 0.0 then t.cfg.service.Service.sleep (Float.min timeout 0.05);
+  if next_due = infinity then timeout
+  else Float.max 0.0 (Float.min timeout (next_due -. now t))
+
+(* The supervision step after a select: read the frames of the worker
+   pipes in [ready] (crash detection included), deliver due reroutes,
+   refill due respawn slots. The serving loop calls it with everything
+   that was ready; descriptors that are no worker's are ignored. *)
+let step t ready =
+  signal_dump_pending t;
   List.iter
     (fun fd ->
        match
@@ -741,6 +739,22 @@ let pump t ~timeout =
     t.slots;
   respawn_due t;
   flush_pending t ~force:false
+
+(** One supervision step on its own: select on the worker pipes for at
+    most [timeout], then {!step}. *)
+let pump t ~timeout =
+  let fds = worker_fds t and timeout = wake t ~timeout in
+  let ready =
+    if fds = [] then begin
+      if timeout > 0.0 then
+        t.cfg.service.Service.sleep (Float.min timeout 0.05);
+      []
+    end
+    else
+      let ready, _, _ = Io.select fds [] [] timeout in
+      ready
+  in
+  step t ready
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                          *)
@@ -1003,31 +1017,6 @@ let admin_dump ?(timeout = 1.0) t =
     ~timeout;
   flight_dump t ~cause:"admin"
 
-(** Mirror of {!Service.admin_reply}, aggregating the coordinator and
-    every live worker into one answer. *)
-let admin_reply t line =
-  match String.trim line with
-  | "health" -> health_json (admin_health t)
-  | "metrics" -> Obs.Export.prometheus_of (admin_metrics t)
-  | "metrics.json" -> Obs.Export.json_of (admin_metrics t)
-  | "dump" ->
-    (match admin_dump t with
-     | Some path ->
-       Json.to_string
-         (Json.Obj
-            [ ("event", Json.Str "dump"); ("path", Json.Str path) ])
-     | None ->
-       Json.to_string
-         (Json.Obj
-            [ ("event", Json.Str "error");
-              ("error", Json.Str "flight_dump_disabled") ]))
-  | other ->
-    Json.to_string
-      (Json.Obj
-         [ ("event", Json.Str "error");
-           ("error", Json.Str "unknown_command");
-           ("command", Json.Str other) ])
-
 (* ------------------------------------------------------------------ *)
 (* Trace merging                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1053,156 +1042,25 @@ let write_merged_trace t path =
     (fun () -> output_string oc (merged_trace t))
 
 (* ------------------------------------------------------------------ *)
-(* Transports                                                         *)
+(* Serving                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* NDJSON request parsing, mirroring the single-process service's
-   transport contract: even an unparsable line gets a terminal answer. *)
-let handle_line t ~write line =
-  let line = String.trim line in
-  if line <> "" then begin
-    match
-      match Json.parse line with
-      | Error e -> Error ("bad_json: " ^ e)
-      | Ok j -> Service.request_of_json j
-    with
-    | Error reason ->
-      let id =
-        match Json.parse line with
-        | Ok j ->
-          (match Json.str_member "id" j with
-           | Some id -> Json.Str id
-           | None -> Json.Null)
-        | Error _ -> Json.Null
-      in
-      write
-        (Json.to_string
-           (Json.Obj
-              [ ("id", id);
-                ("status", Json.Str "rejected");
-                ("reason", Json.Str reason) ]))
-    | Ok rq ->
-      submit t rq ~respond:(fun r -> write (Service.response_json r))
-  end
-
-let finish t write =
-  request_drain t;
-  await_drained t;
-  let h = health t in
-  write (health_json h);
-  h
-
-let run_stdio ?(stdin = Unix.stdin) ?(stdout = Unix.stdout) ?admin t =
-  Io.ignore_sigpipe ();
+let serve ?admin t jobs =
   install_signals t;
-  let adm = Option.map Admin.create admin in
-  let admin_fds () =
-    match adm with Some a -> Admin.fds a | None -> []
-  in
-  let write =
-    Io.make_writer stdout ~on_error:(fun e ->
-      record_diag t
-        (Diagnostics.Client_disconnected
-           { peer = "stdout"; error = Unix.error_message e }))
-  in
-  let reader = Io.line_reader stdin in
-  let rec loop () =
-    if signal_pending t then ()
-    else begin
-      match Io.read_line_nonblock reader with
-      | `Line l ->
-        handle_line t ~write l;
-        (* interleave supervision so worker results are drained while a
-           large batch is still streaming in *)
-        pump t ~timeout:0.0;
-        loop ()
-      | `Eof -> ()
-      | `Pending ->
-        let ready, _, _ =
-          Io.select (stdin :: admin_fds ()) [] [] 0.02
-        in
-        (match adm with
-         | Some a -> Admin.step a ~reply:(admin_reply t) ready
-         | None -> ());
-        pump t ~timeout:0.05;
-        loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Admin.close adm)
-    (fun () ->
-       loop ();
-       finish t write)
-
-let run_socket ?admin t path =
-  let listen_fd =
-    match Io.bind_unix_socket path with
-    | Ok fd -> fd
-    | Error `Live ->
-      raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-  in
-  Unix.listen listen_fd 16;
-  Io.ignore_sigpipe ();
-  install_signals t;
-  let adm = Option.map Admin.create admin in
-  let admin_fds () =
-    match adm with Some a -> Admin.fds a | None -> []
-  in
-  let clients = ref [] in
-  let close_client (fd, _, _) =
-    clients := List.filter (fun (f, _, _) -> f <> fd) !clients;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let rec loop () =
-    if signal_pending t then ()
-    else begin
-      let fds =
-        (listen_fd :: List.map (fun (fd, _, _) -> fd) !clients)
-        @ admin_fds ()
-      in
-      let ready, _, _ = Io.select fds [] [] 0.05 in
-      (match adm with
-       | Some a -> Admin.step a ~reply:(admin_reply t) ready
-       | None -> ());
-      List.iter
-        (fun fd ->
-           if fd = listen_fd then begin
-             let cfd, _ = Io.accept listen_fd in
-             let peer = Printf.sprintf "client-%d" (List.length !clients) in
-             let write =
-               Io.make_writer cfd ~on_error:(fun e ->
-                 record_diag t
-                   (Diagnostics.Client_disconnected
-                      { peer; error = Unix.error_message e }))
-             in
-             clients := (cfd, Io.line_reader cfd, write) :: !clients
-           end
-           else
-             match List.find_opt (fun (f, _, _) -> f = fd) !clients with
-             | None -> ()
-             | Some ((_, reader, write) as client) ->
-               let rec drain_lines () =
-                 match Io.read_line_nonblock reader with
-                 | `Line l -> handle_line t ~write l; drain_lines ()
-                 | `Eof -> close_client client
-                 | `Pending -> ()
-               in
-               drain_lines ())
-        ready;
-      pump t ~timeout:0.05;
-      loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Admin.close adm;
-      List.iter (fun (fd, _, _) -> try Unix.close fd with _ -> ()) !clients;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () ->
-       loop ();
-       let h =
-         finish t (fun line ->
-           List.iter (fun (_, _, write) -> write line) !clients)
-       in
-       h)
+  Transport.serve ?admin
+    { Transport.handle = Service.handle_line (submit t);
+      disconnected =
+        (fun ~peer e ->
+           record_diag t
+             (Diagnostics.Client_disconnected
+                { peer; error = Unix.error_message e }));
+      health = (fun () -> admin_health t);
+      health_json;
+      metrics = (fun () -> admin_metrics t);
+      dump = (fun () -> admin_dump t);
+      stop = (fun () -> signal_pending t);
+      drain = (fun () -> await_drained t; health t);
+      fds = (fun () -> worker_fds t);
+      step = step t;
+      timeout = (fun () -> wake t ~timeout:0.05) }
+    jobs

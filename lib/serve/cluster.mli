@@ -60,9 +60,12 @@ val worker_pids : t -> int list
     drain call). *)
 val submit : t -> Service.request -> respond:(Service.response -> unit) -> unit
 
-(** One supervision step: read worker frames, detect crashes ([waitpid] /
-    closed pipe), deliver due reroutes, respawn due slots. Interleave
-    with transport reads; [timeout] bounds the internal select. *)
+(** One supervision step: select on the worker pipes for at most
+    [timeout] (less when a reroute or respawn falls due first), then the
+    step {!serve}'s loop runs after each of its own selects: read worker
+    frames, detect crashes ([waitpid] / closed pipe), deliver due
+    reroutes, respawn due slots. For callers that drive {!submit}
+    directly. *)
 val pump : t -> timeout:float -> unit
 
 (** No job in flight and no reroute parked. *)
@@ -76,8 +79,8 @@ val request_drain : t -> unit
     every job is terminal, and all children are reaped. *)
 val await_drained : t -> unit
 
-(** SIGINT/SIGTERM set a drain flag (no domains involved); transports
-    poll {!signal_pending}. SIGUSR1 sets a dump flag; the next {!pump}
+(** SIGINT/SIGTERM set a drain flag (no domains involved) that {!serve}'s
+    loop polls. SIGUSR1 sets a dump flag; the next supervision step
     writes the merged flight dump. *)
 val install_signals : t -> unit
 
@@ -147,17 +150,13 @@ val admin_metrics :
     Returns the path written, [None] when dumping is disabled. *)
 val flight_dump : t -> cause:string -> string option
 
-(** One admin command line → one reply, same command set as
-    {!Service.admin_reply} (["health"], ["metrics"], ["metrics.json"],
-    ["dump"]), answered with cluster-wide aggregates. *)
-val admin_reply : t -> string -> string
+(** {1 Serving} *)
 
-(** {1 Transports} (NDJSON, same wire protocol as {!Service}) *)
-
-(** [admin] opens the admin socket at that path, served from the
-    coordinator's supervision loop. *)
-val run_stdio :
-  ?stdin:Unix.file_descr -> ?stdout:Unix.file_descr -> ?admin:string ->
-  t -> health
-
-val run_socket : ?admin:string -> t -> string -> health
+(** Serve newline-delimited JSON jobs on [jobs] with the same wire
+    protocol and EOF rule as {!Service.serve}, until end of stdin or
+    SIGINT/SIGTERM; then drain, write the aggregated health line and
+    return it. The transport's select loop also waits on the worker
+    pipes: it wakes every 0.05 s, or earlier when a respawn or reroute
+    falls due. [admin] opens the admin socket, whose answers aggregate
+    the coordinator and every live worker. *)
+val serve : ?admin:string -> t -> Transport.jobs -> health

@@ -221,7 +221,7 @@ let flight_dump t ~cause =
           ~args:[ ("cause", cause); ("path", path) ];
         Some path)
 
-(* SIGUSR1 handlers only set this flag; transport pumps turn it into a
+(* SIGUSR1 handlers only set this flag; the serving loop turns it into a
    dump from a safe context. *)
 let signal_dump_pending t =
   if Atomic.exchange t.sig_dump false then
@@ -352,7 +352,10 @@ let execute t (job : job) : exec_outcome =
     | Some cr ->
       Exec_ok
         { st = Completed; why = ""; issues = cr.Cache.Incr.cr_issues;
-          degradations = 0; verdict = None; mismatched = None }
+          degradations = 0; verdict = None;
+          mismatched =
+            Option.map fst
+              (Report.read_sanitization_counts cr.Cache.Incr.cr_report) }
     | None ->
       let options =
         { Supervisor.default_options with
@@ -597,8 +600,8 @@ let request_drain t =
 
 let draining t = Atomic.get t.drain_started
 
-(** Block until every worker (and the signal watcher) has exited — i.e.
-    every admitted job has reached its terminal state. Idempotent. *)
+(** Block until every worker has exited — i.e. every admitted job has
+    reached its terminal state. Idempotent. *)
 let await_drained t =
   request_drain t;
   Mutex.lock t.join_lock;
@@ -617,26 +620,14 @@ let await_drained t =
 (* ------------------------------------------------------------------ *)
 
 (** Handlers may run at any allocation point, so they only set an atomic
-    flag; a watcher domain turns the flag into the drain protocol from a
-    safe context. Transports also poll {!signal_pending} so a blocked
-    read never delays the drain. *)
+    flag. {!submit} refuses work once the drain flag is set, and the
+    serving loop polls it and runs the drain from a safe context. *)
 let install_signals t =
   let handler = Sys.Signal_handle (fun _ -> Atomic.set t.sig_drain true) in
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
   Sys.set_signal Sys.sigusr1
-    (Sys.Signal_handle (fun _ -> Atomic.set t.sig_dump true));
-  let watcher () =
-    let rec loop () =
-      if Atomic.get t.sig_drain then request_drain t
-      else if not (Atomic.get t.drain_started) then begin
-        Io.sleepf 0.02;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  t.domains <- Domain.spawn watcher :: t.domains
+    (Sys.Signal_handle (fun _ -> Atomic.set t.sig_dump true))
 
 let signal_pending t = Atomic.get t.sig_drain
 
@@ -820,195 +811,57 @@ let health_json (h : health) =
          ("cache_misses", num h.h_cache_misses);
          ("clean_drain", Json.Bool (clean_drain h)) ])
 
-(* ------------------------------------------------------------------ *)
-(* Admin channel                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** One admin command line → one reply. Commands:
-    - ["health"]: the live health snapshot as one JSON line;
-    - ["metrics"]: the telemetry registry as Prometheus text exposition,
-      terminated by a ["# EOF"] line;
-    - ["metrics.json"]: the same registry as one JSON line;
-    - ["dump"]: write the flight-recorder ring to the configured dump
-      path and answer with a one-line receipt.
-    Unknown commands get a one-line JSON error, never silence. *)
-let admin_reply t line =
-  match String.trim line with
-  | "health" -> health_json (health t)
-  | "metrics" -> Obs.Export.prometheus ()
-  | "metrics.json" -> Obs.Export.json ()
-  | "dump" ->
-    (match flight_dump t ~cause:"admin" with
-     | Some path ->
-       Json.to_string
+(** One request line → one answer, through [answer]: a line that does
+    not parse as a request is answered [rejected] at once, with its id
+    when it has one; a request goes to [submit] and is answered when it
+    reaches its terminal state. The transport of both engines calls this
+    for every non-empty line. *)
+let handle_line submit line ~answer =
+  let reject id reason =
+    answer
+      (Json.to_string
          (Json.Obj
-            [ ("event", Json.Str "dump"); ("path", Json.Str path) ])
-     | None ->
-       Json.to_string
-         (Json.Obj
-            [ ("event", Json.Str "error");
-              ("error", Json.Str "flight_dump_disabled") ]))
-  | other ->
-    Json.to_string
-      (Json.Obj
-         [ ("event", Json.Str "error");
-           ("error", Json.Str "unknown_command");
-           ("command", Json.Str other) ])
+            [ ("id", id); ("status", Json.Str "rejected");
+              ("reason", Json.Str reason) ]))
+  in
+  match Json.parse line with
+  | Error e -> reject Json.Null ("bad_json: " ^ e)
+  | Ok j ->
+    (match request_of_json j with
+     | Ok rq -> submit rq ~respond:(fun r -> answer (response_json r))
+     | Error reason ->
+       reject
+         (match Json.str_member "id" j with
+          | Some id -> Json.Str id
+          | None -> Json.Null)
+         reason)
 
 (* ------------------------------------------------------------------ *)
-(* Transports                                                         *)
+(* Serving                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Submissions arrive on the transport domain; responses are written by
-   worker domains. One lock serializes the NDJSON output stream. A peer
-   that vanishes mid-response becomes a per-connection diagnostic, never
-   a crash: SIGPIPE is ignored on every transport and the EPIPE shows up
-   here exactly once. *)
-let make_writer t ~peer fd =
-  Io.make_writer fd
-    ~on_error:(fun e ->
-      record_diag t
-        (Diagnostics.Client_disconnected
-           { peer; error = Unix.error_message e }))
-
-let handle_line t ~write line =
-  let line = String.trim line in
-  if line <> "" then begin
-    match
-      match Json.parse line with
-      | Error e -> Error ("bad_json: " ^ e)
-      | Ok j -> request_of_json j
-    with
-    | Error reason ->
-      (* even an unparsable request gets a terminal answer *)
-      let id =
-        match Json.parse line with
-        | Ok j ->
-          (match Json.str_member "id" j with
-           | Some id -> Json.Str id
-           | None -> Json.Null)
-        | Error _ -> Json.Null
-      in
-      write
-        (Json.to_string
-           (Json.Obj
-              [ ("id", id);
-                ("status", Json.Str "rejected");
-                ("reason", Json.Str reason) ]))
-    | Ok rq -> submit t rq ~respond:(fun r -> write (response_json r))
-  end
-
-(** Serve newline-delimited JSON over stdin/stdout until EOF or a drain
-    signal; returns the final health snapshot (also written as the last
-    output line). [admin] opens the admin socket next to the stream. *)
-let run_stdio ?(stdin = Unix.stdin) ?(stdout = Unix.stdout) ?admin t =
-  Io.ignore_sigpipe ();
+(** Serve [jobs] until end of input, a drain signal or {!request_drain}
+    from another thread; the loop polls all three every 0.2 s. *)
+let serve ?admin t jobs =
   install_signals t;
-  let adm = Option.map Admin.create admin in
-  let admin_fds () =
-    match adm with Some a -> Admin.fds a | None -> []
-  in
-  let write = make_writer t ~peer:"stdout" stdout in
-  let reader = Io.line_reader stdin in
-  let rec pump () =
-    if signal_pending t || draining t then ()
-    else begin
-      signal_dump_pending t;
-      match Io.read_line_nonblock reader with
-      | `Line l -> handle_line t ~write l; pump ()
-      | `Eof -> ()
-      | `Pending ->
-        let ready, _, _ = Io.select (stdin :: admin_fds ()) [] [] 0.2 in
-        (match adm with
-         | Some a -> Admin.step a ~reply:(admin_reply t) ready
-         | None -> ());
-        pump ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Admin.close adm)
-    (fun () ->
-      pump ();
-      request_drain t;
-      await_drained t;
-      let h = health t in
-      write (health_json h);
-      h)
+  Transport.serve ?admin
+    { Transport.handle = handle_line (submit t);
+      disconnected =
+        (fun ~peer e ->
+           record_diag t
+             (Diagnostics.Client_disconnected
+                { peer; error = Unix.error_message e }));
+      health = (fun () -> health t);
+      health_json;
+      metrics = Obs.Telemetry.metrics;
+      dump = (fun () -> flight_dump t ~cause:"admin");
+      stop = (fun () -> signal_pending t || draining t);
+      drain = (fun () -> await_drained t; health t);
+      fds = (fun () -> []);
+      step = (fun _ -> signal_dump_pending t);
+      timeout = (fun () -> 0.2) }
+    jobs
 
-(** Serve over a Unix domain socket, multiplexing any number of clients
-    with [select]; each client gets its jobs' responses on its own
-    connection. Returns the final health snapshot at drain. *)
-let run_socket ?admin t path =
-  (* a stale socket file from an unclean shutdown is probed and unlinked;
-     a live server on the path is never stolen from *)
-  let listen_fd =
-    match Io.bind_unix_socket path with
-    | Ok fd -> fd
-    | Error `Live ->
-      raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-  in
-  Unix.listen listen_fd 16;
-  Io.ignore_sigpipe ();
-  install_signals t;
-  let adm = Option.map Admin.create admin in
-  let admin_fds () =
-    match adm with Some a -> Admin.fds a | None -> []
-  in
-  let clients = ref [] in        (* (fd, reader, writer) *)
-  let close_client (fd, _, _) =
-    clients := List.filter (fun (f, _, _) -> f <> fd) !clients;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  let rec pump () =
-    if signal_pending t || draining t then ()
-    else begin
-      signal_dump_pending t;
-      let fds =
-        (listen_fd :: List.map (fun (fd, _, _) -> fd) !clients)
-        @ admin_fds ()
-      in
-      let ready, _, _ = Io.select fds [] [] 0.2 in
-      (match adm with
-       | Some a -> Admin.step a ~reply:(admin_reply t) ready
-       | None -> ());
-      List.iter
-        (fun fd ->
-           if fd = listen_fd then begin
-             let cfd, _ = Io.accept listen_fd in
-             let peer =
-               Printf.sprintf "client-%d" (List.length !clients)
-             in
-             clients :=
-               (cfd, Io.line_reader cfd, make_writer t ~peer cfd)
-               :: !clients
-           end
-           else
-             match List.find_opt (fun (f, _, _) -> f = fd) !clients with
-             | None -> ()
-             | Some ((_, reader, write) as client) ->
-               let rec drain_lines () =
-                 match Io.read_line_nonblock reader with
-                 | `Line l -> handle_line t ~write l; drain_lines ()
-                 | `Eof -> close_client client
-                 | `Pending -> ()
-               in
-               drain_lines ())
-        ready;
-      pump ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Option.iter Admin.close adm;
-      List.iter (fun (fd, _, _) -> try Unix.close fd with _ -> ())
-        !clients;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      try Unix.unlink path with Unix.Unix_error _ -> ())
-    (fun () ->
-       pump ();
-       request_drain t;
-       await_drained t;
-       let h = health t in
-       let line = health_json h in
-       List.iter (fun (_, _, write) -> write line) !clients;
-       h)
+(* Kept under this name for the benchmark's serve_cached workload
+   (perfbench/serve_load.ml), which drives it in-process. *)
+let run_socket ?admin t path = serve ?admin t (Transport.Socket path)

@@ -121,8 +121,9 @@ val await_drained : t -> unit
 
 (** Install SIGINT/SIGTERM handlers that trigger the drain protocol, and
     a SIGUSR1 handler that requests a flight-recorder dump. Handlers only
-    set atomic flags; a watcher domain (joined by {!await_drained})
-    performs the drain, and the transport pumps perform the dump. *)
+    set atomic flags: {!submit} refuses work once the drain flag is set,
+    and the serving loop ({!serve}) polls both flags and performs the
+    drain and the dump. No domain is spawned. *)
 val install_signals : t -> unit
 
 val signal_pending : t -> bool
@@ -182,20 +183,26 @@ val request_of_json : Json.t -> (request, string) result
 val response_json : response -> string
 val health_json : health -> string
 
-(** {1 Admin channel} *)
+(** One request line → one answer through [answer]: an unparsable line
+    or invalid request is answered [rejected] at once (with its id, or
+    [null]); a valid one is passed to the submit function and answered
+    with its terminal response. The cluster reuses it over its own
+    submit. *)
+val handle_line :
+  (request -> respond:(response -> unit) -> unit) ->
+  string -> answer:(string -> unit) -> unit
 
-(** One admin command line → one reply: ["health"] (JSON line),
-    ["metrics"] (Prometheus text exposition ending in ["# EOF"]),
-    ["metrics.json"] (JSON line), ["dump"] (write the flight ring,
-    answer a receipt). Unknown commands get a one-line JSON error. *)
-val admin_reply : t -> string -> string
+(** {1 Serving} *)
 
-(** Serve newline-delimited JSON requests over stdin/stdout until EOF or
-    SIGINT/SIGTERM; drains and returns (and writes, as the final line)
-    the health snapshot. [admin] opens the admin socket at that path. *)
-val run_stdio :
-  ?stdin:Unix.file_descr -> ?stdout:Unix.file_descr -> ?admin:string ->
-  t -> health
+(** Serve newline-delimited JSON requests on [jobs] (stdin/stdout, or a
+    Unix socket with any number of clients) until end of stdin,
+    SIGINT/SIGTERM, or {!request_drain} from another thread; then drain
+    and return the health snapshot, also written as the last line to
+    stdout or to every connected client. [admin] opens the admin socket
+    at that path. Installs the signal handlers; see {!Transport.serve}
+    for the EOF rule and for bind failures. *)
+val serve : ?admin:string -> t -> Transport.jobs -> health
 
-(** Serve over a Unix domain socket at [path], multiplexing clients. *)
+(** [serve ?admin t (Socket path)]; the benchmark's [serve_cached]
+    workload drives the service through this name. *)
 val run_socket : ?admin:string -> t -> string -> health

@@ -420,14 +420,17 @@ let test_cluster_admin_under_chaos () =
       let pids = Array.of_list (Serve.Cluster.worker_pids c) in
       Unix.kill pids.(victim) Sys.sigkill;
       (* aggregated replies while the crash is being detected/handled *)
-      (match Serve.Json.parse (Serve.Cluster.admin_reply c "health") with
+      (match
+         Serve.Json.parse
+           (Serve.Cluster.health_json (Serve.Cluster.admin_health c))
+       with
        | Error e -> Alcotest.fail ("admin health unparsable: " ^ e)
        | Ok j ->
          Alcotest.(check bool) "health covers both workers" true
            (match Serve.Json.member "workers" j with
             | Some (Serve.Json.Arr ws) -> List.length ws = 2
             | _ -> false));
-      let prom = Serve.Cluster.admin_reply c "metrics" in
+      let prom = Obs.Export.prometheus_of (Serve.Cluster.admin_metrics c) in
       Alcotest.(check bool) "scrape carries the serve counters" true
         (contains ~needle:"taj_serve_completed" prom);
       Alcotest.(check bool) "scrape ends with the EOF marker" true
@@ -493,9 +496,10 @@ let test_cluster_drain_aggregates () =
 
 (* The coordinator's loop blocks this process, and this runner spawns no
    domain, so the client is a forked process: it sends [lines] over the
-   job socket, reads [expect] answers, writes their ids to [out] and
-   stops the coordinator with SIGTERM. *)
-let fork_client ~path ~out ~expect lines =
+   job socket, reads [expect] answers (or, half-closed, every answer up
+   to EOF), writes their ids to [out] and stops the coordinator with
+   SIGTERM. *)
+let fork_client ?(half_close = false) ~path ~out ~expect lines =
   match Unix.fork () with
   | 0 ->
     let code =
@@ -513,19 +517,23 @@ let fork_client ~path ~out ~expect lines =
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 60.0;
         Core.Io.write_all fd
           (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+        if half_close then Unix.shutdown fd Unix.SHUTDOWN_SEND;
         let r = Core.Io.line_reader fd in
-        let ids =
-          List.init expect (fun _ ->
+        let rec read n =
+          if n = 0 && not half_close then []
+          else
             match Core.Io.read_line r with
-            | None -> "eof"
+            | None -> if half_close then [] else [ "eof" ]
             | Some l ->
               (match Serve.Json.parse l with
                | Ok j ->
                  (match Serve.Json.member "id" j with
                   | Some (Serve.Json.Str id) -> id
                   | _ -> "null")
-               | Error _ -> "unparsable"))
+               | Error _ -> "unparsable")
+              :: read (n - 1)
         in
+        let ids = read expect in
         Core.Io.write_file out (String.concat "\n" ids);
         Unix.close fd;
         0
@@ -535,7 +543,7 @@ let fork_client ~path ~out ~expect lines =
     Unix._exit code
   | pid -> pid
 
-let test_cluster_socket_round_trip () =
+let socket_round_trip ~half_close () =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "taj-cluster-%d.sock" (Unix.getpid ()))
@@ -553,10 +561,10 @@ let test_cluster_socket_round_trip () =
       let c = Serve.Cluster.create ~config:(cluster_config ~size:2 ()) () in
       let job id = Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id in
       let client =
-        fork_client ~path ~out ~expect:4
+        fork_client ~half_close ~path ~out ~expect:4
           [ job "s1"; ""; job "s2"; job "s3"; "not json" ]
       in
-      let h = Serve.Cluster.run_socket c path in
+      let h = Serve.Cluster.serve c (Serve.Transport.Socket path) in
       let _, status = Unix.waitpid [] client in
       Alcotest.(check bool) "the client exited cleanly" true
         (status = Unix.WEXITED 0);
@@ -569,6 +577,12 @@ let test_cluster_socket_round_trip () =
       Alcotest.(check bool) "clean drain" true (Serve.Cluster.clean_drain h);
       Alcotest.(check bool) "socket file removed" false
         (Sys.file_exists path))
+
+let test_cluster_socket_round_trip = socket_round_trip ~half_close:false
+
+(* End of input ends the client's requests, not its answers, under the
+   coordinator too. *)
+let test_cluster_half_closed_client = socket_round_trip ~half_close:true
 
 (* ------------------------------------------------------------------ *)
 
@@ -595,4 +609,6 @@ let suite =
     Alcotest.test_case "drain: aggregates per-worker health" `Slow
       test_cluster_drain_aggregates;
     Alcotest.test_case "transport: socket round trip" `Slow
-      test_cluster_socket_round_trip ]
+      test_cluster_socket_round_trip;
+    Alcotest.test_case "transport: a half-closed client gets its answers"
+      `Slow test_cluster_half_closed_client ]

@@ -936,6 +936,43 @@ let test_service_cache_repeated_source () =
   check_answer ~what:"d, after restart" ~hits:2 ~issues (answer t (rq "d"));
   Serve.Service.await_drained t
 
+(* A result-tier hit answers what the cold run answered, every field
+   but the timing: the judge's mismatched count included, warm and after
+   a restart. *)
+let test_service_cache_whole_response () =
+  with_counters @@ fun () ->
+  Test_incremental.with_dir @@ fun dir ->
+  let requests =
+    [ (fun id ->
+        Serve.Service.request ~app:"CtxForum" ~scale:0.02 ~contexts:true id);
+      (fun id -> Serve.Service.request ~app:"BlueBlog" ~scale:0.02 id);
+      (fun id -> Serve.Service.request ~source:two_flows ~contexts:true id) ]
+  in
+  let answers t tag =
+    List.mapi
+      (fun i rq ->
+         let r = answer t (rq (Printf.sprintf "%s-%d" tag i)) in
+         Serve.Service.response_json
+           { r with Serve.Service.rp_id = string_of_int i; rp_seconds = 0.0 })
+      requests
+  in
+  let t = cached_service dir in
+  let cold = answers t "cold" in
+  let warm = answers t "warm" in
+  Serve.Service.await_drained t;
+  let t = cached_service dir in
+  let restarted = answers t "restart" in
+  Serve.Service.await_drained t;
+  Alcotest.(check int) "warm and restarted answers are hits" 6
+    (Test_incremental.counter_value "cache.result.hit");
+  Alcotest.(check bool) "the judge's count is on the cold answer" true
+    (Serve.Json.num_member "mismatched"
+       (Result.get_ok (Serve.Json.parse (List.hd cold)))
+     <> None);
+  Alcotest.(check (list string)) "warm answers are the cold ones" cold warm;
+  Alcotest.(check (list string)) "and so are the restarted ones" cold
+    restarted
+
 (* A stream of inline requests, each under a new id, cycling over a
    fixed set of sources: the store files and the live heap plateau at a
    bound set by the sources, not by the request count. *)
@@ -1236,7 +1273,8 @@ let with_signals f =
 let with_socket_server ?admin t path client =
   with_signals @@ fun () ->
   let server =
-    Domain.spawn (fun () -> Serve.Service.run_socket ?admin t path)
+    Domain.spawn (fun () ->
+      Serve.Service.serve ?admin t (Serve.Transport.Socket path))
   in
   let result = match client () with v -> Ok v | exception e -> Error e in
   Serve.Service.request_drain t;
@@ -1300,7 +1338,7 @@ let test_stdio_transport () =
     [ job "a"; ""; "   "; "not json"; {|{"app":"BlueBlog"}|};
       {|{"id":"no-app"}|}; job "b" ];
   Unix.close in_w;
-  let h = Serve.Service.run_stdio ~stdin:in_r ~stdout:out_w t in
+  let h = Serve.Service.serve t (Serve.Transport.Stdio (in_r, out_w)) in
   Unix.close in_r;
   Unix.close out_w;
   let lines = read_to_eof (Core.Io.line_reader out_r) in
@@ -1397,6 +1435,88 @@ let test_admin_socket () =
   Alcotest.(check bool) "admin socket file removed" false
     (Sys.file_exists admin)
 
+(* End of input ends a client's requests, not its answers: a client that
+   half-closes after its last line still reads every answer. *)
+let test_half_closed_client_answered () =
+  let path = sock_path "half" in
+  let t = Serve.Service.create ~config:(service_config ()) () in
+  let lines, _ =
+    with_socket_server t path @@ fun () ->
+    let c = connect path in
+    send c [ job "h1"; job "h2"; job "h3"; "not json" ];
+    Unix.shutdown c Unix.SHUTDOWN_SEND;
+    let lines = read_to_eof (Core.Io.line_reader c) in
+    Unix.close c;
+    lines
+  in
+  Alcotest.(check (list string)) "every line answered"
+    [ "h1"; "h2"; "h3"; "null" ] (sorted (List.map line_id lines))
+
+(* A client that goes away before its answer must not have that answer
+   written into the next connection: A's stalled job is answered after B
+   has connected, and B reads only its own. *)
+let test_closed_client_no_cross_talk () =
+  Fault.reset ();
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  Fault.arm (Fault.site_job "A1") ~after:1 ~action:(Fault.Stall 1.0);
+  let path = sock_path "cross" in
+  let t = Serve.Service.create ~config:(service_config ~workers:1 ()) () in
+  let ids, _ =
+    with_socket_server t path @@ fun () ->
+    let a = connect path in
+    send a [ job "A1" ];
+    Unix.close a;
+    Unix.sleepf 0.3;
+    let b = connect path in
+    send b [ job "B1" ];
+    let r = Core.Io.line_reader b in
+    let rec until_b1 acc =
+      match read_lines r 1 with
+      | [ l ] when line_id l = "B1" -> List.rev ("B1" :: acc)
+      | [ l ] -> until_b1 (line_id l :: acc)
+      | _ -> assert false
+    in
+    let ids = until_b1 [] in
+    Unix.close b;
+    ids
+  in
+  Alcotest.(check (list string)) "B reads only its own answer" [ "B1" ] ids;
+  Alcotest.(check int) "one disconnect, A's" 1
+    (List.length
+       (List.filter
+          (function Diagnostics.Client_disconnected _ -> true | _ -> false)
+          (Serve.Service.events t)))
+
+(* A live server on the admin path stops [serve] before it serves
+   anything, on either job transport: the error names the admin path,
+   and the job socket this call had already bound is gone again. *)
+let test_live_admin_path_refused () =
+  with_signals @@ fun () ->
+  let path = sock_path "bound" and admin = sock_path "live" in
+  let live =
+    match Core.Io.bind_unix_socket admin with
+    | Ok fd -> Unix.listen fd 1; fd
+    | Error `Live -> Alcotest.fail "the admin path is already taken"
+  in
+  let in_r, in_w = Unix.pipe () in
+  let t = Serve.Service.create ~config:(service_config ~workers:1 ()) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Service.await_drained t;
+      List.iter Unix.close [ live; in_r; in_w ];
+      try Unix.unlink admin with Unix.Unix_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun jobs ->
+           Alcotest.check_raises "the admin path is named"
+             (Unix.Unix_error (Unix.EADDRINUSE, "bind", admin))
+             (fun () -> ignore (Serve.Service.serve ~admin t jobs)))
+        [ Serve.Transport.Socket path; Serve.Transport.Stdio (in_r, in_w) ];
+      Alcotest.(check bool) "the job socket file is gone" false
+        (Sys.file_exists path);
+      Alcotest.(check bool) "the live server keeps its path" true
+        (Sys.file_exists admin))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -1451,6 +1571,8 @@ let suite =
       `Slow test_service_cache_repeated_source;
     Alcotest.test_case "cache: soak holds store files and heap flat" `Slow
       test_service_cache_soak;
+    Alcotest.test_case "cache: a hit answers the whole cold response" `Slow
+      test_service_cache_whole_response;
     Alcotest.test_case "drain: SIGTERM loses no accepted job" `Slow
       test_sigterm_drains_without_losing_jobs;
     Alcotest.test_case "protocol: JSON parser" `Quick test_json_parser;
@@ -1468,4 +1590,10 @@ let suite =
     Alcotest.test_case "transport: two socket clients" `Slow
       test_socket_transport_two_clients;
     Alcotest.test_case "transport: admin socket commands" `Quick
-      test_admin_socket ]
+      test_admin_socket;
+    Alcotest.test_case "transport: a half-closed client gets its answers"
+      `Slow test_half_closed_client_answered;
+    Alcotest.test_case "transport: a closed client's answer reaches no one"
+      `Slow test_closed_client_no_cross_talk;
+    Alcotest.test_case "transport: a live admin path is refused cleanly"
+      `Quick test_live_admin_path_refused ]

@@ -183,6 +183,42 @@ let test_contexts_on_loses_no_issue () =
   Alcotest.(check int) "same sqli count" (count_issues Rules.Sqli off)
     (count_issues Rules.Sqli on)
 
+(* ------------------------------------------------------------------ *)
+(* The judge's counts from a stored rendering                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The result tier keeps the rendered report, so a cache hit reads the
+   judge's counts back from its header line: on every app, judge on and
+   off (and under refinement, whose counts precede them in the header),
+   the reading equals the live report's counts. *)
+let test_header_reads_back_counts () =
+  let module Apps = Workloads.Apps in
+  let hybrid = Config.preset ~scale:0.02 Config.Hybrid_unbounded in
+  let check config (a : Apps.app) =
+    let g = Apps.generate ~scale:0.02 a in
+    let c =
+      completed (Taj.analyze ~config (Workloads.Codegen.to_input g))
+    in
+    let counts = Report.sanitization_counts c.Taj.report in
+    Alcotest.(check (option (pair int int)))
+      (Printf.sprintf "%s, contexts %b, refine %b" a.Apps.name
+         config.Config.contexts config.Config.refine)
+      counts
+      (Report.read_sanitization_counts
+         (Format.asprintf "%a" (Report.pp c.Taj.builder) c.Taj.report));
+    counts <> None
+  in
+  let apps = Apps.table2 @ Apps.contexts_apps in
+  List.iter (fun a -> ignore (check hybrid a)) apps;
+  let judged =
+    List.filter (check { hybrid with Config.contexts = true }) apps
+  in
+  Alcotest.(check bool) "the judge ran somewhere" true (judged <> []);
+  List.iter
+    (fun a ->
+       ignore (check { hybrid with Config.contexts = true; refine = true } a))
+    Apps.contexts_apps
+
 let suite =
   [ Alcotest.test_case "mismatched verdict" `Quick test_mismatched_verdict;
     Alcotest.test_case "contexts off: no verdict" `Quick
@@ -195,4 +231,6 @@ let suite =
     Alcotest.test_case "override: judge" `Quick test_override_judge;
     Alcotest.test_case "override: triage" `Quick test_override_triage;
     Alcotest.test_case "contexts on loses no issue" `Quick
-      test_contexts_on_loses_no_issue ]
+      test_contexts_on_loses_no_issue;
+    Alcotest.test_case "report header reads back the judge's counts" `Slow
+      test_header_reads_back_counts ]
