@@ -1370,9 +1370,11 @@ let serve_cmd =
          degraded, rejected or failed), $(b,reason), $(b,issues), \
          $(b,attempts), $(b,degradations) and $(b,seconds).";
       `P
-        "On SIGINT, SIGTERM or end of input the service drains: it stops \
+        "On SIGINT, SIGTERM or end of stdin the service drains: it stops \
          admitting, finishes every admitted job, and writes a final \
-         health snapshot line ($(b,event)=health).";
+         health snapshot line ($(b,event)=health). A socket client's end \
+         of input ends its requests, not its answers: the connection is \
+         closed once every line it sent has been answered.";
       `P
         "With $(b,--cluster) N the same protocol is served by a \
          coordinator supervising N forked worker processes. Jobs route \
@@ -1396,8 +1398,8 @@ let serve_cmd =
       `S Manpage.s_exit_status;
       `P "0 on a clean drain: every admitted job ran to a terminal state \
           and none was shed or turned away by a full queue.";
-      `P "1 if the service could not start (e.g. the socket path cannot \
-          be bound).";
+      `P "1 if the service could not start (e.g. the $(b,--socket) or \
+          $(b,--admin-socket) path is served by a live server).";
       `P
         "5 on a drain after load shedding: all jobs still reached \
          terminal states, but at least one was shed or rejected with \
