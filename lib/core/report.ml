@@ -142,20 +142,21 @@ let pp_issue_report (b : Sdg.Builder.t) ppf (ir : issue_report) =
     header carries none. A stored rendering then answers what
     {!sanitization_counts} answers for the live report. *)
 let read_sanitization_counts rendered =
-  let header =
-    match String.index_opt rendered '\n' with
-    | Some i -> String.sub rendered 0 i
-    | None -> rendered
+  let eol =
+    Option.value (String.index_opt rendered '\n')
+      ~default:(String.length rendered)
   in
-  match String.rindex_opt header '(' with
+  match String.rindex_from_opt rendered (eol - 1) '(' with
   | None -> None
   | Some i ->
-    (try
-       Scanf.sscanf
-         (String.sub header i (String.length header - i))
-         "(%d mismatched-sanitizer, %d unsanitized)%!"
-         (fun m u -> Some (m, u))
-     with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
+    (match
+       String.split_on_char ' ' (String.sub rendered (i + 1) (eol - i - 1))
+     with
+     | [ m; "mismatched-sanitizer,"; u; "unsanitized)" ] ->
+       (match int_of_string_opt m, int_of_string_opt u with
+        | Some m, Some u -> Some (m, u)
+        | _ -> None)
+     | _ -> None)
 
 let pp (b : Sdg.Builder.t) ppf (t : t) =
   Fmt.pf ppf "@[<v>%d issue(s) from %d flow(s)%a%a@,%a@]"

@@ -783,11 +783,9 @@ let install_signals t =
   let handler = Sys.Signal_handle (fun _ -> Atomic.set t.sig_drain true) in
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
-  (* flight dump on demand; the handler only sets a flag, [pump] writes *)
+  (* flight dump on demand; the handler only sets a flag, [step] writes *)
   Sys.set_signal Sys.sigusr1
     (Sys.Signal_handle (fun _ -> Atomic.set t.sig_dump true))
-
-let signal_pending t = Atomic.get t.sig_drain
 
 let request_drain t =
   if not t.draining then begin
@@ -1058,7 +1056,7 @@ let serve ?admin t jobs =
       health_json;
       metrics = (fun () -> admin_metrics t);
       dump = (fun () -> admin_dump t);
-      stop = (fun () -> signal_pending t);
+      stop = (fun () -> Atomic.get t.sig_drain);
       drain = (fun () -> await_drained t; health t);
       fds = (fun () -> worker_fds t);
       step = step t;

@@ -60,9 +60,9 @@ val worker_pids : t -> int list
     drain call). *)
 val submit : t -> Service.request -> respond:(Service.response -> unit) -> unit
 
-(** One supervision step: select on the worker pipes for at most
-    [timeout] (less when a reroute or respawn falls due first), then the
-    step {!serve}'s loop runs after each of its own selects: read worker
+(** Select on the worker pipes for at most [timeout] (less when a
+    reroute or respawn falls due first), then run one supervision step,
+    the one {!serve}'s loop runs after each of its selects: read worker
     frames, detect crashes ([waitpid] / closed pipe), deliver due
     reroutes, respawn due slots. For callers that drive {!submit}
     directly. *)
@@ -78,13 +78,6 @@ val request_drain : t -> unit
 (** Pump until every worker has drained (final health frame) or crashed,
     every job is terminal, and all children are reaped. *)
 val await_drained : t -> unit
-
-(** SIGINT/SIGTERM set a drain flag (no domains involved) that {!serve}'s
-    loop polls. SIGUSR1 sets a dump flag; the next supervision step
-    writes the merged flight dump. *)
-val install_signals : t -> unit
-
-val signal_pending : t -> bool
 
 (** {1 Health} *)
 
@@ -155,7 +148,9 @@ val flight_dump : t -> cause:string -> string option
 (** Serve newline-delimited JSON jobs on [jobs] with the same wire
     protocol and EOF rule as {!Service.serve}, until end of stdin or
     SIGINT/SIGTERM; then drain, write the aggregated health line and
-    return it. The transport's select loop also waits on the worker
+    return it. The signal handlers only set flags (no domain is
+    involved, so respawn forks stay legal); SIGUSR1 asks for the merged
+    flight dump. The transport's select loop also waits on the worker
     pipes: it wakes every 0.05 s, or earlier when a respawn or reroute
     falls due. [admin] opens the admin socket, whose answers aggregate
     the coordinator and every live worker. *)

@@ -113,8 +113,6 @@ val submit : t -> request -> respond:(response -> unit) -> unit
 (** Stop admitting; admitted jobs keep running. Idempotent. *)
 val request_drain : t -> unit
 
-val draining : t -> bool
-
 (** Block until every worker has exited — i.e. every admitted job has
     reached its terminal state. Implies {!request_drain}. Idempotent. *)
 val await_drained : t -> unit

@@ -148,10 +148,14 @@ let serve ?admin e jobs =
     peer fd ~write:(Io.make_writer fd)
       ~handle:(fun line ~answer -> answer (chomp (admin_reply e line)))
   in
-  let job_socket =
+  let input, job_socket =
     match jobs with
-    | Socket path -> Some (listen path job_peer)
-    | Stdio _ -> None
+    | Stdio (input, output) ->
+      let write =
+        Io.make_writer output ~on_error:(e.disconnected ~peer:"stdout")
+      in
+      (Some (peer input ~handle:e.handle ~write), None)
+    | Socket path -> (None, Some (listen path job_peer))
   in
   let admin_socket =
     match Option.map (fun path -> listen path admin_peer) admin with
@@ -161,15 +165,7 @@ let serve ?admin e jobs =
       raise ex
   in
   let listeners = Option.to_list job_socket @ Option.to_list admin_socket in
-  let input =
-    match jobs with
-    | Stdio (input, output) ->
-      Some
-        (peer input ~handle:e.handle
-           ~write:(Io.make_writer output ~on_error:(e.disconnected ~peer:"stdout")))
-    | Socket _ -> None
-  in
-  let peers () =
+  let all_peers () =
     Option.to_list input @ List.concat_map (fun l -> l.l_peers) listeners
   in
   let rec loop () =
@@ -179,11 +175,11 @@ let serve ?admin e jobs =
         List.map (fun l -> l.l_fd) listeners
         @ List.filter_map
             (fun p -> if p.p_eof then None else Some p.p_fd)
-            (peers ())
+            (all_peers ())
         @ e.fds ()
       in
       let ready, _, _ = Io.select fds [] [] (e.timeout ()) in
-      let peers = peers () in
+      let peers = all_peers () in
       List.iter (fun l -> if List.mem l.l_fd ready then accept l) listeners;
       List.iter (fun p -> if List.mem p.p_fd ready then read_peer p) peers;
       e.step ready;
