@@ -598,8 +598,6 @@ let request_drain t =
     Queue.set_draining t.queue
   end
 
-let draining t = Atomic.get t.drain_started
-
 (** Block until every worker has exited — i.e. every admitted job has
     reached its terminal state. Idempotent. *)
 let await_drained t =
@@ -855,7 +853,7 @@ let serve ?admin t jobs =
       health_json;
       metrics = Obs.Telemetry.metrics;
       dump = (fun () -> flight_dump t ~cause:"admin");
-      stop = (fun () -> signal_pending t || draining t);
+      stop = (fun () -> signal_pending t || Atomic.get t.drain_started);
       drain = (fun () -> await_drained t; health t);
       fds = (fun () -> []);
       step = (fun _ -> signal_dump_pending t);
