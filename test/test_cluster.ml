@@ -559,13 +559,24 @@ let socket_round_trip ~half_close () =
       try Sys.remove out with Sys_error _ -> ())
     (fun () ->
       let c = Serve.Cluster.create ~config:(cluster_config ~size:2 ()) () in
-      let job id = Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id in
+      let job id =
+        Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id
+      in
       let client =
         fork_client ~half_close ~path ~out ~expect:4
           [ job "s1"; ""; job "s2"; job "s3"; "not json" ]
       in
-      let h = Serve.Cluster.serve c (Serve.Transport.Socket path) in
-      let _, status = Unix.waitpid [] client in
+      let h =
+        match Serve.Cluster.serve c (Serve.Transport.Socket path) with
+        | h -> Ok h
+        | exception e -> Error e
+      in
+      (* the client signals this process: the handlers go back only
+         after it is gone *)
+      let _, status =
+        Core.Io.retry_eintr (fun () -> Unix.waitpid [] client)
+      in
+      let h = match h with Ok h -> h | Error e -> raise e in
       Alcotest.(check bool) "the client exited cleanly" true
         (status = Unix.WEXITED 0);
       Alcotest.(check (list string)) "one answer per non-empty line"

@@ -1461,7 +1461,7 @@ let test_closed_client_no_cross_talk () =
   Fault.arm (Fault.site_job "A1") ~after:1 ~action:(Fault.Stall 1.0);
   let path = sock_path "cross" in
   let t = Serve.Service.create ~config:(service_config ~workers:1 ()) () in
-  let ids, _ =
+  let (b, ids), _ =
     with_socket_server t path @@ fun () ->
     let a = connect path in
     send a [ job "A1" ];
@@ -1476,10 +1476,11 @@ let test_closed_client_no_cross_talk () =
       | [ l ] -> until_b1 (line_id l :: acc)
       | _ -> assert false
     in
-    let ids = until_b1 [] in
-    Unix.close b;
-    ids
+    (* B stays connected across the drain, so the health line reaches
+       it and the only disconnect is A's *)
+    (b, until_b1 [])
   in
+  Unix.close b;
   Alcotest.(check (list string)) "B reads only its own answer" [ "B1" ] ids;
   Alcotest.(check int) "one disconnect, A's" 1
     (List.length
