@@ -1047,11 +1047,7 @@ let serve ?admin t jobs =
   install_signals t;
   Transport.serve ?admin
     { Transport.handle = Service.handle_line (submit t);
-      disconnected =
-        (fun ~peer e ->
-           record_diag t
-             (Diagnostics.Client_disconnected
-                { peer; error = Unix.error_message e }));
+      record = record_diag t;
       health = (fun () -> admin_health t);
       health_json;
       metrics = (fun () -> admin_metrics t);

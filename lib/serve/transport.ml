@@ -12,7 +12,7 @@ let stdio = Stdio (Unix.stdin, Unix.stdout)
 
 type 'h engine = {
   handle : string -> answer:(string -> unit) -> unit;
-  disconnected : peer:string -> Unix.error -> unit;
+  record : Diagnostics.degradation -> unit;
   health : unit -> 'h;
   health_json : 'h -> string;
   metrics : unit -> (string * Obs.Telemetry.value) list;
@@ -135,12 +135,17 @@ let close_answered l =
 
 let serve ?admin e jobs =
   Io.ignore_sigpipe ();
+  let disconnected peer err =
+    e.record
+      (Diagnostics.Client_disconnected
+         { peer; error = Unix.error_message err })
+  in
   let clients = ref 0 in
   let job_peer fd =
     let name = Printf.sprintf "client-%d" !clients in
     incr clients;
     peer fd ~handle:e.handle
-      ~write:(Io.make_writer fd ~on_error:(e.disconnected ~peer:name))
+      ~write:(Io.make_writer fd ~on_error:(disconnected name))
   in
   (* an admin peer that vanishes mid-reply is routine (a scraper timed
      out): its writer swallows the error *)
@@ -151,9 +156,7 @@ let serve ?admin e jobs =
   let input, job_socket =
     match jobs with
     | Stdio (input, output) ->
-      let write =
-        Io.make_writer output ~on_error:(e.disconnected ~peer:"stdout")
-      in
+      let write = Io.make_writer output ~on_error:(disconnected "stdout") in
       (Some (peer input ~handle:e.handle ~write), None)
     | Socket path -> (None, Some (listen path job_peer))
   in

@@ -35,9 +35,10 @@ type 'h engine = {
   handle : string -> answer:(string -> unit) -> unit;
       (** one non-empty, trimmed request line; [answer] is called
           exactly once, from any domain, with the line to write back *)
-  disconnected : peer:string -> Unix.error -> unit;
-      (** a job peer vanished before one of its answers could be
-          written; its later answers are dropped *)
+  record : Core.Diagnostics.degradation -> unit;
+      (** records a [Client_disconnected]: a job peer vanished before
+          one of its answers could be written, and its later answers are
+          dropped *)
   health : unit -> 'h;             (** the admin [health] snapshot *)
   health_json : 'h -> string;
   metrics : unit -> (string * Obs.Telemetry.value) list;
