@@ -1296,10 +1296,12 @@ let serve_cmd =
       | None -> Serve.Transport.stdio
     in
     (* either socket path, on either engine: the error names the path
-       that failed, and nothing bound is left behind *)
+       that failed, and nothing bound is left behind; an error that
+       names neither path was raised while serving, not at startup *)
     let serving serve =
       try serve ()
-      with Unix.Unix_error (e, fn, path) ->
+      with Unix.Unix_error (e, fn, path)
+        when Some path = socket || Some path = admin_socket ->
         Printf.eprintf "error: cannot serve on %s: %s (%s)\n" path
           (Unix.error_message e) fn;
         exit 1
@@ -1399,7 +1401,8 @@ let serve_cmd =
       `P "0 on a clean drain: every admitted job ran to a terminal state \
           and none was shed or turned away by a full queue.";
       `P "1 if the service could not start (e.g. the $(b,--socket) or \
-          $(b,--admin-socket) path is served by a live server).";
+          $(b,--admin-socket) path is served by a live server, or its \
+          directory does not exist).";
       `P
         "5 on a drain after load shedding: all jobs still reached \
          terminal states, but at least one was shed or rejected with \

@@ -64,21 +64,26 @@ let bind_unix_socket path =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.bind fd (Unix.ADDR_UNIX path) with
     | () -> Some fd
-    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
+    | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      None
+      (match e with
+       | Unix.Unix_error (Unix.EADDRINUSE, _, _) -> None
+       | e -> raise e)
   in
   match try_bind () with
   | Some fd -> Ok fd
   | None ->
     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     let live =
-      match retry_eintr (fun () -> Unix.connect probe (Unix.ADDR_UNIX path))
-      with
-      | () -> true
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false
+      Fun.protect
+        ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
+        (fun () ->
+          match
+            retry_eintr (fun () -> Unix.connect probe (Unix.ADDR_UNIX path))
+          with
+          | () -> true
+          | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
     in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
     if live then Error `Live
     else begin
       (try Unix.unlink path with Unix.Unix_error _ -> ());

@@ -1046,7 +1046,13 @@ let write_merged_trace t path =
 let serve ?admin t jobs =
   install_signals t;
   Transport.serve ?admin
-    { Transport.handle = Service.handle_line (submit t);
+    { Transport.handle =
+        (fun line ~answer ->
+          Service.handle_line (submit t) line ~answer;
+          (* a submission writes into a worker's pipe and the worker
+             answers on the same pipe: read its answers as a batch
+             streams in, or both directions fill and block for good *)
+          pump t ~timeout:0.0);
       record = record_diag t;
       health = (fun () -> admin_health t);
       health_json;

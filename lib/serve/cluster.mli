@@ -152,6 +152,8 @@ val flight_dump : t -> cause:string -> string option
     involved, so respawn forks stay legal); SIGUSR1 asks for the merged
     flight dump. The transport's select loop also waits on the worker
     pipes: it wakes every 0.05 s, or earlier when a respawn or reroute
-    falls due. [admin] opens the admin socket, whose answers aggregate
-    the coordinator and every live worker. *)
+    falls due, and each request line is followed by a [pump ~timeout:0.0]
+    so worker answers are read while a large batch streams in. [admin]
+    opens the admin socket, whose answers aggregate the coordinator and
+    every live worker. *)
 val serve : ?admin:string -> t -> Transport.jobs -> health

@@ -99,18 +99,26 @@ type listener = {
   mutable l_peers : peer list;
 }
 
-let listen path make_peer =
-  match Io.bind_unix_socket path with
-  | Ok fd ->
-    Unix.listen fd 16;
-    { l_fd = fd; l_path = path; l_peer = make_peer; l_peers = [] }
-  | Error `Live -> raise (Unix.Unix_error (Unix.EADDRINUSE, "bind", path))
-
 let close_listener l =
   List.iter (fun p -> close_fd p.p_fd) l.l_peers;
   l.l_peers <- [];
   close_fd l.l_fd;
   try Unix.unlink l.l_path with Unix.Unix_error _ -> ()
+
+(* Every failure is raised with [path] as its argument, which
+   [Unix.bind] leaves empty, and leaves nothing bound. *)
+let listen path make_peer =
+  let failed e fn = Unix.Unix_error (e, fn, path) in
+  match Io.bind_unix_socket path with
+  | Error `Live -> raise (failed Unix.EADDRINUSE "bind")
+  | exception Unix.Unix_error (e, fn, _) -> raise (failed e fn)
+  | Ok fd ->
+    let l = { l_fd = fd; l_path = path; l_peer = make_peer; l_peers = [] } in
+    (try Unix.listen fd 16
+     with Unix.Unix_error (e, fn, _) ->
+       close_listener l;
+       raise (failed e fn));
+    l
 
 let accept l =
   let fd, _ = Io.accept l.l_fd in

@@ -62,7 +62,8 @@ type 'h engine = {
     serve until [stop ()] or the end of stdin; then [drain ()], write
     its health line to stdout or to every job client still connected,
     close everything, unlink both socket paths, and return the
-    snapshot. A path held by a live server raises
-    [Unix_error (EADDRINUSE, "bind", path)], after whatever this call
-    had already bound is closed and unlinked. *)
+    snapshot. A socket that cannot be bound raises
+    [Unix_error (err, fn, path)] with the failing path as its argument
+    ([EADDRINUSE] for a path held by a live server), after whatever
+    this call had already bound is closed and unlinked. *)
 val serve : ?admin:string -> 'h engine -> jobs -> 'h

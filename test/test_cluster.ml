@@ -595,6 +595,74 @@ let test_cluster_socket_round_trip = socket_round_trip ~half_close:false
    coordinator too. *)
 let test_cluster_half_closed_client = socket_round_trip ~half_close:true
 
+(* A stdin that is a file arrives all at once. Each job goes into the
+   worker's pipe and each queue_full rejection comes back on the same
+   pipe, so unless the coordinator reads answers while the batch streams
+   in, both directions fill and both processes block for good. The alarm
+   turns such a hang into a failure. *)
+let test_cluster_stdio_large_batch () =
+  let n = 3000 in
+  let input = Filename.temp_file "taj-cluster-batch" ".ndjson" in
+  let output = Filename.temp_file "taj-cluster-answers" ".ndjson" in
+  let id i = Printf.sprintf "b%d" i in
+  let saved =
+    List.map (fun s -> (s, Sys.signal s Sys.Signal_default))
+      [ Sys.sigterm; Sys.sigint; Sys.sigusr1; Sys.sigalrm ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      List.iter (fun (s, b) -> Sys.set_signal s b) saved;
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ input; output ])
+    (fun () ->
+      Core.Io.write_file input
+        (String.concat ""
+           (List.init n (fun i ->
+              Serve.Json.to_string
+                (Serve.Json.Obj
+                   [ ("id", Serve.Json.Str (id i));
+                     ("source", Serve.Json.Str two_flows) ])
+              ^ "\n")));
+      let inp = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+      let out = Unix.openfile output [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let cfg = cluster_config ~size:1 () in
+      let c =
+        Serve.Cluster.create
+          ~config:
+            { cfg with
+              service = { cfg.service with Serve.Service.queue_cap = 8 } }
+          ()
+      in
+      Sys.set_signal Sys.sigalrm
+        (Sys.Signal_handle (fun _ -> failwith "serving the batch hung"));
+      ignore (Unix.alarm 30);
+      let h = Serve.Cluster.serve c (Serve.Transport.Stdio (inp, out)) in
+      ignore (Unix.alarm 0);
+      Unix.close inp;
+      Unix.close out;
+      let lines =
+        String.split_on_char '\n' (Core.Io.read_file output)
+        |> List.filter (( <> ) "")
+      in
+      let answers = List.filteri (fun i _ -> i < n) lines in
+      Alcotest.(check (list string)) "one answer per line"
+        (List.sort compare (List.init n id))
+        (List.sort compare
+           (List.map
+              (fun l ->
+                 match Serve.Json.parse l with
+                 | Ok j ->
+                   Option.value ~default:"?" (Serve.Json.str_member "id" j)
+                 | Error _ -> "unparsable")
+              answers));
+      Alcotest.(check (list string)) "then the returned health snapshot"
+        [ Serve.Cluster.health_json h ]
+        (List.filteri (fun i _ -> i >= n) lines);
+      Alcotest.(check int) "every job submitted" n
+        h.Serve.Cluster.ch_submitted)
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -622,4 +690,6 @@ let suite =
     Alcotest.test_case "transport: socket round trip" `Slow
       test_cluster_socket_round_trip;
     Alcotest.test_case "transport: a half-closed client gets its answers"
-      `Slow test_cluster_half_closed_client ]
+      `Slow test_cluster_half_closed_client;
+    Alcotest.test_case "transport: a large stdin batch does not deadlock"
+      `Slow test_cluster_stdio_large_batch ]

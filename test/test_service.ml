@@ -1518,6 +1518,35 @@ let test_live_admin_path_refused () =
       Alcotest.(check bool) "the live server keeps its path" true
         (Sys.file_exists admin))
 
+(* [Unix.bind] raises with an empty argument; the transport names the
+   path that failed, whichever of the two it is, and an admin failure
+   still leaves no job socket behind. *)
+let test_bind_error_names_path () =
+  with_signals @@ fun () ->
+  let path = sock_path "bound"
+  and missing =
+    Filename.concat
+      (Filename.concat (Filename.get_temp_dir_name ())
+         (Printf.sprintf "taj-missing-%d" (Unix.getpid ())))
+      "x.sock"
+  in
+  let t = Serve.Service.create ~config:(service_config ~workers:1 ()) () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Service.await_drained t)
+    (fun () ->
+      Alcotest.check_raises "the job socket path is named"
+        (Unix.Unix_error (Unix.ENOENT, "bind", missing))
+        (fun () ->
+          ignore (Serve.Service.serve t (Serve.Transport.Socket missing)));
+      Alcotest.check_raises "the admin path is named"
+        (Unix.Unix_error (Unix.ENOENT, "bind", missing))
+        (fun () ->
+          ignore
+            (Serve.Service.serve ~admin:missing t
+               (Serve.Transport.Socket path)));
+      Alcotest.(check bool) "the job socket file is gone" false
+        (Sys.file_exists path))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -1597,4 +1626,6 @@ let suite =
     Alcotest.test_case "transport: a closed client's answer reaches no one"
       `Slow test_closed_client_no_cross_talk;
     Alcotest.test_case "transport: a live admin path is refused cleanly"
-      `Quick test_live_admin_path_refused ]
+      `Quick test_live_admin_path_refused;
+    Alcotest.test_case "transport: a bind error names its path" `Quick
+      test_bind_error_names_path ]
