@@ -31,15 +31,20 @@ let d_val v = d_str (Marshal.to_string v [])
 (* ------------------------------------------------------------------ *)
 
 (* Residency: a store stays in memory only while reads want it. A
-   successful commit hands the store to its file and drops it from
-   [stores]; a failed save keeps it, so a full disk costs no warmth. A
-   store that is only read (a result hit) stays, and the loads that push
-   the resident bytes past [budget] evict the least recently started
-   stores. A session keeps its own store object after an eviction: if a
-   later [start] reloads the file, two objects exist for one file and the
-   last save wins. Entries lost that way cost misses, never a different
-   answer, since every entry is keyed by a digest of its content. *)
-type resident = { store : Store.t; mutable started : int }
+   successful commit hands a store that no result lookup has hit to its
+   file and drops it from [stores]; a store that reads hit stays, and so
+   does one whose save failed, so a full disk costs no warmth. The loads
+   that push the resident bytes past [budget] evict the least recently
+   started stores, read or not. A session keeps its own store object
+   after an eviction: if a later [start] reloads the file, two objects
+   exist for one file and the last save wins. Entries lost that way cost
+   misses, never a different answer, since every entry is keyed by a
+   digest of its content. *)
+type resident = {
+  store : Store.t;
+  mutable started : int;
+  mutable read : bool;   (* a result lookup hit it: commits keep it *)
+}
 
 type t = {
   t_dir : string;
@@ -119,16 +124,25 @@ let store t app =
           (fun () -> Store.load (store_path t app))
         |> fst
       in
-      Hashtbl.replace t.stores app { store = s; started = t.starts };
+      Hashtbl.replace t.stores app
+        { store = s; started = t.starts; read = false };
       trim t ~keep:app;
       s)
 
-(* A committed store lives in its file from now on; drop it unless the
-   table already holds a newer object for [app]. *)
+(* A committed store lives in its file from now on; drop it unless reads
+   hit it or the table already holds a newer object for [app]. *)
 let release t app s =
   locked t (fun () ->
     match Hashtbl.find_opt t.stores app with
-    | Some r when r.store == s -> Hashtbl.remove t.stores app
+    | Some r when r.store == s && not r.read -> Hashtbl.remove t.stores app
+    | _ -> ())
+
+(* A result hit keeps [app]'s store resident across commits, unless the
+   table already holds a newer object for it. *)
+let mark_read t app s =
+  locked t (fun () ->
+    match Hashtbl.find_opt t.stores app with
+    | Some r when r.store == s -> r.read <- true
     | _ -> ())
 
 (* ------------------------------------------------------------------ *)
@@ -227,13 +241,22 @@ let hooks s : Core.Cache_iface.t =
 
 type cached_result = { cr_report : string; cr_issues : int; cr_flows : int }
 
-let result_key ~rules ~config (input : Core.Taj.input) =
-  d_val
-    ( "raw",
-      List.map d_str input.Core.Taj.app_sources,
-      input.Core.Taj.descriptor,
-      (config : Core.Config.t),
-      rules )
+(* The raw key in two steps: the input's part (a digest of each source,
+   and the descriptor), which a caller may keep for an input it sees
+   again, then the request's (configuration and rules). The tuple is the
+   one the key has always digested, so a store written before the split
+   still answers. *)
+type input_digest = { sources : string list; descriptor : string }
+
+let input_digest (input : Core.Taj.input) =
+  { sources = List.map d_str input.Core.Taj.app_sources;
+    descriptor = input.Core.Taj.descriptor }
+
+let raw_key ~rules ~config d =
+  d_val ("raw", d.sources, d.descriptor, (config : Core.Config.t), rules)
+
+let result_key ~rules ~config input =
+  raw_key ~rules ~config (input_digest input)
 
 (* The semantic result key: parsed-unit AST digests instead of source
    digests, so edits the parser discards (comments, whitespace) map to
@@ -255,7 +278,11 @@ let lookup_result s ~key : cached_result option =
     Option.bind (Store.find s.st ~tier:"result" ~key) (fun digest ->
       Option.bind (Store.find s.st ~tier:"report" ~key:digest) decode)
   in
-  (match found with Some _ -> hit "result" | None -> miss "result");
+  (match found with
+   | Some _ ->
+     hit "result";
+     mark_read s.cache s.app s.st
+   | None -> miss "result");
   found
 
 let commit ?(results = []) ?analysis:_ s =

@@ -37,10 +37,11 @@
 
 (** A cache handle: the store directory plus the stores it keeps in
     memory. A store stays resident only while reads want it: a
-    successful {!commit} hands it to its file and drops it, and a load
-    that takes the resident stores past a constant 64 MiB of keys and
-    payloads evicts the least recently started ones. An evicted store
-    reloads from its file at its next {!start}. *)
+    successful {!commit} hands a store that no {!lookup_result} has hit
+    to its file and drops it, while a store that result lookups hit
+    stays; a load that takes the resident stores past a constant 64 MiB
+    of keys and payloads evicts the least recently started ones, hit or
+    not. An evicted store reloads from its file at its next {!start}. *)
 type t
 
 (** Open (creating the directory if needed) a cache rooted at [dir]. *)
@@ -64,9 +65,21 @@ val corruption : session -> Core.Diagnostics.degradation option
     for {!Core.Supervisor.options} or {!Core.Taj.load}/[run]. *)
 val hooks : session -> Core.Cache_iface.t
 
-(** The raw result-tier key for a request: a digest of the source texts,
-    descriptor, configuration and rule set. Computable before any
-    parsing — the key a service consults on admission. *)
+(** The input's part of the raw result-tier key: a digest of each source
+    text, and the descriptor. It depends on the input alone, so a caller
+    that sees one input again may keep it instead of the sources. *)
+type input_digest
+
+val input_digest : Core.Taj.input -> input_digest
+
+(** The raw result-tier key for a request: the input's digest with the
+    configuration and rule set. Computable before any parsing — the key
+    a service consults on admission. *)
+val raw_key :
+  rules:Core.Rules.rule list -> config:Core.Config.t -> input_digest ->
+  string
+
+(** [raw_key] of [input_digest input]. *)
 val result_key :
   rules:Core.Rules.rule list -> config:Core.Config.t -> Core.Taj.input ->
   string
@@ -86,7 +99,8 @@ type cached_result = {
   cr_flows : int;
 }
 
-(** Result-tier lookup; bumps [cache.result.hit]/[.miss]. *)
+(** Result-tier lookup; bumps [cache.result.hit]/[.miss]. A hit keeps
+    the session's store resident across later commits. *)
 val lookup_result : session -> key:string -> cached_result option
 
 (** End the session: store each [(key, report)] of [results] (the
@@ -94,11 +108,11 @@ val lookup_result : session -> key:string -> cached_result option
     only for a clean, complete, undegraded run; {!finish} applies that
     rule. With [results] absent this is safe after any run: the
     content-keyed tiers it filled are valid regardless and still get
-    persisted. A successful save drops the store from memory; a failed
-    one keeps it resident, so a full disk costs no warmth. [analysis] is
-    accepted and ignored, only because the frozen benchmark
-    ([perfbench/]) still passes it; the next change to the benchmark
-    removes it. *)
+    persisted. A successful save drops the store from memory unless a
+    result lookup has hit it; a failed one keeps it resident, so a full
+    disk costs no warmth. [analysis] is accepted and ignored, only
+    because the frozen benchmark ([perfbench/]) still passes it; the
+    next change to the benchmark removes it. *)
 val commit :
   ?results:(string * cached_result) list ->
   ?analysis:Core.Taj.completed ->

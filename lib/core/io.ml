@@ -55,10 +55,11 @@ let make_writer ?(on_error = fun (_ : Unix.error) -> ()) fd =
 
 (** Bind a Unix-domain listening socket at [path], coping with the
     leftover socket file of an uncleanly killed predecessor: if the path
-    exists we probe it with a connect — a refused connection proves the
-    file is stale (no listener behind it), so it is unlinked and the bind
-    retried; a successful connect proves a live server still owns the
-    path and the caller must not steal it ([Error `Live]). *)
+    exists we probe it with a non-blocking connect — a refused connection
+    proves the file is stale (no listener behind it), so it is unlinked
+    and the bind retried; a connection made or pending (a listener whose
+    backlog is full) proves a live server still owns the path and the
+    caller must not steal it ([Error `Live]). *)
 let bind_unix_socket path =
   let try_bind () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -78,10 +79,15 @@ let bind_unix_socket path =
       Fun.protect
         ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
         (fun () ->
+          Unix.set_nonblock probe;
           match
             retry_eintr (fun () -> Unix.connect probe (Unix.ADDR_UNIX path))
           with
           | () -> true
+          | exception
+              Unix.Unix_error
+                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS), _, _) ->
+            true
           | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> false)
     in
     if live then Error `Live
@@ -130,17 +136,22 @@ let read_file path =
        go ();
        Buffer.contents buf)
 
+(* numbers each write's temporary file within this process *)
+let writes = Atomic.make 0
+
 (** Atomic whole-file write: the bytes land in a temporary sibling that
     is renamed over [path], so a reader never observes a half-written
-    file and a crash mid-write leaves the previous version intact. The
-    cache store depends on this to keep torn writes at frame, not file,
+    file and a crash mid-write leaves the previous version intact. Each
+    write has a temporary file of its own, so two domains writing one
+    path at once leave one whole version, never a mix. The cache store
+    depends on this to keep torn writes at frame, not file,
     granularity. *)
 let write_file path data =
   let dir = Filename.dirname path in
   let tmp =
     Filename.concat dir
-      (Printf.sprintf ".%s.%d.tmp" (Filename.basename path)
-         (Unix.getpid ()))
+      (Printf.sprintf ".%s.%d.%d.tmp" (Filename.basename path)
+         (Unix.getpid ()) (Atomic.fetch_and_add writes 1))
   in
   let fd =
     retry_eintr (fun () ->

@@ -23,8 +23,9 @@ val make_writer :
 
 (** Bind a listening Unix-domain socket at [path]. A stale socket file
     (connect refused — its server died without unlinking) is removed and
-    the bind retried; [Error `Live] when a running server still answers
-    on the path. The returned descriptor is bound but not yet listening. *)
+    the bind retried; [Error `Live] when a running server still listens
+    on the path, also one whose backlog is full: the probe never blocks.
+    The returned descriptor is bound but not yet listening. *)
 val bind_unix_socket :
   string -> (Unix.file_descr, [ `Live ]) result
 
@@ -42,7 +43,8 @@ val select :
 val read_file : string -> string
 
 (** Atomic whole-file write (temp sibling + rename), EINTR-safe. A
-    crash mid-write leaves the previous file version intact. *)
+    crash mid-write leaves the previous file version intact, and writes
+    of one path from two domains at once leave one whole version. *)
 val write_file : string -> string -> unit
 
 (** Buffered newline-delimited reading over a raw file descriptor. *)

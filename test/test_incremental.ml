@@ -355,6 +355,33 @@ let test_commit_evicts () =
     again.Cache.Incr.i_from_cache;
   check_report ~what:"re-run" ~reference:cold.Cache.Incr.i_report again
 
+(* A store that a result lookup hit stays in memory across a commit, as
+   a named app's does when a request at a new scale commits to the store
+   its hits read: with the file gone, it still answers both inputs. *)
+let test_read_store_stays_resident () =
+  with_dir @@ fun dir ->
+  let cache = Cache.Incr.create ~dir in
+  let input = closure_input ~c_body:"return s;" in
+  let other = closure_input ~c_body:"String t = s; return t;" in
+  let cold = run ~cache input in
+  Alcotest.(check bool) "clean cold run" false cold.Cache.Incr.i_partial;
+  let warm = run ~cache input in
+  Alcotest.(check bool) "a read hits the store" true
+    warm.Cache.Incr.i_from_cache;
+  let other_cold = run ~cache other in
+  Alcotest.(check bool) "another input commits to it" false
+    other_cold.Cache.Incr.i_from_cache;
+  Sys.remove (store_file dir);
+  let again = run ~cache input in
+  Alcotest.(check bool) "the read store stayed resident" true
+    again.Cache.Incr.i_from_cache;
+  check_report ~what:"re-run" ~reference:cold.Cache.Incr.i_report again;
+  let other_again = run ~cache other in
+  Alcotest.(check bool) "with the commit's entry" true
+    other_again.Cache.Incr.i_from_cache;
+  check_report ~what:"other re-run"
+    ~reference:other_cold.Cache.Incr.i_report other_again
+
 (* A failed save keeps the store resident, so warmth survives a full
    disk for as long as the handle lives. *)
 let test_failed_save_stays_resident () =
@@ -534,6 +561,8 @@ let suite =
       test_report_stored_once;
     Alcotest.test_case "a committed store leaves memory" `Quick
       test_commit_evicts;
+    Alcotest.test_case "a store that reads hit stays resident across a commit"
+      `Quick test_read_store_stays_resident;
     Alcotest.test_case "a failed save keeps the store resident" `Quick
       test_failed_save_stays_resident;
     Alcotest.test_case "the byte budget evicts the least recently started"

@@ -936,42 +936,109 @@ let test_service_cache_repeated_source () =
   check_answer ~what:"d, after restart" ~hits:2 ~issues (answer t (rq "d"));
   Serve.Service.await_drained t
 
-(* A result-tier hit answers what the cold run answered, every field
-   but the timing: the judge's mismatched count included, warm and after
-   a restart. *)
+(* A result-tier hit answers what an uncached service answers, every
+   field but the timing: the judge's mismatched count included, warm,
+   after a restart, and when a named app steps to another scale and back
+   in one service. *)
 let test_service_cache_whole_response () =
   with_counters @@ fun () ->
   Test_incremental.with_dir @@ fun dir ->
+  let blueblog scale id = Serve.Service.request ~app:"BlueBlog" ~scale id in
   let requests =
     [ (fun id ->
         Serve.Service.request ~app:"CtxForum" ~scale:0.02 ~contexts:true id);
-      (fun id -> Serve.Service.request ~app:"BlueBlog" ~scale:0.02 id);
+      blueblog 0.02;
       (fun id -> Serve.Service.request ~source:two_flows ~contexts:true id) ]
   in
-  let answers t tag =
-    List.mapi
-      (fun i rq ->
-         let r = answer t (rq (Printf.sprintf "%s-%d" tag i)) in
-         Serve.Service.response_json
-           { r with Serve.Service.rp_id = string_of_int i; rp_seconds = 0.0 })
-      requests
+  let sent = ref 0 in
+  let whole t rq =
+    incr sent;
+    let r = answer t (rq (Printf.sprintf "whole-%d" !sent)) in
+    Serve.Service.response_json
+      { r with Serve.Service.rp_id = "-"; rp_seconds = 0.0 }
   in
+  let answers t = List.map (whole t) requests in
+  let hits () = Test_incremental.counter_value "cache.result.hit" in
+  let uncached =
+    Serve.Service.create ~config:(service_config ~workers:1 ()) ()
+  in
+  let reference = answers uncached in
+  let reference_step = whole uncached (blueblog 0.03) in
+  Serve.Service.await_drained uncached;
   let t = cached_service dir in
-  let cold = answers t "cold" in
-  let warm = answers t "warm" in
+  let cold = answers t in
+  let warm = answers t in
+  let step = whole t (blueblog 0.03) in
+  let before = hits () in
+  let back = whole t (blueblog 0.02) in
+  Alcotest.(check int) "the return to 0.02 hits" (before + 1) (hits ());
   Serve.Service.await_drained t;
   let t = cached_service dir in
-  let restarted = answers t "restart" in
+  let restarted = answers t in
   Serve.Service.await_drained t;
-  Alcotest.(check int) "warm and restarted answers are hits" 6
-    (Test_incremental.counter_value "cache.result.hit");
+  Alcotest.(check int) "warm, returning and restarted answers are hits" 7
+    (hits ());
   Alcotest.(check bool) "the judge's count is on the cold answer" true
     (Serve.Json.num_member "mismatched"
        (Result.get_ok (Serve.Json.parse (List.hd cold)))
      <> None);
+  Alcotest.(check (list string)) "cold answers are the uncached ones"
+    reference cold;
   Alcotest.(check (list string)) "warm answers are the cold ones" cold warm;
   Alcotest.(check (list string)) "and so are the restarted ones" cold
-    restarted
+    restarted;
+  Alcotest.(check string) "the step to 0.03 answers as uncached"
+    reference_step step;
+  Alcotest.(check string) "the return to 0.02 answers as before"
+    (List.nth reference 1) back
+
+(* A named hit is looked up without generating the app: 30 hits on three
+   pre-filled apps allocate under 16k minor words each over all domains,
+   the first reload of each store included. Generating and digesting an
+   app at the default scale on every hit costs several times that. *)
+let test_service_named_hit_allocation () =
+  Test_incremental.with_dir @@ fun dir ->
+  let apps = [| "A"; "Ginp"; "SPLC" |] in
+  let completed what (r : Serve.Service.response) =
+    Alcotest.(check bool) (what ^ ": completed") true
+      (r.Serve.Service.rp_status = Serve.Service.Completed)
+  in
+  let t = cached_service dir in
+  Array.iter
+    (fun app ->
+       completed app
+         (answer t (Serve.Service.request ~app ("fill-" ^ app))))
+    apps;
+  let words () =
+    Gc.minor ();
+    (Gc.quick_stat ()).Gc.minor_words
+  in
+  let hits = 30 in
+  let w0 = words () in
+  for i = 1 to hits do
+    let app = apps.(i mod Array.length apps) in
+    completed app
+      (answer t (Serve.Service.request ~app (Printf.sprintf "hit-%d" i)))
+  done;
+  Serve.Service.await_drained t;
+  let per_hit = (words () -. w0) /. float_of_int hits in
+  if per_hit >= 16_000. then
+    Alcotest.failf "a named hit allocated %.0f minor words" per_hit
+
+(* An unknown app fails permanently, before any store is opened: it
+   leaves no store file. *)
+let test_service_unknown_app () =
+  Test_incremental.with_dir @@ fun dir ->
+  let t = cached_service dir in
+  let r = answer t (Serve.Service.request ~app:"NoSuchApp" "unknown") in
+  Serve.Service.await_drained t;
+  Alcotest.(check string) "failed" "failed"
+    (Serve.Service.status_name r.Serve.Service.rp_status);
+  Alcotest.(check string) "as an unknown app" "unknown_app"
+    r.Serve.Service.rp_reason;
+  Alcotest.(check int) "one attempt" 1 r.Serve.Service.rp_attempts;
+  Alcotest.(check (list string)) "no store file" []
+    (Array.to_list (Sys.readdir dir))
 
 (* A stream of inline requests, each under a new id, cycling over a
    fixed set of sources: the store files and the live heap plateau at a
@@ -1248,6 +1315,65 @@ let test_stale_socket_handling () =
      Unix.close fd
    | Error `Live -> Alcotest.fail "stale socket reported live");
   (try Unix.unlink path with Unix.Unix_error _ -> ())
+
+(* Two workers may save one cache store at once. Each write goes through
+   a temporary file of its own, so every read sees one whole version. *)
+let test_concurrent_writes_whole () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "taj-writes-%d" (Unix.getpid ()))
+  in
+  let versions = [ String.make 65536 'a'; String.make 32768 'b' ] in
+  let torn = Atomic.make 0 in
+  let writer data () =
+    for _ = 1 to 200 do
+      Core.Io.write_file path data;
+      if not (List.mem (Core.Io.read_file path) versions) then
+        Atomic.incr torn
+    done
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.map (fun data -> Domain.spawn (writer data)) versions
+      |> List.iter Domain.join;
+      Alcotest.(check int) "torn reads" 0 (Atomic.get torn))
+
+(* A listener whose backlog is full neither accepts nor refuses, so a
+   blocking probe would wait for it for good: the path is live, and the
+   call must say so at once. The alarm turns a hang into a failure. *)
+let test_full_backlog_is_live () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "taj-backlog-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let queued = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let saved = Sys.signal Sys.sigalrm Sys.Signal_default in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm saved;
+      List.iter Unix.close [ listener; queued ];
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind listener (Unix.ADDR_UNIX path);
+      Unix.listen listener 0;
+      (* one connection waits in the backlog; it is now full *)
+      Unix.connect queued (Unix.ADDR_UNIX path);
+      Sys.set_signal Sys.sigalrm
+        (Sys.Signal_handle (fun _ -> failwith "the liveness probe hung"));
+      ignore (Unix.alarm 5);
+      let bound = Core.Io.bind_unix_socket path in
+      ignore (Unix.alarm 0);
+      (match bound with
+       | Error `Live -> ()
+       | Ok fd ->
+         Unix.close fd;
+         Alcotest.fail "bound over a live server");
+      Alcotest.(check bool) "the listener keeps its path" true
+        (Sys.file_exists path))
 
 (* ------------------------------------------------------------------ *)
 (* Transports                                                         *)
@@ -1603,6 +1729,10 @@ let suite =
       test_service_cache_soak;
     Alcotest.test_case "cache: a hit answers the whole cold response" `Slow
       test_service_cache_whole_response;
+    Alcotest.test_case "cache: a named hit generates nothing" `Slow
+      test_service_named_hit_allocation;
+    Alcotest.test_case "cache: an unknown app fails before any store" `Quick
+      test_service_unknown_app;
     Alcotest.test_case "drain: SIGTERM loses no accepted job" `Slow
       test_sigterm_drains_without_losing_jobs;
     Alcotest.test_case "protocol: JSON parser" `Quick test_json_parser;
@@ -1615,6 +1745,10 @@ let suite =
       test_writer_broken_pipe;
     Alcotest.test_case "io: stale socket reclaimed, live refused" `Quick
       test_stale_socket_handling;
+    Alcotest.test_case "io: a full backlog is live, and the probe returns"
+      `Quick test_full_backlog_is_live;
+    Alcotest.test_case "io: concurrent writes of one path never tear it"
+      `Quick test_concurrent_writes_whole;
     Alcotest.test_case "transport: stdio answers every line" `Slow
       test_stdio_transport;
     Alcotest.test_case "transport: two socket clients" `Slow
