@@ -175,182 +175,15 @@ let load_input ~name ~srcs ~descriptor_file =
 (* analyze                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let verdict_json = function
-  | None -> "null"
-  | Some v ->
-    (match v with
-     | Sdg.Refine.Confirmed ->
-       Printf.sprintf "{ \"class\": \"%s\" }" (Sdg.Refine.verdict_name v)
-     | Sdg.Refine.Plausible r ->
-       Printf.sprintf "{ \"class\": \"%s\", \"reason\": \"%s\" }"
-         (Sdg.Refine.verdict_name v)
-         (json_escape (Sdg.Refine.reason_name r)))
-
-(* the per-issue sanitization judgement: null when contexts were off *)
-let sanitization_json (ir : Report.issue_report) =
-  match ir.Report.ir_sanitization with
-  | None -> "null"
-  | Some v ->
-    let template =
-      match ir.Report.ir_template with
-      | Some tpl ->
-        Printf.sprintf "\"%s\""
-          (json_escape (Fmt.str "%a" Strings.Template.pp tpl))
-      | None -> "null"
-    in
-    (match v with
-     | Strings.Context.Unsanitized ->
-       Printf.sprintf
-         "{ \"class\": \"unsanitized\", \"template\": %s }" template
-     | Strings.Context.Sanitized ->
-       Printf.sprintf "{ \"class\": \"sanitized\", \"template\": %s }"
-         template
-     | Strings.Context.Mismatched_sanitizer { applied; required } ->
-       Printf.sprintf
-         "{ \"class\": \"mismatched-sanitizer\", \"applied\": [%s], \
-          \"required\": \"%s\", \"template\": %s }"
-         (String.concat ", "
-            (List.map
-               (fun id -> Printf.sprintf "\"%s\"" (json_escape id))
-               applied))
-         (Strings.Context.name required)
-         template)
-
-let issues_json builder (report : Report.t) =
-  let issue_json (ir : Report.issue_report) =
-    let stmt_str s = Fmt.str "%a" (Report.pp_stmt builder) s in
-    let path =
-      ir.Report.ir_representative.Flows.fl_path
-      |> List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape (stmt_str s)))
-      |> String.concat ", "
-    in
-    Printf.sprintf
-      "    { \"issue\": \"%s\", \"flows\": %d, \"sink\": \"%s\",\n\
-      \      \"verdict\": %s,\n\
-      \      \"sanitization\": %s,\n\
-      \      \"remediation\": %s,\n\
-      \      \"witness\": [%s] }"
-      (Rules.issue_name ir.Report.ir_issue)
-      ir.Report.ir_flow_count
-      (json_escape (stmt_str ir.Report.ir_representative.Flows.fl_sink))
-      (verdict_json ir.Report.ir_verdict)
-      (sanitization_json ir)
-      (match ir.Report.ir_lcp with
-       | Some lcp -> Printf.sprintf "\"%s\"" (json_escape (stmt_str lcp))
-       | None -> "null")
-      path
-  in
-  String.concat ",\n" (List.map issue_json report.Report.issues)
-
-let degradation_json d =
-  Printf.sprintf "    { \"kind\": \"%s\", \"detail\": \"%s\" }"
-    (Diagnostics.kind_name d)
-    (json_escape (Fmt.str "%a" Diagnostics.pp_degradation d))
-
-let attempt_json (a : Supervisor.attempt) =
-  Printf.sprintf
-    "    { \"algorithm\": \"%s\", \"scale\": %g, \"outcome\": \"%s\", \
-     \"seconds\": %.3f }"
-    (Config.algorithm_name a.Supervisor.at_algorithm)
-    a.Supervisor.at_scale
-    (json_escape a.Supervisor.at_outcome)
-    a.Supervisor.at_seconds
-
-let triage_finding_json (f : Triage.finding) =
-  Printf.sprintf
-    "    { \"issue\": \"%s\", \"rule\": \"%s\", \"class\": \"%s\", \
-     \"method\": \"%s\", \"sink\": \"%s\", \"qualifier\": \"%s\" }"
-    (json_escape f.Triage.f_issue) (json_escape f.Triage.f_rule)
-    (json_escape f.Triage.f_class) (json_escape f.Triage.f_meth)
-    (json_escape f.Triage.f_sink)
-    (Triage.qual_name f.Triage.f_qual)
-
-(* issues + the supervisor's diagnostics block; [builder] is absent exactly
-   when no attempt completed, in which case the report has no issues.
-   [completed] (the successful attempt, when there is one) contributes the
-   per-phase wall-clock breakdown. *)
-let emit_json ?builder ?completed (outcome : Supervisor.outcome)
-    (report : Report.t) =
-  let issues =
-    match builder with Some b -> issues_json b report | None -> ""
-  in
-  let timing =
-    match (completed : Taj.completed option) with
-    | None -> ""
-    | Some c ->
-      Printf.sprintf
-        "  \"phases\": { \"frontend\": %.3f, \"pointer\": %.3f, \
-         \"sdg\": %.3f, \"taint\": %.3f, \"total\": %.3f },\n"
-        c.Taj.times.Taj.t_frontend c.Taj.times.Taj.t_pointer
-        c.Taj.times.Taj.t_sdg c.Taj.times.Taj.t_taint c.Taj.times.Taj.t_total
-  in
+(* The report as one JSON line; its metrics block is admin
+   metrics.json's object. *)
+let emit_json outcome =
   let metrics =
     if Obs.Telemetry.enabled () then
-      Printf.sprintf "  \"metrics\": %s,\n" (Obs.Telemetry.metrics_json ())
-    else ""
+      Some (Obs.Export.json_of (Obs.Telemetry.metrics ()))
+    else None
   in
-  (* always present, null when refinement did not run — failure paths
-     included, so consumers can branch on it unconditionally *)
-  let refined =
-    match completed with
-    | Some c ->
-      (match c.Taj.outcome.Engine.refined with
-       | Some rf ->
-         Printf.sprintf
-           "  \"refined\": { \"confirmed\": %d, \"plausible\": %d, \
-            \"replay_steps\": %d, \"heap_transitions\": %d, \
-            \"widened\": %d, \"budget_demotions\": %d },\n"
-           rf.Engine.rf_confirmed rf.Engine.rf_plausible rf.Engine.rf_steps
-           rf.Engine.rf_heap_transitions rf.Engine.rf_widened
-           rf.Engine.rf_budget
-       | None -> "  \"refined\": null,\n")
-    | None -> "  \"refined\": null,\n"
-  in
-  (* present exactly when the run answered at the type-triage rung zero:
-     type-level findings, no flow paths *)
-  let triage_block =
-    match outcome.Supervisor.sv_triage with
-    | None -> ""
-    | Some v ->
-      Printf.sprintf
-        "  \"triage\": { \"verdict\": \"type_only\", \"findings\": \
-         [\n%s\n  ] },\n"
-        (String.concat ",\n"
-           (List.map triage_finding_json (Triage.findings v)))
-  in
-  Printf.printf
-    "{\n\
-    \  \"issues\": [\n%s\n  ],\n\
-    \  \"completeness\": \"%s\",\n\
-     %s%s%s%s\
-    \  \"diagnostics\": [\n%s\n  ],\n\
-    \  \"attempts\": [\n%s\n  ]\n\
-     }\n"
-    issues
-    (match report.Report.completeness with
-     | Report.Complete -> "complete"
-     | Report.Partial _ -> "partial"
-     | Report.Type_only _ -> "type_only")
-    timing refined triage_block metrics
-    (String.concat ",\n"
-       (List.map degradation_json outcome.Supervisor.sv_diagnostics))
-    (String.concat ",\n"
-       (List.map attempt_json outcome.Supervisor.sv_attempts))
+  print_endline (Obs.Json.to_string (Supervisor.json ?metrics outcome))
 
 let analyze_cmd =
   let json =
@@ -464,7 +297,7 @@ let analyze_cmd =
               sv_attempts = [];
               sv_elapsed = 0.0 }
           in
-          emit_json outcome outcome.Supervisor.sv_report
+          emit_json outcome
         end;
         telemetry_export ~trace ~metrics;
         exit 6
@@ -490,7 +323,7 @@ let analyze_cmd =
       (* the run answered at rung zero — requested (--triage) or after
          every slicing rung failed: type-level findings, no flow paths *)
       let findings = Triage.findings v in
-      if json then emit_json outcome outcome.Supervisor.sv_report
+      if json then emit_json outcome
       else begin
         Printf.printf
           "TYPE_ONLY RESULT — type-qualifier triage, no flow paths (%d \
@@ -514,14 +347,14 @@ let analyze_cmd =
       List.iter
         (fun d -> Fmt.epr "  %a@." Diagnostics.pp_degradation d)
         degradations;
-      if json then emit_json outcome outcome.Supervisor.sv_report;
+      if json then emit_json outcome;
       exit 1
     | Some { Taj.result = Taj.Did_not_complete reason; _ } ->
       Printf.eprintf "analysis did not complete: %s\n" reason;
       List.iter
         (fun d -> Fmt.epr "  %a@." Diagnostics.pp_degradation d)
         degradations;
-      if json then emit_json outcome outcome.Supervisor.sv_report;
+      if json then emit_json outcome;
       exit 3
     | Some ({ Taj.result = Taj.Completed c; _ } as analysis) ->
       if stats then begin
@@ -557,15 +390,14 @@ let analyze_cmd =
           degradations
       end;
       if json then
-        emit_json ~builder:c.Taj.builder ~completed:c outcome c.Taj.report
+        emit_json outcome
       else begin
         Fmt.pr "%a@." (Report.pp c.Taj.builder) c.Taj.report;
         (* string-context diagnostics where a template is recoverable *)
         List.iter
           (fun ir ->
              match
-               String_context.diagnose c.Taj.builder
-                 ir.Report.ir_representative
+               Sanitize.diagnose c.Taj.builder ir.Report.ir_representative
              with
              | Some d ->
                Fmt.pr "  context [%s]: %s@."
@@ -1470,7 +1302,7 @@ let top_cmd =
                "Render a single frame without clearing the screen and \
                 exit; for scripts and CI.")
   in
-  let module J = Serve.Json in
+  let module J = Obs.Json in
   let jint k j = Option.value ~default:0 (J.int_member k j) in
   let jnum k j = Option.value ~default:0.0 (J.num_member k j) in
   (* previous (time, completed) sample, for the throughput estimate *)
@@ -1576,7 +1408,7 @@ let top_cmd =
                     completed %d  p99 %dms  rung %s"
                 (jint "worker" w) up (jint "pid" w) (jint "spawns" w)
                 (jint "queue_depth" wh) (jint "completed" wh)
-                (jint "latency_p99" wh)
+                (jint "latency_ms_p99" wh)
                 (match J.str_member "rung" wh with
                  | Some r when r <> "" -> r
                  | _ -> string_of_int (jint "pressure" wh))

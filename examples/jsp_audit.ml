@@ -40,7 +40,7 @@ let () =
     List.iter
       (fun ir ->
          match
-           String_context.diagnose c.Taj.builder ir.Report.ir_representative
+           Sanitize.diagnose c.Taj.builder ir.Report.ir_representative
          with
          | Some d ->
            Fmt.pr "context [%s]: %s@." (Rules.issue_name ir.Report.ir_issue) d

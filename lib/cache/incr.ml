@@ -310,8 +310,9 @@ let entry_of (c : Core.Taj.completed) =
 
 (* The one rule for what a finished run stores. [entry] gives a clean
    run's report; [supervised] passes the one it already rendered for its
-   own outcome, so no run renders twice. *)
-let store_clean s ~rules ~config input (sv : Core.Supervisor.outcome) ~entry =
+   own outcome, so no run renders twice. [key] is the raw key the caller
+   looked up, so no run digests its input twice. *)
+let store_clean s ~rules ~config ~key (sv : Core.Supervisor.outcome) ~entry =
   let results =
     match sv.Core.Supervisor.sv_analysis with
     | Some { Core.Taj.result = Core.Taj.Completed c; loaded; _ }
@@ -320,14 +321,13 @@ let store_clean s ~rules ~config input (sv : Core.Supervisor.outcome) ~entry =
       let cr = entry c in
       List.map
         (fun key -> (key, cr))
-        (result_key ~rules ~config input
-         :: Option.to_list (ast_result_key ~rules ~config ~loaded s))
+        (key :: Option.to_list (ast_result_key ~rules ~config ~loaded s))
     | _ -> []
   in
   commit ~results s
 
-let finish s ~rules ~config input sv =
-  store_clean s ~rules ~config input sv ~entry:entry_of
+let finish s ~rules ~config ~key sv =
+  store_clean s ~rules ~config ~key sv ~entry:entry_of
 
 (* ------------------------------------------------------------------ *)
 (* Cached supervised analysis                                         *)
@@ -348,6 +348,7 @@ let from_cache ~diags (cr : cached_result) =
     i_partial = false; i_from_cache = true; i_supervisor = None;
     i_diags = diags }
 
+(* [session] is the store with the raw key the run was looked up by. *)
 let supervised ?loaded ~session ~diags ~rules ~options ~config
     (input : Core.Taj.input) : outcome =
   let sv = Core.Supervisor.run ~rules ~options ~config ?loaded input in
@@ -358,7 +359,8 @@ let supervised ?loaded ~session ~diags ~rules ~options ~config
     | _ -> ({ cr_report = ""; cr_issues = 0; cr_flows = 0 }, true)
   in
   Option.iter
-    (fun s -> store_clean s ~rules ~config input sv ~entry:(fun _ -> cr))
+    (fun (s, key) ->
+       store_clean s ~rules ~config ~key sv ~entry:(fun _ -> cr))
     session;
   { i_report = cr.cr_report; i_issues = cr.cr_issues; i_flows = cr.cr_flows;
     i_partial = partial; i_from_cache = false; i_supervisor = Some sv;
@@ -404,5 +406,5 @@ let analyze ?cache ?(rules = Core.Rules.default_rules)
          commit ~results:[ (raw_key, cr) ] s;
          from_cache ~diags cr
        | None ->
-         supervised ?loaded ~session:(Some s) ~diags ~rules ~options
-           ~config input)
+         supervised ?loaded ~session:(Some (s, raw_key)) ~diags ~rules
+           ~options ~config input)

@@ -121,14 +121,15 @@ val commit :
 (** Render a report exactly as the result tier stores it. *)
 val render_report : Sdg.Builder.t -> Core.Report.t -> string
 
-(** End the session after a supervised run of [input] under [rules] and
-    [config]. A clean run (completed, complete report, no supervisor
-    diagnostics) stores its rendered report under its raw key and, when
-    the load defined one, its AST key; every other run stores no result.
-    Either way the store is persisted ({!commit}). *)
+(** End the session after a supervised run under [rules] and [config]
+    that was looked up by the raw key [key] (its input's {!raw_key}). A
+    clean run (completed, complete report, no supervisor diagnostics)
+    stores its rendered report under [key] and, when the load defined
+    one, its AST key; every other run stores no result. Either way the
+    store is persisted ({!commit}). *)
 val finish :
   session -> rules:Core.Rules.rule list -> config:Core.Config.t ->
-  Core.Taj.input -> Core.Supervisor.outcome -> unit
+  key:string -> Core.Supervisor.outcome -> unit
 
 type outcome = {
   i_report : string;          (** rendered report ("" if none) *)

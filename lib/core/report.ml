@@ -1,6 +1,7 @@
 (** Consumable reports: LCP-deduplicated issues with witness paths. *)
 
 open Jir
+module Json = Obs.Json
 
 type issue_report = {
   ir_issue : Rules.issue;
@@ -136,6 +137,45 @@ let pp_issue_report (b : Sdg.Builder.t) ppf (ir : issue_report) =
   Fmt.pf ppf "@[<v2>witness:@,%a@]@]"
     (Fmt.list ~sep:Fmt.cut (pp_stmt b))
     ir.ir_representative.Flows.fl_path
+
+(** One issue as an entry of [taj analyze --json]'s [issues]: the
+    statements as {!pp_stmt} prints them, [null] where the text report
+    prints nothing. *)
+let issue_json (b : Sdg.Builder.t) (ir : issue_report) =
+  let stmt s = Json.Str (Fmt.str "%a" (pp_stmt b) s) in
+  let or_null f = function Some v -> f v | None -> Json.Null in
+  let classed name fields = Json.Obj (("class", Json.Str name) :: fields) in
+  Json.Obj
+    [ ("issue", Json.Str (Rules.issue_name ir.ir_issue));
+      ("flows", Json.int ir.ir_flow_count);
+      ("sink", stmt ir.ir_representative.Flows.fl_sink);
+      ("verdict",
+       or_null
+         (fun v ->
+            classed (Sdg.Refine.verdict_name v)
+              (match v with
+               | Sdg.Refine.Confirmed -> []
+               | Sdg.Refine.Plausible r ->
+                 [ ("reason", Json.Str (Sdg.Refine.reason_name r)) ]))
+         ir.ir_verdict);
+      ("sanitization",
+       or_null
+         (fun v ->
+            classed (Strings.Context.verdict_name v)
+              ((match v with
+                | Strings.Context.Mismatched_sanitizer { applied; required } ->
+                  [ ("applied",
+                     Json.Arr (List.map (fun id -> Json.Str id) applied));
+                    ("required", Json.Str (Strings.Context.name required)) ]
+                | Strings.Context.Sanitized | Strings.Context.Unsanitized -> [])
+               @ [ ("template",
+                    or_null
+                      (fun t -> Json.Str (Fmt.str "%a" Strings.Template.pp t))
+                      ir.ir_template) ]))
+         ir.ir_sanitization);
+      ("remediation", or_null stmt ir.ir_lcp);
+      ("witness",
+       Json.Arr (List.map stmt ir.ir_representative.Flows.fl_path)) ]
 
 (** The (mismatched-sanitizer, unsanitized) counts read back from a
     rendering's first line, the header {!pp} writes; [None] when the

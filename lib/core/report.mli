@@ -55,6 +55,11 @@ val pp_stmt : Sdg.Builder.t -> Format.formatter -> Sdg.Stmt.t -> unit
 val pp_issue_report : Sdg.Builder.t -> Format.formatter -> issue_report -> unit
 val pp : Sdg.Builder.t -> Format.formatter -> t -> unit
 
+(** One issue as an entry of [taj analyze --json]'s [issues] array:
+    issue, flows, sink, verdict, sanitization, remediation and witness,
+    statements printed by {!pp_stmt}. *)
+val issue_json : Sdg.Builder.t -> issue_report -> Obs.Json.t
+
 (** {!sanitization_counts} read back from the header line {!pp} writes
     first: the result tier keeps the rendering, not the report. *)
 val read_sanitization_counts : string -> (int * int) option

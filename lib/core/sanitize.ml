@@ -79,6 +79,33 @@ let required_context (issue : Rules.issue) (tpl : Template.t option) :
   | Rules.Command_injection -> Context.Shell
   | Rules.Info_leak -> Context.Unknown
 
+(** One-line diagnostic of the sink's syntactic context for a reported
+    flow (the [context [...]] lines of [taj analyze]), or [None] when no
+    template is recoverable. The template is the judge's when it ran,
+    else reconstructed by {!Strings.Summary}. *)
+let diagnose (b : Sdg.Builder.t) (fl : Flows.t) : string option =
+  let tpl =
+    match fl.Flows.fl_template with
+    | Some t -> Some t
+    | None ->
+      Strings.Summary.sink_template (Strings.Summary.make b)
+        ~path:fl.Flows.fl_path ~sink:fl.Flows.fl_sink
+  in
+  Option.map
+    (fun t ->
+       let issue = fl.Flows.fl_rule.Rules.issue in
+       let value = Fmt.str "sink value: %a" Template.pp t in
+       match required_context issue (Some t), issue with
+       | Context.Html_text, _ -> "HTML text context; " ^ value
+       | Context.Html_attribute, _ -> "HTML attribute context; " ^ value
+       | Context.Sql_quoted, _ -> "quoted SQL string position; " ^ value
+       | Context.Sql_raw, _ ->
+         "raw SQL position (numeric/keyword injection); " ^ value
+       | _, Rules.Xss -> "unknown HTML context; " ^ value
+       | _, Rules.Sqli -> "unknown SQL position; " ^ value
+       | _ -> value)
+    tpl
+
 let verdict (effects : Effects.table) ~(applied : string list)
     ~(required : Context.t) : Context.verdict =
   if applied = [] then Context.Unsanitized

@@ -21,6 +21,11 @@ val applied_on_path :
 val required_context :
   Rules.issue -> Strings.Template.t option -> Strings.Context.t
 
+(** One-line diagnostic of the sink's syntactic context for a reported
+    flow, from {!required_context} (the [context [...]] lines of
+    [taj analyze]); [None] when no template is recoverable. *)
+val diagnose : Sdg.Builder.t -> Flows.t -> string option
+
 (** Judge one (applied, required) pair against an effect table. *)
 val verdict :
   Strings.Effects.table ->

@@ -13,6 +13,8 @@
     returns a value: at worst an empty partial report whose diagnostics say
     why. *)
 
+module Json = Obs.Json
+
 type options = {
   deadline : float option;    (** wall-clock seconds for the whole run *)
   degrade : bool;             (** walk the ladder on budget exhaustion *)
@@ -52,6 +54,94 @@ let completed_report (outcome : outcome) =
   | _ -> None
 
 let degraded outcome = outcome.sv_diagnostics <> []
+
+(** The [taj analyze --json] document. Key order and presence: [issues]
+    and [completeness]; [phases] when an attempt completed; [refined]
+    always, [null] unless refinement ran; [triage] when rung zero
+    answered; [metrics] when given; [diagnostics] and [attempts].
+    Wall-clock values are rounded to the millisecond. *)
+let json ?metrics (o : outcome) =
+  let str s = Json.Str s in
+  let completed =
+    match o.sv_analysis with
+    | Some { Taj.result = Taj.Completed c; _ } -> Some c
+    | _ -> None
+  in
+  let report = o.sv_report in
+  Json.Obj
+    ([ ("issues",
+        Json.Arr
+          (match completed with
+           | Some c ->
+             List.map (Report.issue_json c.Taj.builder) report.Report.issues
+           | None -> []));
+       ("completeness",
+        str
+          (match report.Report.completeness with
+           | Report.Complete -> "complete"
+           | Report.Partial _ -> "partial"
+           | Report.Type_only _ -> "type_only")) ]
+     @ (match completed with
+        | Some c ->
+          let t = c.Taj.times in
+          [ ("phases",
+             Json.Obj
+               [ ("frontend", Json.seconds t.Taj.t_frontend);
+                 ("pointer", Json.seconds t.Taj.t_pointer);
+                 ("sdg", Json.seconds t.Taj.t_sdg);
+                 ("taint", Json.seconds t.Taj.t_taint);
+                 ("total", Json.seconds t.Taj.t_total) ]) ]
+        | None -> [])
+     @ [ ("refined",
+          match
+            Option.bind completed (fun c -> c.Taj.outcome.Engine.refined)
+          with
+          | Some rf ->
+            Json.Obj
+              [ ("confirmed", Json.int rf.Engine.rf_confirmed);
+                ("plausible", Json.int rf.Engine.rf_plausible);
+                ("replay_steps", Json.int rf.Engine.rf_steps);
+                ("heap_transitions", Json.int rf.Engine.rf_heap_transitions);
+                ("widened", Json.int rf.Engine.rf_widened);
+                ("budget_demotions", Json.int rf.Engine.rf_budget) ]
+          | None -> Json.Null) ]
+     @ (match o.sv_triage with
+        | Some v ->
+          let finding (f : Triage.finding) =
+            Json.Obj
+              [ ("issue", str f.Triage.f_issue);
+                ("rule", str f.Triage.f_rule);
+                ("class", str f.Triage.f_class);
+                ("method", str f.Triage.f_meth);
+                ("sink", str f.Triage.f_sink);
+                ("qualifier", str (Triage.qual_name f.Triage.f_qual)) ]
+          in
+          [ ("triage",
+             Json.Obj
+               [ ("verdict", str "type_only");
+                 ("findings",
+                  Json.Arr (List.map finding (Triage.findings v))) ]) ]
+        | None -> [])
+     @ (match metrics with Some m -> [ ("metrics", m) ] | None -> [])
+     @ [ ("diagnostics",
+          Json.Arr
+            (List.map
+               (fun d ->
+                  Json.Obj
+                    [ ("kind", str (Diagnostics.kind_name d));
+                      ("detail",
+                       str (Fmt.str "%a" Diagnostics.pp_degradation d)) ])
+               o.sv_diagnostics));
+         ("attempts",
+          Json.Arr
+            (List.map
+               (fun a ->
+                  Json.Obj
+                    [ ("algorithm", str (Config.algorithm_name a.at_algorithm));
+                      ("scale", Json.Num a.at_scale);
+                      ("outcome", str a.at_outcome);
+                      ("seconds", Json.seconds a.at_seconds) ])
+               o.sv_attempts)) ])
 
 (** Did the run end on rung zero (a triage-only answer)? *)
 let type_only outcome = outcome.sv_triage <> None

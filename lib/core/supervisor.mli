@@ -54,6 +54,14 @@ val completed_report : outcome -> Report.t option
 (** [true] iff anything at all went wrong (= diagnostics are non-empty). *)
 val degraded : outcome -> bool
 
+(** The [taj analyze --json] document: [issues] ({!Report.issue_json}),
+    [completeness], [phases] when an attempt completed, [refined]
+    ([null] unless refinement ran), [triage] when rung zero answered,
+    [metrics] when given (the CLI passes {!Obs.Export.json_of} of the
+    registry), [diagnostics] and [attempts], in that order. Wall-clock
+    values are rounded to the millisecond. *)
+val json : ?metrics:Obs.Json.t -> outcome -> Obs.Json.t
+
 (** Did the run end on rung zero (a triage-only answer)? *)
 val type_only : outcome -> bool
 

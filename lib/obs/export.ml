@@ -1,5 +1,5 @@
 (* Live renderings of the Telemetry registry: Prometheus text
-   exposition and one-line JSON for the admin socket, plus the metric
+   exposition and a JSON object for the admin socket, plus the metric
    merge used by the cluster coordinator to aggregate per-worker
    snapshots. *)
 
@@ -72,33 +72,32 @@ let prometheus_of snapshot =
 
 let prometheus () = prometheus_of (Telemetry.metrics ())
 
-(** One-line JSON object of a metrics snapshot: counters and gauges as
+(** A metrics snapshot as one JSON object: counters and gauges as
     numbers, histograms as objects with count/sum/max/quantiles and the
-    sparse log2 buckets. Suitable as an NDJSON admin reply. *)
+    sparse log2 buckets. The admin [metrics.json] reply and the
+    [metrics] block of [taj analyze --json]. *)
 let json_of snapshot =
-  let field (name, v) =
-    let key = Printf.sprintf "\"%s\"" (Telemetry.json_escape name) in
-    match v with
-    | Telemetry.V_counter n | Telemetry.V_gauge n ->
-      Printf.sprintf "%s:%d" key n
-    | Telemetry.V_histogram h ->
-      Printf.sprintf
-        "%s:{\"count\":%d,\"sum\":%d,\"max\":%d,%s,\"buckets\":[%s]}" key
-        h.Telemetry.hs_count h.Telemetry.hs_sum h.Telemetry.hs_max
-        (String.concat ","
-           (List.map
-              (fun (label, q) ->
-                Printf.sprintf "\"%s\":%d" label
-                  (Telemetry.snapshot_quantile h q))
-              quantile_levels))
-        (String.concat ","
-           (List.map
-              (fun (lo, n) -> Printf.sprintf "[%d,%d]" lo n)
-              h.Telemetry.hs_buckets))
-  in
-  "{" ^ String.concat "," (List.map field snapshot) ^ "}"
-
-let json () = json_of (Telemetry.metrics ())
+  Json.Obj
+    (List.map
+       (fun (name, v) ->
+         ( name,
+           match v with
+           | Telemetry.V_counter n | Telemetry.V_gauge n -> Json.int n
+           | Telemetry.V_histogram h ->
+             Json.Obj
+               ([ ("count", Json.int h.Telemetry.hs_count);
+                  ("sum", Json.int h.Telemetry.hs_sum);
+                  ("max", Json.int h.Telemetry.hs_max) ]
+                @ List.map
+                    (fun (label, q) ->
+                      (label, Json.int (Telemetry.snapshot_quantile h q)))
+                    quantile_levels
+                @ [ ("buckets",
+                     Json.Arr
+                       (List.map
+                          (fun (lo, n) -> Json.Arr [ Json.int lo; Json.int n ])
+                          h.Telemetry.hs_buckets)) ]) ))
+       snapshot)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                        *)

@@ -1,5 +1,5 @@
 (** Live exports of the {!Telemetry} registry for the admin channel:
-    Prometheus text exposition, one-line JSON, cross-process merging,
+    Prometheus text exposition, a JSON object, cross-process merging,
     and exact sample percentiles.
 
     All functions here only {e read} metric cells (single atomic loads),
@@ -22,11 +22,11 @@ val prometheus_of : (string * Telemetry.value) list -> string
 
 val prometheus : unit -> string
 
-val json_of : (string * Telemetry.value) list -> string
-(** One-line JSON object: counters/gauges as numbers, histograms as
-    [{count, sum, max, p50, p95, p99, buckets}]. *)
-
-val json : unit -> string
+val json_of : (string * Telemetry.value) list -> Json.t
+(** One JSON object: counters/gauges as numbers, histograms as
+    [{count, sum, max, p50, p95, p99, buckets}]. The admin
+    [metrics.json] reply and the [metrics] block of
+    [taj analyze --json]. *)
 
 val merge :
   (string * Telemetry.value) list list -> (string * Telemetry.value) list

@@ -81,29 +81,13 @@ let close () =
       sink := None;
       Atomic.set active_flag false)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render ~level ~fields event =
   let buf = Buffer.create 128 in
   Buffer.add_string buf
     (Printf.sprintf "{\"seq\":%d,\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\""
        (Atomic.fetch_and_add seq 1)
        (Unix.gettimeofday ())
-       (level_name level) (json_escape event));
+       (level_name level) (Json.escape event));
   let add (k, v) =
     (* A field may shadow nothing structural: seq/ts/level/event are
        reserved and skipped to keep lines parseable. *)
@@ -111,7 +95,7 @@ let render ~level ~fields event =
     | "seq" | "ts" | "level" | "event" -> ()
     | _ ->
       Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
+        (Printf.sprintf ",\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
   in
   List.iter add !context;
   List.iter add fields;

@@ -59,5 +59,3 @@ val emit_instant : string -> (string * string) list -> unit
     otherwise debug). No-op (one atomic load) when no sink is set. *)
 
 val level_of_event : string -> level
-
-val json_escape : string -> string

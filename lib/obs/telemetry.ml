@@ -390,27 +390,15 @@ let reset () =
 (* Export: Chrome trace JSON                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* Trace events are printed straight into their format, not built as
+   [Json.t] values: a cluster worker writes a flight snapshot for every
+   job, so this path runs per job. *)
 let args_json args =
   "{"
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-            Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
+            Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
          args)
   ^ "}"
 
@@ -420,13 +408,13 @@ let event_json ev =
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":1,\
        \"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":%s}"
-      (json_escape ev.ev_name) ev.ev_tid ev.ev_ts ev.ev_dur
+      (Json.escape ev.ev_name) ev.ev_tid ev.ev_ts ev.ev_dur
       (args_json ev.ev_args)
   | Instant ->
     Printf.sprintf
       "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\
        \"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
-      (json_escape ev.ev_name) ev.ev_tid ev.ev_ts (args_json ev.ev_args)
+      (Json.escape ev.ev_name) ev.ev_tid ev.ev_ts (args_json ev.ev_args)
 
 (** The recorded events as a Chrome trace-event JSON document (the
     [chrome://tracing] / Perfetto format): one [pid], one [tid] track per
@@ -528,22 +516,3 @@ let pp_metrics ppf () =
   Format.fprintf ppf "@[<v>";
   List.iter pp_one (metrics ());
   Format.fprintf ppf "@]"
-
-(** The metrics snapshot as a JSON object string (the machine-readable
-    block embedded in the CLI's [--json] report). *)
-let metrics_json () =
-  let field (name, v) =
-    match v with
-    | V_counter n -> Printf.sprintf "    \"%s\": %d" (json_escape name) n
-    | V_gauge n -> Printf.sprintf "    \"%s\": %d" (json_escape name) n
-    | V_histogram h ->
-      Printf.sprintf
-        "    \"%s\": { \"count\": %d, \"sum\": %d, \"max\": %d, \
-         \"buckets\": [%s] }"
-        (json_escape name) h.hs_count h.hs_sum h.hs_max
-        (String.concat ", "
-           (List.map
-              (fun (lo, n) -> Printf.sprintf "[%d, %d]" lo n)
-              h.hs_buckets))
-  in
-  "{\n" ^ String.concat ",\n" (List.map field (metrics ())) ^ "\n  }"

@@ -168,7 +168,3 @@ val write_flight : string -> unit
 val pp_metrics : Format.formatter -> unit -> unit
 (** Human-readable metrics table (the [--metrics] stderr report);
     histogram rows include p50/p95/p99. *)
-
-val metrics_json : unit -> string
-
-val json_escape : string -> string

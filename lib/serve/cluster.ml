@@ -35,6 +35,7 @@
     startup but at every respawn. *)
 
 open Core
+module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                      *)
@@ -907,38 +908,36 @@ let health t =
 let clean_drain h = h.ch_shed = 0 && h.ch_rejected_full = 0
 
 let health_json (h : health) =
-  let num n = Json.Num (float_of_int n) in
-  Json.to_string
-    (Json.Obj
-       [ ("event", Json.Str "health");
-         ("cluster", num h.ch_size);
-         ("uptime", Json.Num (Float.round (h.ch_uptime *. 1000.) /. 1000.));
-         ("submitted", num h.ch_submitted);
-         ("completed", num h.ch_completed);
-         ("degraded", num h.ch_degraded);
-         ("failed", num h.ch_failed);
-         ("rejected", num h.ch_rejected);
-         ("shed", num h.ch_shed);
-         ("rejected_full", num h.ch_rejected_full);
-         ("worker_crashes", num h.ch_crashes);
-         ("worker_respawns", num h.ch_respawns);
-         ("jobs_rerouted", num h.ch_rerouted);
-         ("jobs_crash_failed", num h.ch_crash_failed);
-         ("clean_drain", Json.Bool (clean_drain h));
-         ("workers",
-          Json.Arr
-            (List.map
-               (fun w ->
-                  Json.Obj
-                    ([ ("worker", num w.wh_index);
-                       ("pid", num w.wh_pid);
-                       ("up", Json.Bool w.wh_up);
-                       ("spawns", num w.wh_spawns) ]
-                     @
-                     match w.wh_health with
-                     | None -> []
-                     | Some h -> [ ("health", Proto.health_json h) ]))
-               h.ch_workers)) ])
+  Json.Obj
+    [ ("event", Json.Str "health");
+      ("cluster", Json.int h.ch_size);
+      ("uptime", Json.seconds h.ch_uptime);
+      ("submitted", Json.int h.ch_submitted);
+      ("completed", Json.int h.ch_completed);
+      ("degraded", Json.int h.ch_degraded);
+      ("failed", Json.int h.ch_failed);
+      ("rejected", Json.int h.ch_rejected);
+      ("shed", Json.int h.ch_shed);
+      ("rejected_full", Json.int h.ch_rejected_full);
+      ("worker_crashes", Json.int h.ch_crashes);
+      ("worker_respawns", Json.int h.ch_respawns);
+      ("jobs_rerouted", Json.int h.ch_rerouted);
+      ("jobs_crash_failed", Json.int h.ch_crash_failed);
+      ("clean_drain", Json.Bool (clean_drain h));
+      ("workers",
+       Json.Arr
+         (List.map
+            (fun w ->
+               Json.Obj
+                 ([ ("worker", Json.int w.wh_index);
+                    ("pid", Json.int w.wh_pid);
+                    ("up", Json.Bool w.wh_up);
+                    ("spawns", Json.int w.wh_spawns) ]
+                  @
+                  match w.wh_health with
+                  | None -> []
+                  | Some h -> [ ("health", Service.health_json h) ]))
+            h.ch_workers)) ]
 
 let events t =
   Mutex.lock t.diag_lock;

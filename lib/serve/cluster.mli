@@ -115,7 +115,9 @@ val health : t -> health
     away by a full queue. Crash recovery does not make a drain unclean. *)
 val clean_drain : health -> bool
 
-val health_json : health -> string
+(** The cluster's health object; each worker's block carries its
+    snapshot as {!Service.health_json} writes it. *)
+val health_json : health -> Obs.Json.t
 
 (** Coordinator-level lifecycle diagnostics, in arrival order. *)
 val events : t -> Core.Diagnostics.degradation list

@@ -25,6 +25,8 @@
     - [Log_line]: worker → coordinator, one pre-rendered NDJSON log line
       forwarded to the coordinator's sink so one merged stream exists. *)
 
+module Json = Obs.Json
+
 type msg =
   | Job of Service.request
   | Result of Service.response
@@ -42,155 +44,27 @@ type msg =
 let max_frame = 64 * 1024 * 1024
 
 (* ------------------------------------------------------------------ *)
-(* JSON codecs                                                        *)
+(* The message envelope: a type tag over the service's record codecs  *)
 (* ------------------------------------------------------------------ *)
-
-let num n = Json.Num (float_of_int n)
-
-let opt_str k = function
-  | Some s -> [ (k, Json.Str s) ]
-  | None -> []
-
-let opt_num k = function
-  | Some f -> [ (k, Json.Num f) ]
-  | None -> []
-
-let request_json (rq : Service.request) =
-  Json.Obj
-    ([ ("id", Json.Str rq.rq_id) ]
-     @ opt_str "app" rq.rq_app
-     @ opt_str "source" rq.rq_source
-     @ [ ("descriptor", Json.Str rq.rq_descriptor);
-         ("algorithm",
-          Json.Str (Core.Config.algorithm_name rq.rq_algorithm));
-         ("scale", Json.Num rq.rq_scale) ]
-     @ opt_num "deadline" rq.rq_deadline
-     @ [ ("priority", num rq.rq_priority) ]
-     @ (if rq.Service.rq_contexts then [ ("contexts", Json.Bool true) ]
-        else []))
-
-let status_of_string = function
-  | "completed" -> Ok Service.Completed
-  | "degraded" -> Ok Service.Degraded
-  | "rejected" -> Ok Service.Rejected
-  | "failed" -> Ok Service.Failed
-  | other -> Error (Printf.sprintf "unknown status %S" other)
-
-let response_json (r : Service.response) =
-  Json.Obj
-    ([ ("id", Json.Str r.rp_id);
-       ("status", Json.Str (Service.status_name r.rp_status));
-       ("reason", Json.Str r.rp_reason) ]
-     @ (match r.rp_verdict with
-        | Some v -> [ ("verdict", Json.Str v) ]
-        | None -> [])
-     @ (match r.rp_mismatched with
-        | Some n -> [ ("mismatched", num n) ]
-        | None -> [])
-     @ [ ("issues", num r.rp_issues);
-         ("attempts", num r.rp_attempts);
-         ("degradations", num r.rp_degradations);
-         ("seconds", Json.Num r.rp_seconds) ])
-
-let response_of_json j : (Service.response, string) result =
-  match Json.str_member "id" j, Json.str_member "status" j with
-  | None, _ -> Error "result: missing id"
-  | _, None -> Error "result: missing status"
-  | Some id, Some status_s ->
-    (match status_of_string status_s with
-     | Error e -> Error e
-     | Ok status ->
-       let int k = Option.value ~default:0 (Json.int_member k j) in
-       Ok
-         { Service.rp_id = id; rp_status = status;
-           rp_reason = Option.value ~default:"" (Json.str_member "reason" j);
-           rp_verdict = Json.str_member "verdict" j;
-           rp_issues = int "issues";
-           rp_attempts = int "attempts";
-           rp_degradations = int "degradations";
-           rp_seconds =
-             Option.value ~default:0.0 (Json.num_member "seconds" j);
-           rp_mismatched = Json.int_member "mismatched" j })
-
-let health_json (h : Service.health) =
-  Json.Obj
-    [ ("uptime", Json.Num h.h_uptime);
-      ("queue_depth", num h.h_queue_depth);
-      ("pressure", num h.h_pressure);
-      ("rung", Json.Str h.h_rung);
-      ("submitted", num h.h_submitted);
-      ("admitted", num h.h_admitted);
-      ("completed", num h.h_completed);
-      ("degraded", num h.h_degraded);
-      ("failed", num h.h_failed);
-      ("rejected_full", num h.h_rejected_full);
-      ("rejected_draining", num h.h_rejected_draining);
-      ("shed", num h.h_shed);
-      ("retries", num h.h_retries);
-      ("breaker_fast_fails", num h.h_breaker_fast_fails);
-      ("breaker_opens", num h.h_breaker_opens);
-      ("open_breakers",
-       Json.Arr (List.map (fun k -> Json.Str k) h.h_open_breakers));
-      ("events", num h.h_events);
-      ("latency_p50", num h.h_latency_p50);
-      ("latency_p95", num h.h_latency_p95);
-      ("latency_p99", num h.h_latency_p99);
-      ("cache_hits", num h.h_cache_hits);
-      ("cache_misses", num h.h_cache_misses) ]
-
-let health_of_json j : (Service.health, string) result =
-  let int k = Option.value ~default:0 (Json.int_member k j) in
-  match Json.num_member "uptime" j with
-  | None -> Error "health: missing uptime"
-  | Some uptime ->
-    Ok
-      { Service.h_uptime = uptime;
-        h_queue_depth = int "queue_depth";
-        h_pressure = int "pressure";
-        h_rung = Option.value ~default:"" (Json.str_member "rung" j);
-        h_submitted = int "submitted";
-        h_admitted = int "admitted";
-        h_completed = int "completed";
-        h_degraded = int "degraded";
-        h_failed = int "failed";
-        h_rejected_full = int "rejected_full";
-        h_rejected_draining = int "rejected_draining";
-        h_shed = int "shed";
-        h_retries = int "retries";
-        h_breaker_fast_fails = int "breaker_fast_fails";
-        h_breaker_opens = int "breaker_opens";
-        h_open_breakers =
-          (match Json.member "open_breakers" j with
-           | Some (Json.Arr vs) ->
-             List.filter_map
-               (function Json.Str s -> Some s | _ -> None)
-               vs
-           | _ -> []);
-        h_events = int "events";
-        h_latency_p50 = int "latency_p50";
-        h_latency_p95 = int "latency_p95";
-        h_latency_p99 = int "latency_p99";
-        h_cache_hits = int "cache_hits";
-        h_cache_misses = int "cache_misses" }
 
 (* Telemetry values, for the [Metrics] frame. Kind is a one-letter tag;
    histograms carry their sparse log2 buckets as [lo, count] pairs. *)
 let value_json (v : Obs.Telemetry.value) =
   match v with
   | Obs.Telemetry.V_counter n ->
-    Json.Obj [ ("k", Json.Str "c"); ("v", num n) ]
+    Json.Obj [ ("k", Json.Str "c"); ("v", Json.int n) ]
   | Obs.Telemetry.V_gauge n ->
-    Json.Obj [ ("k", Json.Str "g"); ("v", num n) ]
+    Json.Obj [ ("k", Json.Str "g"); ("v", Json.int n) ]
   | Obs.Telemetry.V_histogram h ->
     Json.Obj
       [ ("k", Json.Str "h");
-        ("count", num h.Obs.Telemetry.hs_count);
-        ("sum", num h.Obs.Telemetry.hs_sum);
-        ("max", num h.Obs.Telemetry.hs_max);
+        ("count", Json.int h.Obs.Telemetry.hs_count);
+        ("sum", Json.int h.Obs.Telemetry.hs_sum);
+        ("max", Json.int h.Obs.Telemetry.hs_max);
         ("buckets",
          Json.Arr
            (List.map
-              (fun (lo, n) -> Json.Arr [ num lo; num n ])
+              (fun (lo, n) -> Json.Arr [ Json.int lo; Json.int n ])
               h.Obs.Telemetry.hs_buckets)) ]
 
 let value_of_json j : (Obs.Telemetry.value, string) result =
@@ -240,12 +114,13 @@ let metrics_of_json j : ((string * Obs.Telemetry.value) list, string) result
   | _ -> Error "metrics: expected array"
 
 let msg_json = function
-  | Job rq -> Json.Obj [ ("t", Json.Str "job"); ("rq", request_json rq) ]
+  | Job rq ->
+    Json.Obj [ ("t", Json.Str "job"); ("rq", Service.request_json rq) ]
   | Result r ->
-    Json.Obj [ ("t", Json.Str "result"); ("rp", response_json r) ]
+    Json.Obj [ ("t", Json.Str "result"); ("rp", Service.response_json r) ]
   | Drain -> Json.Obj [ ("t", Json.Str "drain") ]
   | Health h ->
-    Json.Obj [ ("t", Json.Str "health"); ("h", health_json h) ]
+    Json.Obj [ ("t", Json.Str "health"); ("h", Service.health_json h) ]
   | Health_req -> Json.Obj [ ("t", Json.Str "health_req") ]
   | Metrics_req -> Json.Obj [ ("t", Json.Str "metrics_req") ]
   | Metrics kvs ->
@@ -267,11 +142,11 @@ let msg_of_json j : (msg, string) result =
       Result.map (fun r -> Job r) (Service.request_of_json rq))
   | Some "result" ->
     Result.bind (field "rp") (fun rp ->
-      Result.map (fun r -> Result r) (response_of_json rp))
+      Result.map (fun r -> Result r) (Service.response_of_json rp))
   | Some "drain" -> Ok Drain
   | Some "health" ->
     Result.bind (field "h") (fun h ->
-      Result.map (fun h -> Health h) (health_of_json h))
+      Result.map (fun h -> Health h) (Service.health_of_json h))
   | Some "health_req" -> Ok Health_req
   | Some "metrics_req" -> Ok Metrics_req
   | Some "metrics" ->

@@ -1,8 +1,9 @@
 (** Framed coordinator↔worker messages for the analysis cluster: 4-byte
-    big-endian length prefix + one JSON document per frame, over the
-    socketpair the coordinator shares with each forked worker. A frame
-    torn by a worker crash is detected and dropped; the job it carried
-    stays in flight on the coordinator side and is rerouted. *)
+    big-endian length prefix + one JSON document per frame (a type tag
+    around {!Service}'s record encoding), over the socketpair the
+    coordinator shares with each forked worker. A frame torn by a worker
+    crash is detected and dropped; the job it carried stays in flight on
+    the coordinator side and is rerouted. *)
 
 type msg =
   | Job of Service.request           (** coordinator → worker *)
@@ -37,12 +38,8 @@ val read_nonblock :
 (** Blocking variant for the worker's receive loop. *)
 val read_block : reader -> [ `Msg of msg | `Eof | `Error of string ]
 
-(** {1 JSON codecs} (exposed for tests) *)
+(** {1 Telemetry values} (the [Metrics] frame's codec; the request,
+    response and health records use {!Service}'s) *)
 
-val request_json : Service.request -> Json.t
-val response_json : Service.response -> Json.t
-val response_of_json : Json.t -> (Service.response, string) result
-val health_json : Service.health -> Json.t
-val health_of_json : Json.t -> (Service.health, string) result
-val value_json : Obs.Telemetry.value -> Json.t
-val value_of_json : Json.t -> (Obs.Telemetry.value, string) result
+val value_json : Obs.Telemetry.value -> Obs.Json.t
+val value_of_json : Obs.Json.t -> (Obs.Telemetry.value, string) result

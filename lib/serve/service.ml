@@ -25,6 +25,7 @@
     [rejected] or [failed] — delivered through its response callback. *)
 
 open Core
+module Json = Obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Protocol types                                                     *)
@@ -373,16 +374,19 @@ let execute t (job : job) : exec_outcome =
        an app at a new scale, on a result-tier miss, or when nothing is
        looked up *)
     let input = lazy (input_of rq subject) in
+    (* digested once: the lookup's key is the one a miss stores under *)
+    let key =
+      lazy
+        (Cache.Incr.raw_key ~rules:Rules.default_rules ~config
+           (input_digest t rq subject input))
+    in
     (* a memory-pressure run answers Degraded even when complete, so it
        neither consults nor feeds the result tier *)
     match
       if pressure > 0 then None
       else
         Option.bind session (fun s ->
-          Cache.Incr.lookup_result s
-            ~key:
-              (Cache.Incr.raw_key ~rules:Rules.default_rules ~config
-                 (input_digest t rq subject input)))
+          Cache.Incr.lookup_result s ~key:(Lazy.force key))
     with
     | exception e -> failed e
     | Some cr ->
@@ -409,7 +413,7 @@ let execute t (job : job) : exec_outcome =
              if pressure > 0 then Cache.Incr.commit s
              else
                Cache.Incr.finish s ~rules:Rules.default_rules ~config
-                 (Lazy.force input) outcome)
+                 ~key:(Lazy.force key) outcome)
           session;
         let degradations = List.length outcome.Supervisor.sv_diagnostics in
         (match outcome.Supervisor.sv_triage with
@@ -753,7 +757,7 @@ let events t =
     (fun () -> Diagnostics.events t.diagnostics)
 
 (* ------------------------------------------------------------------ *)
-(* Wire protocol                                                      *)
+(* Wire records: the one encoder and decoder of each                  *)
 (* ------------------------------------------------------------------ *)
 
 let algorithm_of_string = function
@@ -764,6 +768,19 @@ let algorithm_of_string = function
   | "ci" -> Ok Config.Ci_thin_slicing
   | "triage" -> Ok Config.Type_triage
   | other -> Error (Printf.sprintf "unknown algorithm %S" other)
+
+let request_json (rq : request) =
+  let opt k f = function Some v -> [ (k, f v) ] | None -> [] in
+  Json.Obj
+    ([ ("id", Json.Str rq.rq_id) ]
+     @ opt "app" (fun s -> Json.Str s) rq.rq_app
+     @ opt "source" (fun s -> Json.Str s) rq.rq_source
+     @ [ ("descriptor", Json.Str rq.rq_descriptor);
+         ("algorithm", Json.Str (Config.algorithm_name rq.rq_algorithm));
+         ("scale", Json.Num rq.rq_scale) ]
+     @ opt "deadline" (fun f -> Json.Num f) rq.rq_deadline
+     @ [ ("priority", Json.int rq.rq_priority) ]
+     @ if rq.rq_contexts then [ ("contexts", Json.Bool true) ] else [])
 
 let request_of_json (j : Json.t) : (request, string) result =
   match Json.str_member "id" j with
@@ -794,54 +811,111 @@ let request_of_json (j : Json.t) : (request, string) result =
     end
 
 let response_json (r : response) =
-  Json.to_string
-    (Json.Obj
-       ([ ("id", Json.Str r.rp_id);
-          ("status", Json.Str (status_name r.rp_status));
-          ("reason", Json.Str r.rp_reason) ]
-        @ (match r.rp_verdict with
-           | Some v -> [ ("verdict", Json.Str v) ]
-           | None -> [])
-        @ (match r.rp_mismatched with
-           | Some n -> [ ("mismatched", Json.Num (float_of_int n)) ]
-           | None -> [])
-        @ [ ("issues", Json.Num (float_of_int r.rp_issues));
-            ("attempts", Json.Num (float_of_int r.rp_attempts));
-            ("degradations", Json.Num (float_of_int r.rp_degradations));
-            ("seconds",
-             Json.Num (Float.round (r.rp_seconds *. 1000.) /. 1000.)) ]))
+  Json.Obj
+    ([ ("id", Json.Str r.rp_id);
+       ("status", Json.Str (status_name r.rp_status));
+       ("reason", Json.Str r.rp_reason) ]
+     @ (match r.rp_verdict with
+        | Some v -> [ ("verdict", Json.Str v) ]
+        | None -> [])
+     @ (match r.rp_mismatched with
+        | Some n -> [ ("mismatched", Json.int n) ]
+        | None -> [])
+     @ [ ("issues", Json.int r.rp_issues);
+         ("attempts", Json.int r.rp_attempts);
+         ("degradations", Json.int r.rp_degradations);
+         ("seconds", Json.seconds r.rp_seconds) ])
+
+let status_of_string = function
+  | "completed" -> Ok Completed
+  | "degraded" -> Ok Degraded
+  | "rejected" -> Ok Rejected
+  | "failed" -> Ok Failed
+  | other -> Error (Printf.sprintf "unknown status %S" other)
+
+let int_or_zero j k = Option.value ~default:0 (Json.int_member k j)
+
+let response_of_json j : (response, string) result =
+  match Json.str_member "id" j, Json.str_member "status" j with
+  | None, _ -> Error "result: missing id"
+  | _, None -> Error "result: missing status"
+  | Some id, Some status ->
+    Result.map
+      (fun rp_status ->
+         { rp_id = id; rp_status;
+           rp_reason = Option.value ~default:"" (Json.str_member "reason" j);
+           rp_verdict = Json.str_member "verdict" j;
+           rp_issues = int_or_zero j "issues";
+           rp_attempts = int_or_zero j "attempts";
+           rp_degradations = int_or_zero j "degradations";
+           rp_seconds =
+             Option.value ~default:0.0 (Json.num_member "seconds" j);
+           rp_mismatched = Json.int_member "mismatched" j })
+      (status_of_string status)
 
 let health_json (h : health) =
-  let num n = Json.Num (float_of_int n) in
-  Json.to_string
-    (Json.Obj
-       [ ("event", Json.Str "health");
-         ("uptime", Json.Num (Float.round (h.h_uptime *. 1000.) /. 1000.));
-         ("queue_depth", num h.h_queue_depth);
-         ("pressure", num h.h_pressure);
-         (* the watchdog pressure level selects the degradation-ladder
-            rung jobs currently run at; the rung is surfaced by name so
-            dashboards need no level-to-preset mapping *)
-         ("rung", Json.Str h.h_rung);
-         ("submitted", num h.h_submitted);
-         ("admitted", num h.h_admitted);
-         ("completed", num h.h_completed);
-         ("degraded", num h.h_degraded);
-         ("failed", num h.h_failed);
-         ("rejected_full", num h.h_rejected_full);
-         ("rejected_draining", num h.h_rejected_draining);
-         ("shed", num h.h_shed);
-         ("retries", num h.h_retries);
-         ("breaker_fast_fails", num h.h_breaker_fast_fails);
-         ("breaker_opens", num h.h_breaker_opens);
-         ("open_breakers",
-          Json.Arr (List.map (fun k -> Json.Str k) h.h_open_breakers));
-         ("latency_ms_p50", num h.h_latency_p50);
-         ("latency_ms_p95", num h.h_latency_p95);
-         ("latency_ms_p99", num h.h_latency_p99);
-         ("cache_hits", num h.h_cache_hits);
-         ("cache_misses", num h.h_cache_misses);
-         ("clean_drain", Json.Bool (clean_drain h)) ])
+  Json.Obj
+    [ ("event", Json.Str "health");
+      ("uptime", Json.seconds h.h_uptime);
+      ("queue_depth", Json.int h.h_queue_depth);
+      ("pressure", Json.int h.h_pressure);
+      (* the watchdog pressure level selects the degradation-ladder
+         rung jobs currently run at; the rung is surfaced by name so
+         dashboards need no level-to-preset mapping *)
+      ("rung", Json.Str h.h_rung);
+      ("submitted", Json.int h.h_submitted);
+      ("admitted", Json.int h.h_admitted);
+      ("completed", Json.int h.h_completed);
+      ("degraded", Json.int h.h_degraded);
+      ("failed", Json.int h.h_failed);
+      ("rejected_full", Json.int h.h_rejected_full);
+      ("rejected_draining", Json.int h.h_rejected_draining);
+      ("shed", Json.int h.h_shed);
+      ("retries", Json.int h.h_retries);
+      ("breaker_fast_fails", Json.int h.h_breaker_fast_fails);
+      ("breaker_opens", Json.int h.h_breaker_opens);
+      ("open_breakers",
+       Json.Arr (List.map (fun k -> Json.Str k) h.h_open_breakers));
+      ("events", Json.int h.h_events);
+      ("latency_ms_p50", Json.int h.h_latency_p50);
+      ("latency_ms_p95", Json.int h.h_latency_p95);
+      ("latency_ms_p99", Json.int h.h_latency_p99);
+      ("cache_hits", Json.int h.h_cache_hits);
+      ("cache_misses", Json.int h.h_cache_misses);
+      ("clean_drain", Json.Bool (clean_drain h)) ]
+
+let health_of_json j : (health, string) result =
+  let int = int_or_zero j in
+  match Json.num_member "uptime" j with
+  | None -> Error "health: missing uptime"
+  | Some uptime ->
+    Ok
+      { h_uptime = uptime;
+        h_queue_depth = int "queue_depth";
+        h_pressure = int "pressure";
+        h_rung = Option.value ~default:"" (Json.str_member "rung" j);
+        h_submitted = int "submitted";
+        h_admitted = int "admitted";
+        h_completed = int "completed";
+        h_degraded = int "degraded";
+        h_failed = int "failed";
+        h_rejected_full = int "rejected_full";
+        h_rejected_draining = int "rejected_draining";
+        h_shed = int "shed";
+        h_retries = int "retries";
+        h_breaker_fast_fails = int "breaker_fast_fails";
+        h_breaker_opens = int "breaker_opens";
+        h_open_breakers =
+          (match Json.member "open_breakers" j with
+           | Some (Json.Arr vs) ->
+             List.filter_map (function Json.Str s -> Some s | _ -> None) vs
+           | _ -> []);
+        h_events = int "events";
+        h_latency_p50 = int "latency_ms_p50";
+        h_latency_p95 = int "latency_ms_p95";
+        h_latency_p99 = int "latency_ms_p99";
+        h_cache_hits = int "cache_hits";
+        h_cache_misses = int "cache_misses" }
 
 (** One request line → one answer, through [answer]: a line that does
     not parse as a request is answered [rejected] at once, with its id
@@ -860,7 +934,8 @@ let handle_line submit line ~answer =
   | Error e -> reject Json.Null ("bad_json: " ^ e)
   | Ok j ->
     (match request_of_json j with
-     | Ok rq -> submit rq ~respond:(fun r -> answer (response_json r))
+     | Ok rq ->
+       submit rq ~respond:(fun r -> answer (Json.to_string (response_json r)))
      | Error reason ->
        reject
          (match Json.str_member "id" j with

@@ -175,11 +175,22 @@ val clean_drain : health -> bool
 (** Service-level degradation events, in arrival order. *)
 val events : t -> Core.Diagnostics.degradation list
 
-(** {1 Wire protocol (NDJSON)} *)
+(** {1 Wire records}
 
-val request_of_json : Json.t -> (request, string) result
-val response_json : response -> string
-val health_json : health -> string
+    The one encoder and decoder of each record, for the NDJSON answers
+    and, inside {!Proto}'s envelope, the cluster's frames. Wall-clock
+    values ([seconds], [uptime]) are written rounded to the
+    millisecond. *)
+
+val request_json : request -> Obs.Json.t
+val request_of_json : Obs.Json.t -> (request, string) result
+val response_json : response -> Obs.Json.t
+val response_of_json : Obs.Json.t -> (response, string) result
+
+(** The health object: every field of {!health} ([h_latency_p50] as
+    [latency_ms_p50], ...) plus ["event": "health"] and [clean_drain]. *)
+val health_json : health -> Obs.Json.t
+val health_of_json : Obs.Json.t -> (health, string) result
 
 (** One request line → one answer through [answer]: an unparsable line
     or invalid request is answered [rejected] at once (with its id, or

@@ -3,6 +3,7 @@
    loop. See the interface for the EOF rule. *)
 
 open Core
+module Json = Obs.Json
 
 type jobs =
   | Stdio of Unix.file_descr * Unix.file_descr
@@ -14,7 +15,7 @@ type 'h engine = {
   handle : string -> answer:(string -> unit) -> unit;
   record : Diagnostics.degradation -> unit;
   health : unit -> 'h;
-  health_json : 'h -> string;
+  health_json : 'h -> Json.t;
   metrics : unit -> (string * Obs.Telemetry.value) list;
   dump : unit -> string option;
   stop : unit -> bool;
@@ -29,22 +30,23 @@ type 'h engine = {
 (* ------------------------------------------------------------------ *)
 
 let admin_reply e line =
-  let error fields =
-    Json.to_string (Json.Obj (("event", Json.Str "error") :: fields))
-  in
+  let error fields = Json.Obj (("event", Json.Str "error") :: fields) in
   match line with
-  | "health" -> e.health_json (e.health ())
   | "metrics" -> Obs.Export.prometheus_of (e.metrics ())
-  | "metrics.json" -> Obs.Export.json_of (e.metrics ())
-  | "dump" ->
-    (match e.dump () with
-     | Some path ->
-       Json.to_string
-         (Json.Obj [ ("event", Json.Str "dump"); ("path", Json.Str path) ])
-     | None -> error [ ("error", Json.Str "flight_dump_disabled") ])
-  | other ->
-    error
-      [ ("error", Json.Str "unknown_command"); ("command", Json.Str other) ]
+  | line ->
+    Json.to_string
+      (match line with
+       | "health" -> e.health_json (e.health ())
+       | "metrics.json" -> Obs.Export.json_of (e.metrics ())
+       | "dump" ->
+         (match e.dump () with
+          | Some path ->
+            Json.Obj [ ("event", Json.Str "dump"); ("path", Json.Str path) ]
+          | None -> error [ ("error", Json.Str "flight_dump_disabled") ])
+       | other ->
+         error
+           [ ("error", Json.Str "unknown_command");
+             ("command", Json.Str other) ])
 
 (* The writer appends one newline per reply; a multi-line reply
    (Prometheus) already ends in one, so chomp it to keep the stream free
@@ -203,7 +205,7 @@ let serve ?admin e jobs =
     (fun () ->
       loop ();
       let h = e.drain () in
-      let line = e.health_json h in
+      let line = Json.to_string (e.health_json h) in
       (match input, job_socket with
        | Some p, _ -> p.p_write line
        | None, Some l -> List.iter (fun p -> p.p_write line) l.l_peers

@@ -40,7 +40,7 @@ type 'h engine = {
           one of its answers could be written, and its later answers are
           dropped *)
   health : unit -> 'h;             (** the admin [health] snapshot *)
-  health_json : 'h -> string;
+  health_json : 'h -> Obs.Json.t;
   metrics : unit -> (string * Obs.Telemetry.value) list;
       (** the registry behind admin [metrics] and [metrics.json] *)
   dump : unit -> string option;

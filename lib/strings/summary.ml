@@ -15,9 +15,7 @@
       summaries), [StringBuilder]/[StringBuffer] append chains, and
       field-carried constant fragments. Fragments whose defining
       statement lies on the flow path become [Tainted]; everything else
-      unknown becomes [Hole]. This replaces the SSA-local walk that
-      [Core.String_context] started with (§9's string-analysis
-      direction). *)
+      unknown becomes [Hole] (§9's string-analysis direction). *)
 
 module Tac = Jir.Tac
 module Stmt = Sdg.Stmt

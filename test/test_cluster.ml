@@ -64,8 +64,8 @@ let test_proto_roundtrip () =
   let big_source = String.concat "\n" (List.init 100 (fun _ -> two_flows)) in
   let rq =
     Serve.Service.request ~source:big_source ~descriptor:"d"
-      ~algorithm:Core.Config.Cs_thin_slicing ~scale:0.25 ~deadline:3.5
-      ~priority:9 "job-1"
+      ~algorithm:Core.Config.Cs_thin_slicing ~scale:0.0123456789
+      ~deadline:1.23456789 ~priority:9 "job-1"
   in
   let rp =
     { Serve.Service.rp_id = "job-1"; rp_status = Serve.Service.Degraded;
@@ -85,8 +85,10 @@ let test_proto_roundtrip () =
        (got.Serve.Service.rq_source = Some big_source);
      Alcotest.(check bool) "algorithm survives" true
        (got.Serve.Service.rq_algorithm = Core.Config.Cs_thin_slicing);
-     Alcotest.(check bool) "deadline survives" true
-       (got.Serve.Service.rq_deadline = Some 3.5);
+     Alcotest.(check bool) "every digit of the scale survives" true
+       (got.Serve.Service.rq_scale = 0.0123456789);
+     Alcotest.(check bool) "every digit of the deadline survives" true
+       (got.Serve.Service.rq_deadline = Some 1.23456789);
      Alcotest.(check int) "priority survives" 9
        got.Serve.Service.rq_priority
    | _ -> Alcotest.fail "expected a Job frame");
@@ -152,11 +154,23 @@ let test_proto_admin_roundtrip () =
             hs_buckets = [ (1, 2); (8, 3) ] } ) ]
   in
   let log_line = {|{"seq":4,"ts":1.5,"level":"info","event":"serve.admit"}|} in
+  (* every field distinct from its default; the uptime a whole number
+     of milliseconds past 1,000 s, where six digits would lose them *)
+  let health =
+    { Serve.Service.h_uptime = 3600.125; h_queue_depth = 1; h_pressure = 2;
+      h_rung = "optimized"; h_submitted = 3; h_admitted = 4;
+      h_completed = 5; h_degraded = 6; h_failed = 7; h_rejected_full = 8;
+      h_rejected_draining = 9; h_shed = 10; h_retries = 11;
+      h_breaker_fast_fails = 12; h_breaker_opens = 13;
+      h_open_breakers = [ "app-a"; "app-b" ]; h_events = 14;
+      h_latency_p50 = 15; h_latency_p95 = 16; h_latency_p99 = 17;
+      h_cache_hits = 18; h_cache_misses = 19 }
+  in
   List.iter (Serve.Proto.write a)
     [ Serve.Proto.Health_req; Serve.Proto.Metrics_req;
       Serve.Proto.Dump_req; Serve.Proto.Metrics kvs;
       Serve.Proto.Dump "{\"traceEvents\":[]}";
-      Serve.Proto.Log_line log_line ];
+      Serve.Proto.Log_line log_line; Serve.Proto.Health health ];
   let r = Serve.Proto.reader b in
   let next () =
     match Serve.Proto.read_block r with
@@ -179,6 +193,10 @@ let test_proto_admin_roundtrip () =
    | Serve.Proto.Log_line l ->
      Alcotest.(check string) "log line verbatim" log_line l
    | _ -> Alcotest.fail "expected a Log_line frame");
+  (match next () with
+   | Serve.Proto.Health got ->
+     Alcotest.(check bool) "every health field survives" true (got = health)
+   | _ -> Alcotest.fail "expected a Health frame");
   Unix.close a;
   Unix.close b
 
@@ -420,16 +438,13 @@ let test_cluster_admin_under_chaos () =
       let pids = Array.of_list (Serve.Cluster.worker_pids c) in
       Unix.kill pids.(victim) Sys.sigkill;
       (* aggregated replies while the crash is being detected/handled *)
-      (match
-         Serve.Json.parse
-           (Serve.Cluster.health_json (Serve.Cluster.admin_health c))
-       with
-       | Error e -> Alcotest.fail ("admin health unparsable: " ^ e)
-       | Ok j ->
-         Alcotest.(check bool) "health covers both workers" true
-           (match Serve.Json.member "workers" j with
-            | Some (Serve.Json.Arr ws) -> List.length ws = 2
-            | _ -> false));
+      Alcotest.(check bool) "health covers both workers" true
+        (match
+           Obs.Json.member "workers"
+             (Serve.Cluster.health_json (Serve.Cluster.admin_health c))
+         with
+         | Some (Obs.Json.Arr ws) -> List.length ws = 2
+         | _ -> false);
       let prom = Obs.Export.prometheus_of (Serve.Cluster.admin_metrics c) in
       Alcotest.(check bool) "scrape carries the serve counters" true
         (contains ~needle:"taj_serve_completed" prom);
@@ -444,12 +459,41 @@ let test_cluster_admin_under_chaos () =
       let doc = Core.Io.read_file dump in
       Alcotest.(check bool) "flight dump is non-empty" true
         (String.length doc > 0);
-      (match Serve.Json.parse doc with
+      (match Obs.Json.parse doc with
        | Error e -> Alcotest.fail ("flight dump unparsable: " ^ e)
        | Ok _ -> ());
       Alcotest.(check bool) "dump holds the crashed worker's events" true
         (contains ~needle:(Printf.sprintf "\"pid\":%d," (victim + 2)) doc);
       Serve.Cluster.await_drained c)
+
+(* A number literal past the float range is a malformed request: the
+   coordinator rejects its line, and no worker ever reads it. *)
+let test_cluster_number_overflow () =
+  let c = Serve.Cluster.create ~config:(cluster_config ~size:2 ()) () in
+  let answers = ref [] in
+  let handle line =
+    Serve.Service.handle_line (Serve.Cluster.submit c) line
+      ~answer:(fun a -> answers := Result.get_ok (Obs.Json.parse a) :: !answers)
+  in
+  handle {|{"id":"bad","app":"Friki","scale":0.02,"deadline":1e400}|};
+  handle {|{"id":"good","app":"Friki","scale":0.02}|};
+  pump_until c ~timeout:60.0 (fun () -> List.length !answers >= 2);
+  Serve.Cluster.await_drained c;
+  let field k j = Option.value ~default:"" (Obs.Json.str_member k j) in
+  let summary =
+    List.sort compare
+      (List.map
+         (fun j ->
+            ( field "id" j, field "status" j,
+              List.hd (String.split_on_char ':' (field "reason" j)) ))
+         !answers)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "the overflowing line is rejected as bad JSON; the next one completes"
+    [ ("", "rejected", "bad_json"); ("good", "completed", "") ]
+    summary;
+  Alcotest.(check int) "no worker crashed" 0
+    (Serve.Cluster.health c).Serve.Cluster.ch_crashes
 
 (* ------------------------------------------------------------------ *)
 (* Drain aggregation                                                  *)
@@ -481,14 +525,11 @@ let test_cluster_drain_aggregates () =
   Alcotest.(check int) "coordinator terminal accounting" 6
     (h.Serve.Cluster.ch_completed + h.Serve.Cluster.ch_degraded
      + h.Serve.Cluster.ch_failed + h.Serve.Cluster.ch_rejected);
-  (* the aggregated snapshot is valid NDJSON with per-worker blocks *)
-  match Serve.Json.parse (Serve.Cluster.health_json h) with
-  | Error e -> Alcotest.fail ("health_json unparsable: " ^ e)
-  | Ok j ->
-    Alcotest.(check bool) "health json carries the worker array" true
-      (match Serve.Json.member "workers" j with
-       | Some (Serve.Json.Arr ws) -> List.length ws = 2
-       | _ -> false)
+  (* the aggregated snapshot carries per-worker blocks *)
+  Alcotest.(check bool) "health json carries the worker array" true
+    (match Obs.Json.member "workers" (Serve.Cluster.health_json h) with
+     | Some (Obs.Json.Arr ws) -> List.length ws = 2
+     | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Socket transport                                                   *)
@@ -525,10 +566,10 @@ let fork_client ?(half_close = false) ~path ~out ~expect lines =
             match Core.Io.read_line r with
             | None -> if half_close then [] else [ "eof" ]
             | Some l ->
-              (match Serve.Json.parse l with
+              (match Obs.Json.parse l with
                | Ok j ->
-                 (match Serve.Json.member "id" j with
-                  | Some (Serve.Json.Str id) -> id
+                 (match Obs.Json.member "id" j with
+                  | Some (Obs.Json.Str id) -> id
                   | _ -> "null")
                | Error _ -> "unparsable")
               :: read (n - 1)
@@ -620,10 +661,10 @@ let test_cluster_stdio_large_batch () =
       Core.Io.write_file input
         (String.concat ""
            (List.init n (fun i ->
-              Serve.Json.to_string
-                (Serve.Json.Obj
-                   [ ("id", Serve.Json.Str (id i));
-                     ("source", Serve.Json.Str two_flows) ])
+              Obs.Json.to_string
+                (Obs.Json.Obj
+                   [ ("id", Obs.Json.Str (id i));
+                     ("source", Obs.Json.Str two_flows) ])
               ^ "\n")));
       let inp = Unix.openfile input [ Unix.O_RDONLY ] 0 in
       let out = Unix.openfile output [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
@@ -652,13 +693,13 @@ let test_cluster_stdio_large_batch () =
         (List.sort compare
            (List.map
               (fun l ->
-                 match Serve.Json.parse l with
+                 match Obs.Json.parse l with
                  | Ok j ->
-                   Option.value ~default:"?" (Serve.Json.str_member "id" j)
+                   Option.value ~default:"?" (Obs.Json.str_member "id" j)
                  | Error _ -> "unparsable")
               answers));
       Alcotest.(check (list string)) "then the returned health snapshot"
-        [ Serve.Cluster.health_json h ]
+        [ Obs.Json.to_string (Serve.Cluster.health_json h) ]
         (List.filteri (fun i _ -> i >= n) lines);
       Alcotest.(check int) "every job submitted" n
         h.Serve.Cluster.ch_submitted)
@@ -685,6 +726,8 @@ let suite =
     Alcotest.test_case
       "admin: aggregated replies and flight dump under SIGKILL" `Slow
       test_cluster_admin_under_chaos;
+    Alcotest.test_case "cluster: an overflowing number is rejected" `Slow
+      test_cluster_number_overflow;
     Alcotest.test_case "drain: aggregates per-worker health" `Slow
       test_cluster_drain_aggregates;
     Alcotest.test_case "transport: socket round trip" `Slow

@@ -223,6 +223,99 @@ let test_pinned_reports () =
     { hybrid with Config.refine = true; contexts = true }
     pinned_precise Apps.contexts_apps
 
+(* MD5 of each [taj analyze --json] document, printed by [Obs.Json]
+   with its wall-clock values ([phases.*] and [attempts[].seconds]) set
+   to 0. Recorded from the output of the Printf emitter this rendering
+   replaced, run on the files [taj generate -o] writes: "default" is
+   [taj analyze --json]; "precise" adds [--refine --contexts]; "triage"
+   is [--triage]; "cs" is [-a cs --no-degrade], which does not
+   complete. *)
+let pinned_json =
+  [     ("default A", "e3a085dac07a613f4e40346c5c29b637");
+    ("default B", "7dc71d05e0ed8b067401335eeb60e23b");
+    ("default Blojsom", "988586275fd9bbffba704821f2b03d2e");
+    ("default BlueBlog", "dc3522c7f8000775292b2202273ac054");
+    ("default Dlog", "845502e6419f06904405be8d63b6fa7e");
+    ("default Friki", "0759c00a221df6d766d2ce8ece7b517b");
+    ("default GestCV", "56262442766a2ee47f4f0d6f2343be07");
+    ("default Ginp", "0d7787d0891fda2f39a12c065f85b9fb");
+    ("default GridSphere", "b9e8d5d05509315ddc61577664539e8b");
+    ("default I", "775184672dfa3937f4094c4d1fd67044");
+    ("default JSPWiki", "35bad20da3de19ca5c636cca0dbf25c6");
+    ("default Lutece", "3402de3d21b0076854defa60bf6f6afa");
+    ("default MVNForum", "493d6a9e957b954f27a59b6ee47c6059");
+    ("default PersonalBlog", "9a6d1fc130740eb66ff436eb87f9fea3");
+    ("default Roller", "69eef65a67bc0f7ee8f987edcc6b4041");
+    ("default S", "a57bc2d25d7fcc9e70a464b4bd889d01");
+    ("default SBM", "f1dae6a9ab06cf115c132dd11a394a04");
+    ("default SnipSnap", "aa748ad753a37b1f1ae53bdcd4d96e18");
+    ("default SPLC", "679fa2feaf0d894a915e9fc8e0b1df2a");
+    ("default ST", "0f1c4fd8a4e389204756d941828c67c8");
+    ("default VQWiki", "5ca2c911b61ea5111e8a5d96115e0823");
+    ("default Webgoat", "a9fed1012b13034ce21e8e92a00468e5");
+    ("default CtxForum", "5eaccc1fa1641ed0da4fd3d7b844c2bd");
+    ("default CtxGallery", "9f74a0a73f3a2e7e2e19f67a2f68a88d");
+    ("default CtxLedger", "4ec9f22bef3f3de450a1430566e15a96");
+    ("precise CtxForum", "57199ba51e4f7492ed9ca6fe0604972b");
+    ("precise CtxGallery", "bd1aa02dd637b72672e7d13912be9046");
+    ("precise CtxLedger", "46aed30a41c55f4e35ef9dcdfc7024a9");
+    ("triage Friki", "c73daa9976bf11124d302d4ed8dd62f6");
+    ("cs GridSphere", "36443bcec56015a529e3fe900c70545c") ]
+
+let json_md5 what (a : Apps.app) =
+  let degrade, config =
+    let preset = Config.preset ~scale:0.05 in
+    match what with
+    | "precise" ->
+      (true, { (preset Config.Hybrid_optimized) with
+               Config.refine = true; contexts = true })
+    | "triage" -> (true, preset Config.Type_triage)
+    | "cs" -> (false, preset Config.Cs_thin_slicing)
+    | _ -> (true, preset Config.Hybrid_optimized)
+  in
+  let options =
+    { Supervisor.default_options with Supervisor.scale = 0.05; degrade }
+  in
+  let input =
+    { (Codegen.to_input (Apps.generate ~scale:pin_scale a)) with
+      Taj.name = "cli" }
+  in
+  let zero_seconds = function
+    | Obs.Json.Obj kvs ->
+      Obs.Json.Obj
+        (List.map
+           (fun (k, v) -> (k, if k = "seconds" then Obs.Json.Num 0.0 else v))
+           kvs)
+    | v -> v
+  in
+  let doc =
+    match Supervisor.json (Supervisor.run ~options ~config input) with
+    | Obs.Json.Obj kvs ->
+      Obs.Json.Obj
+        (List.map
+           (function
+             | "phases", Obs.Json.Obj ps ->
+               ( "phases",
+                 Obs.Json.Obj
+                   (List.map (fun (k, _) -> (k, Obs.Json.Num 0.0)) ps) )
+             | "attempts", Obs.Json.Arr xs ->
+               ("attempts", Obs.Json.Arr (List.map zero_seconds xs))
+             | kv -> kv)
+           kvs)
+    | v -> v
+  in
+  Digest.to_hex (Digest.string (Obs.Json.to_string doc))
+
+let test_pinned_json () =
+  List.iter
+    (fun (run, pin) ->
+       match String.split_on_char ' ' run with
+       | [ what; name ] ->
+         Alcotest.(check string) (run ^ ": --json digest") pin
+           (json_md5 what (Option.get (Apps.find name)))
+       | _ -> Alcotest.failf "bad pin name %s" run)
+    pinned_json
+
 (* MD5 of each app's id-ordered pointer-analysis result under
    hybrid-unbounded: every pointer key in id order with its points-to
    set, every instance key in id order, the call graph as [taj dot]
@@ -309,4 +402,5 @@ let suite =
     Alcotest.test_case "flow length correlation" `Slow
       test_flow_length_correlation;
     Alcotest.test_case "pinned report digests" `Slow test_pinned_reports;
+    Alcotest.test_case "pinned --json digests" `Slow test_pinned_json;
     Alcotest.test_case "pinned solver digests" `Slow test_pinned_solver ]

@@ -954,8 +954,9 @@ let test_service_cache_whole_response () =
   let whole t rq =
     incr sent;
     let r = answer t (rq (Printf.sprintf "whole-%d" !sent)) in
-    Serve.Service.response_json
-      { r with Serve.Service.rp_id = "-"; rp_seconds = 0.0 }
+    Obs.Json.to_string
+      (Serve.Service.response_json
+         { r with Serve.Service.rp_id = "-"; rp_seconds = 0.0 })
   in
   let answers t = List.map (whole t) requests in
   let hits () = Test_incremental.counter_value "cache.result.hit" in
@@ -979,8 +980,8 @@ let test_service_cache_whole_response () =
   Alcotest.(check int) "warm, returning and restarted answers are hits" 7
     (hits ());
   Alcotest.(check bool) "the judge's count is on the cold answer" true
-    (Serve.Json.num_member "mismatched"
-       (Result.get_ok (Serve.Json.parse (List.hd cold)))
+    (Obs.Json.num_member "mismatched"
+       (Result.get_ok (Obs.Json.parse (List.hd cold)))
      <> None);
   Alcotest.(check (list string)) "cold answers are the uncached ones"
     reference cold;
@@ -1163,37 +1164,99 @@ let test_sigterm_drains_without_losing_jobs () =
 (* ------------------------------------------------------------------ *)
 
 let test_json_parser () =
-  let ok s = Result.get_ok (Serve.Json.parse s) in
+  let ok s = Result.get_ok (Obs.Json.parse s) in
   Alcotest.(check bool) "object with escapes" true
-    (Serve.Json.str_member "k"
+    (Obs.Json.str_member "k"
        (ok {|{"k":"a\"b\\c\ndA"}|})
      = Some "a\"b\\c\ndA");
   Alcotest.(check bool) "numbers" true
-    (Serve.Json.num_member "n" (ok {|{"n":-12.5e1}|}) = Some (-125.0));
+    (Obs.Json.num_member "n" (ok {|{"n":-12.5e1}|}) = Some (-125.0));
   Alcotest.(check bool) "nested arrays survive a round-trip" true
     (let v = ok {|{"a":[1,[true,null],"x"],"b":{}}|} in
-     Serve.Json.parse (Serve.Json.to_string v) = Ok v);
+     Obs.Json.parse (Obs.Json.to_string v) = Ok v);
   Alcotest.(check bool) "trailing garbage is an error" true
-    (Result.is_error (Serve.Json.parse "{} junk"));
+    (Result.is_error (Obs.Json.parse "{} junk"));
   Alcotest.(check bool) "truncated input is an error" true
-    (Result.is_error (Serve.Json.parse {|{"a":|}));
+    (Result.is_error (Obs.Json.parse {|{"a":|}));
   Alcotest.(check bool) "control chars are escaped on output" true
-    (Serve.Json.to_string (Serve.Json.Str "a\nb\tc")
+    (Obs.Json.to_string (Obs.Json.Str "a\nb\tc")
      = {|"a\nb\tc"|});
   Alcotest.(check bool) "surrogate pair decodes to 4-byte UTF-8" true
-    (Serve.Json.str_member "k" (ok {|{"k":"\ud83d\ude00"}|})
+    (Obs.Json.str_member "k" (ok {|{"k":"\ud83d\ude00"}|})
      = Some "\xf0\x9f\x98\x80");
   Alcotest.(check bool) "BMP escape still decodes to 3-byte UTF-8" true
-    (Serve.Json.str_member "k" (ok {|{"k":"\u20ac"}|})
+    (Obs.Json.str_member "k" (ok {|{"k":"\u20ac"}|})
      = Some "\xe2\x82\xac");
   Alcotest.(check bool) "lone high surrogate is an error" true
-    (Result.is_error (Serve.Json.parse {|{"k":"\ud800x"}|}));
+    (Result.is_error (Obs.Json.parse {|{"k":"\ud800x"}|}));
   Alcotest.(check bool) "lone low surrogate is an error" true
-    (Result.is_error (Serve.Json.parse {|{"k":"\udc00"}|}))
+    (Result.is_error (Obs.Json.parse {|{"k":"\udc00"}|}));
+  (* an overflowing literal would read as an infinity and print as [inf] *)
+  Alcotest.(check bool) "1e400 is an error" true
+    (Result.is_error (Obs.Json.parse {|{"deadline":1e400}|}));
+  Alcotest.(check bool) "-1e400 is an error" true
+    (Result.is_error (Obs.Json.parse "-1e400"))
+
+(* Documents the printer must carry back exactly: finite floats of any
+   magnitude and precision, and arbitrary bytes in strings and keys. *)
+let json_arb =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 8) in
+  let num =
+    oneof
+      [ map (fun f -> if Float.is_finite f then f else 0.0) float;
+        map float_of_int int;
+        map
+          (fun n -> float_of_int n /. 1000.)
+          (int_range (-1_000_000) 1_000_000) ]
+  in
+  let value =
+    sized
+    @@ fix (fun self n ->
+      let leaf =
+        oneof
+          [ return Obs.Json.Null;
+            map (fun b -> Obs.Json.Bool b) bool;
+            map (fun f -> Obs.Json.Num f) num;
+            map (fun s -> Obs.Json.Str s) bytes ]
+      in
+      if n <= 1 then leaf
+      else
+        frequency
+          [ (2, leaf);
+            (1, map (fun l -> Obs.Json.Arr l)
+                 (list_size (int_range 0 4) (self (n / 4))));
+            (1, map (fun l -> Obs.Json.Obj l)
+                 (list_size (int_range 0 4) (pair bytes (self (n / 4))))) ])
+  in
+  QCheck.make ~print:Obs.Json.to_string value
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"json: parse (to_string v) = Ok v" ~count:2000
+    json_arb
+    (fun v -> Obs.Json.parse (Obs.Json.to_string v) = Ok v)
+
+(* The parser reads bytes the system did not write: any input is
+   answered [Ok] or [Error], never with an exception. *)
+let prop_json_parse_total =
+  let syntax = "{}[]\":,\\u0123456789abcdefABCDEF.eE+-truefalsenull \n" in
+  let gen =
+    QCheck.Gen.(
+      string_size
+        ~gen:
+          (frequency
+             [ (4, map (String.get syntax)
+                     (int_bound (String.length syntax - 1)));
+               (1, char) ])
+        (int_range 0 40))
+  in
+  QCheck.Test.make ~name:"json: parse of any bytes never raises" ~count:5000
+    (QCheck.make ~print:String.escaped gen)
+    (fun s -> match Obs.Json.parse s with Ok _ | Error _ -> true)
 
 let test_request_decoding () =
   let decode s =
-    Serve.Service.request_of_json (Result.get_ok (Serve.Json.parse s))
+    Serve.Service.request_of_json (Result.get_ok (Obs.Json.parse s))
   in
   (match
      decode
@@ -1223,12 +1286,12 @@ let test_request_decoding () =
       rp_reason = ""; rp_issues = 2; rp_attempts = 1; rp_degradations = 0;
       rp_seconds = 0.25; rp_verdict = None; rp_mismatched = None }
   in
-  (match Serve.Json.parse (Serve.Service.response_json r) with
+  (match Obs.Json.parse (Obs.Json.to_string (Serve.Service.response_json r)) with
    | Ok j ->
      Alcotest.(check bool) "response JSON round-trips awkward ids" true
-       (Serve.Json.str_member "id" j = Some "a,b\"c");
+       (Obs.Json.str_member "id" j = Some "a,b\"c");
      Alcotest.(check bool) "status serialized" true
-       (Serve.Json.str_member "status" j = Some "completed")
+       (Obs.Json.str_member "status" j = Some "completed")
    | Error e -> Alcotest.fail ("response_json: " ^ e))
 
 (* ------------------------------------------------------------------ *)
@@ -1438,14 +1501,14 @@ let rec read_to_eof reader =
   | None -> []
 
 let parse_line l =
-  match Serve.Json.parse l with
+  match Obs.Json.parse l with
   | Ok j -> j
   | Error e -> Alcotest.failf "unparsable line %S: %s" l e
 
 let line_id l =
-  match Serve.Json.member "id" (parse_line l) with
-  | Some (Serve.Json.Str id) -> id
-  | Some Serve.Json.Null -> "null"
+  match Obs.Json.member "id" (parse_line l) with
+  | Some (Obs.Json.Str id) -> id
+  | Some Obs.Json.Null -> "null"
   | _ -> Alcotest.failf "line without an id: %S" l
 
 let job id = Printf.sprintf {|{"id":"%s","app":"BlueBlog","scale":0.02}|} id
@@ -1475,14 +1538,14 @@ let test_stdio_transport () =
     | [] -> Alcotest.fail "no output"
   in
   Alcotest.(check string) "the last line is the returned health"
-    (Serve.Service.health_json h) last;
+    (Obs.Json.to_string (Serve.Service.health_json h)) last;
   Alcotest.(check (list string)) "one answer per non-empty line"
     (sorted [ "a"; "b"; "null"; "null"; "no-app" ])
     (sorted (List.map line_id answers));
   let status id =
     List.filter_map
       (fun l ->
-         if line_id l = id then Serve.Json.str_member "status" (parse_line l)
+         if line_id l = id then Obs.Json.str_member "status" (parse_line l)
          else None)
       answers
   in
@@ -1518,7 +1581,7 @@ let test_socket_transport_two_clients () =
        match read_to_eof r with
        | [ l ] ->
          Alcotest.(check string) "health line after the drain"
-           (Serve.Service.health_json h) l
+           (Obs.Json.to_string (Serve.Service.health_json h)) l
        | ls -> Alcotest.failf "expected one health line, got %d" (List.length ls))
     [ r1; r2 ];
   Unix.close c1;
@@ -1537,7 +1600,7 @@ let test_admin_socket () =
     send a [ "health" ];
     let health = parse_line (List.hd (read_lines r 1)) in
     Alcotest.(check (option string)) "health parses" (Some "health")
-      (Serve.Json.str_member "event" health);
+      (Obs.Json.str_member "event" health);
     send a [ "metrics" ];
     let rec until_eof acc =
       match read_lines r 1 with
@@ -1549,9 +1612,9 @@ let test_admin_socket () =
     send a [ "bogus" ];
     let err = parse_line (List.hd (read_lines r 1)) in
     Alcotest.(check (option string)) "unknown command answered"
-      (Some "unknown_command") (Serve.Json.str_member "error" err);
+      (Some "unknown_command") (Obs.Json.str_member "error" err);
     Alcotest.(check (option string)) "naming the command" (Some "bogus")
-      (Serve.Json.str_member "command" err);
+      (Obs.Json.str_member "command" err);
     send a [ "" ];
     Unix.shutdown a Unix.SHUTDOWN_SEND;
     Alcotest.(check (list string)) "a blank line gets nothing" []
@@ -1736,6 +1799,8 @@ let suite =
     Alcotest.test_case "drain: SIGTERM loses no accepted job" `Slow
       test_sigterm_drains_without_losing_jobs;
     Alcotest.test_case "protocol: JSON parser" `Quick test_json_parser;
+    QCheck_alcotest.to_alcotest prop_json_round_trip;
+    QCheck_alcotest.to_alcotest prop_json_parse_total;
     Alcotest.test_case "protocol: request decoding" `Quick
       test_request_decoding;
     Alcotest.test_case "io: retry_eintr" `Quick test_retry_eintr;

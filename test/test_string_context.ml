@@ -1,4 +1,5 @@
-(* Tests for the string-context diagnostics (§9 future-work extension). *)
+(* Tests for the string-context diagnostics (§9 future-work extension):
+   sink templates, their syntactic contexts, and [Sanitize.diagnose]. *)
 
 open Core
 
@@ -13,7 +14,10 @@ let flows_of srcs =
 let the_template b flows =
   match flows with
   | fl :: _ ->
-    (match String_context.template_of b fl with
+    (match
+       Strings.Summary.sink_template (Strings.Summary.make b)
+         ~path:fl.Flows.fl_path ~sink:fl.Flows.fl_sink
+     with
      | Some t -> (fl, t)
      | None -> Alcotest.fail "no template")
   | [] -> Alcotest.fail "no flows"
@@ -30,10 +34,10 @@ let test_template_reconstruction () =
   in
   let _, t = the_template b flows in
   (match t with
-   | [ String_context.Lit "<b>"; String_context.Tainted;
-       String_context.Lit "</b>" ] -> ()
+   | [ Strings.Template.Lit "<b>"; Strings.Template.Tainted;
+       Strings.Template.Lit "</b>" ] -> ()
    | _ ->
-     Alcotest.failf "unexpected template: %a" String_context.pp_template t)
+     Alcotest.failf "unexpected template: %a" Strings.Template.pp t)
 
 let test_html_text_context () =
   let b, flows =
@@ -46,7 +50,7 @@ let test_html_text_context () =
   in
   let _, t = the_template b flows in
   Alcotest.(check bool) "text context" true
-    (String_context.html_context t = String_context.Html_text)
+    (Strings.Template.html_context t = Strings.Context.Html_text)
 
 let test_html_attribute_context () =
   let b, flows =
@@ -60,7 +64,7 @@ let test_html_attribute_context () =
   in
   let _, t = the_template b flows in
   Alcotest.(check bool) "attribute context" true
-    (String_context.html_context t = String_context.Html_attribute)
+    (Strings.Template.html_context t = Strings.Context.Html_attribute)
 
 let test_sql_quoted_context () =
   let b, flows =
@@ -80,7 +84,7 @@ let test_sql_quoted_context () =
   in
   ignore fl;
   Alcotest.(check bool) "quoted sql" true
-    (String_context.sql_context t = String_context.Sql_quoted)
+    (Strings.Template.sql_context t = Strings.Context.Sql_quoted)
 
 let test_sql_raw_context () =
   let b, flows =
@@ -99,7 +103,7 @@ let test_sql_raw_context () =
       (List.filter (fun f -> f.Flows.fl_rule.Rules.issue = Rules.Sqli) flows)
   in
   Alcotest.(check bool) "raw sql" true
-    (String_context.sql_context t = String_context.Sql_raw)
+    (Strings.Template.sql_context t = Strings.Context.Sql_raw)
 
 let test_hole_for_opaque_fragments () =
   let b, flows =
@@ -114,22 +118,23 @@ let test_hole_for_opaque_fragments () =
   in
   let _, t = the_template b flows in
   Alcotest.(check bool) "has a hole" true
-    (List.exists (fun p -> p = String_context.Hole) t);
+    (List.exists (fun p -> p = Strings.Template.Hole) t);
   Alcotest.(check bool) "still finds taint" true
-    (List.exists (fun p -> p = String_context.Tainted) t)
+    (List.exists (fun p -> p = Strings.Template.Tainted) t)
 
 (* Classification edges on directly-constructed templates: what happens
    when a Hole sits next to the Tainted piece, and the quote/bracket
    states at the taint boundary. *)
 let test_classify_hole_adjacent () =
-  let open String_context in
+  let open Strings.Template in
+  let open Strings.Context in
   (* a Hole before the taint hides the syntactic context entirely *)
   Alcotest.(check bool) "hole-before-taint html" true
-    (html_context [ Hole; Tainted ] = Html_unknown);
+    (html_context [ Hole; Tainted ] = Unknown);
   Alcotest.(check bool) "hole-before-taint sql" true
-    (sql_context [ Hole; Tainted ] = Sql_unknown);
+    (sql_context [ Hole; Tainted ] = Unknown);
   Alcotest.(check bool) "hole mid-prefix html" true
-    (html_context [ Lit "<b>"; Hole; Tainted ] = Html_unknown);
+    (html_context [ Lit "<b>"; Hole; Tainted ] = Unknown);
   (* a Hole after the taint does not: the prefix is still known *)
   Alcotest.(check bool) "hole-after-taint html" true
     (html_context [ Lit "<b>"; Tainted; Hole ] = Html_text);
@@ -137,13 +142,14 @@ let test_classify_hole_adjacent () =
     (sql_context [ Lit "WHERE n='"; Tainted; Hole ] = Sql_quoted)
 
 let test_classify_quote_edges () =
-  let open String_context in
+  let open Strings.Template in
+  let open Strings.Context in
   (* open tag + open quote: attribute injection *)
   Alcotest.(check bool) "attr" true
     (html_context [ Lit "<a href=\""; Tainted; Lit "\">" ] = Html_attribute);
   (* open tag but no quote: neither text nor a quoted attribute *)
   Alcotest.(check bool) "unquoted in-tag" true
-    (html_context [ Lit "<img src="; Tainted ] = Html_unknown);
+    (html_context [ Lit "<img src="; Tainted ] = Unknown);
   (* quote closed again before the taint: back to raw/text *)
   Alcotest.(check bool) "quote closed html" true
     (html_context [ Lit "<a href=\"x\">"; Tainted ] = Html_text);
@@ -166,7 +172,7 @@ let test_template_through_carrier () =
   in
   let _, t = the_template b flows in
   Alcotest.(check bool) "taint survives the carrier" true
-    (List.exists (fun p -> p = String_context.Tainted) t)
+    (List.exists (fun p -> p = Strings.Template.Tainted) t)
 
 let test_diagnose_strings () =
   let b, flows =
@@ -179,7 +185,7 @@ let test_diagnose_strings () =
   in
   match flows with
   | fl :: _ ->
-    (match String_context.diagnose b fl with
+    (match Sanitize.diagnose b fl with
      | Some d ->
        Alcotest.(check bool) "mentions html context" true
          (String.length d > 0
@@ -246,7 +252,8 @@ let prop_literal_split_stable =
 (* ------------------------------------------------------------------ *)
 
 let test_nested_attribute_quotes () =
-  let open String_context in
+  let open Strings.Template in
+  let open Strings.Context in
   (* double-quoted attribute containing single quotes: still inside the
      outer double quote at the taint *)
   Alcotest.(check bool) "single quotes nested in double" true
@@ -259,10 +266,11 @@ let test_nested_attribute_quotes () =
      = Html_attribute);
   (* matching quote closes: by the taint we are back in the tag, unquoted *)
   Alcotest.(check bool) "closed attribute then taint in tag" true
-    (html_context [ Lit "<a title=\"x\" href="; Tainted ] = Html_unknown)
+    (html_context [ Lit "<a title=\"x\" href="; Tainted ] = Unknown)
 
 let test_numeric_sql_positions () =
-  let open String_context in
+  let open Strings.Template in
+  let open Strings.Context in
   Alcotest.(check bool) "numeric comparison" true
     (sql_context [ Lit "SELECT v FROM t WHERE id = "; Tainted ] = Sql_raw);
   Alcotest.(check bool) "LIMIT clause" true

@@ -242,145 +242,18 @@ let test_domain_tracks () =
 (* Trace JSON well-formedness                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A minimal JSON reader — no JSON library ships with the test stack, and
-   the point is precisely to validate the hand-emitted trace document.
-   Parses the full value grammar; raises [Failure] on any malformation. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  let parse (s : string) : t =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = failwith (Printf.sprintf "json: %s at %d" msg !pos) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      String.iter (fun c -> expect c) word;
-      v
-    in
-    let string_body () =
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | Some '"' -> advance (); Buffer.contents buf
-        | Some '\\' ->
-          advance ();
-          (match peek () with
-           | Some 'u' ->
-             advance ();
-             for _ = 1 to 4 do
-               (match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape")
-             done;
-             Buffer.add_char buf '?'
-           | Some c ->
-             advance ();
-             Buffer.add_char buf
-               (match c with
-                | 'n' -> '\n' | 't' -> '\t' | 'r' -> '\r'
-                | 'b' -> '\b' | 'f' -> '\012' | '/' -> '/'
-                | '"' -> '"' | '\\' -> '\\'
-                | _ -> fail "bad escape")
-           | None -> fail "eof in string");
-          go ()
-        | Some c -> advance (); Buffer.add_char buf c; go ()
-        | None -> fail "eof in string"
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> num_char c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); Obj [])
-        else begin
-          let rec members acc =
-            skip_ws ();
-            expect '"';
-            let k = string_body () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); Arr [])
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); Arr (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-        end
-      | Some '"' -> advance (); Str (string_body ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-      | None -> fail "eof"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing input";
-    v
-
-  let mem k = function Obj fields -> List.assoc_opt k fields | _ -> None
-end
+module Json = Obs.Json
 
 let test_trace_json () =
   Telemetry.enable ();
   analyze_fanned_out ();
   let doc =
     match Json.parse (Telemetry.trace_json ()) with
-    | doc -> doc
-    | exception Failure msg -> Alcotest.failf "trace JSON malformed: %s" msg
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "trace JSON malformed: %s" msg
   in
   let events =
-    match Json.mem "traceEvents" doc with
+    match Json.member "traceEvents" doc with
     | Some (Json.Arr evs) -> evs
     | _ -> Alcotest.fail "traceEvents array missing"
   in
@@ -390,12 +263,12 @@ let test_trace_json () =
     (fun ev ->
        (* every event carries the fields Chrome requires for its phase *)
        let str k =
-         match Json.mem k ev with
+         match Json.member k ev with
          | Some (Json.Str s) -> s
          | _ -> Alcotest.failf "event missing string field %s" k
        in
        let num k =
-         match Json.mem k ev with
+         match Json.member k ev with
          | Some (Json.Num f) -> f
          | _ -> Alcotest.failf "event missing numeric field %s" k
        in
@@ -419,7 +292,7 @@ let test_trace_json () =
   let named_tids = Hashtbl.create 8 in
   List.iter
     (fun ev ->
-       match (Json.mem "ph" ev, Json.mem "name" ev, Json.mem "tid" ev) with
+       match (Json.member "ph" ev, Json.member "name" ev, Json.member "tid" ev) with
        | Some (Json.Str "M"), Some (Json.Str "thread_name"), Some (Json.Num t)
          ->
          Hashtbl.replace named_tids t ()
@@ -436,16 +309,20 @@ let test_metrics_json () =
   (match (analyze ()).Taj.result with
    | Taj.Completed _ -> ()
    | Taj.Did_not_complete r -> Alcotest.failf "analysis failed: %s" r);
-  match Json.parse (Telemetry.metrics_json ()) with
+  (* the block [taj analyze --json --metrics] embeds *)
+  match Obs.Export.json_of (Telemetry.metrics ()) with
   | Json.Obj fields ->
     List.iter
       (fun key ->
          Alcotest.(check bool) (key ^ " in metrics JSON") true
            (List.mem_assoc key fields))
       [ "pointer.propagations"; "sdg.nodes_scanned"; "taint.steps";
-        "pointer.worklist_len" ]
+        "pointer.worklist_len" ];
+    Alcotest.(check bool) "a histogram carries its p50" true
+      (match List.assoc "pointer.worklist_len" fields with
+       | Json.Obj h -> List.mem_assoc "p50" h
+       | _ -> false)
   | _ -> Alcotest.fail "metrics JSON is not an object"
-  | exception Failure msg -> Alcotest.failf "metrics JSON malformed: %s" msg
 
 (* ------------------------------------------------------------------ *)
 (* Determinism across pool sizes                                      *)
@@ -642,7 +519,7 @@ let test_flight_ring_bounding () =
      | _ -> None);
   (* the dump document is a valid Chrome trace with the flight label *)
   let doc = Telemetry.flight_json () in
-  (match Serve.Json.parse doc with
+  (match Json.parse doc with
    | Error e -> Alcotest.fail ("flight_json unparsable: " ^ e)
    | Ok _ -> ());
   Alcotest.(check bool) "flight doc labels the process" true
@@ -673,16 +550,18 @@ let test_export_prometheus () =
   Alcotest.(check bool) "exposition ends with the EOF marker" true
     (contains ~needle:"# EOF\n" prom);
   (* and the JSON form parses with the same numbers *)
-  match Serve.Json.parse (Obs.Export.json ()) with
+  match
+    Json.parse (Json.to_string (Obs.Export.json_of (Telemetry.metrics ())))
+  with
   | Error e -> Alcotest.fail ("metrics json unparsable: " ^ e)
   | Ok j ->
     Alcotest.(check (option int)) "json counter"
       (Some 5)
-      (Serve.Json.int_member "test.export.counter" j);
-    (match Serve.Json.member "test.export.hist" j with
+      (Json.int_member "test.export.counter" j);
+    (match Json.member "test.export.hist" j with
      | Some hj ->
        Alcotest.(check (option int)) "json histogram count" (Some 5)
-         (Serve.Json.int_member "count" hj)
+         (Json.int_member "count" hj)
      | None -> Alcotest.fail "histogram missing from json export")
 
 let test_export_merge () =
@@ -740,35 +619,35 @@ let test_log_sink_levels_ndjson () =
   Alcotest.(check int) "debug lines filtered at info" 2 (List.length got);
   (match got with
    | [ first; second ] ->
-     (match Serve.Json.parse first with
+     (match Json.parse first with
       | Error e -> Alcotest.fail ("log line unparsable: " ^ e)
       | Ok j ->
         Alcotest.(check (option string)) "event name" (Some "test.event")
-          (Serve.Json.str_member "event" j);
+          (Json.str_member "event" j);
         Alcotest.(check (option string)) "level" (Some "info")
-          (Serve.Json.str_member "level" j);
+          (Json.str_member "level" j);
         Alcotest.(check (option string)) "sticky context" (Some "test")
-          (Serve.Json.str_member "proc" j);
+          (Json.str_member "proc" j);
         Alcotest.(check (option string)) "per-call field" (Some "j1")
-          (Serve.Json.str_member "job" j);
+          (Json.str_member "job" j);
         Alcotest.(check bool) "carries seq and ts" true
-          (Serve.Json.member "seq" j <> None
-           && Serve.Json.member "ts" j <> None));
-     (match Serve.Json.parse second with
+          (Json.member "seq" j <> None
+           && Json.member "ts" j <> None));
+     (match Json.parse second with
       | Error e -> Alcotest.fail ("instant line unparsable: " ^ e)
       | Ok j ->
         Alcotest.(check (option string)) "diag.* infers warn" (Some "warn")
-          (Serve.Json.str_member "level" j);
+          (Json.str_member "level" j);
         Alcotest.(check (option string)) "instant args become fields"
           (Some "x")
-          (Serve.Json.str_member "kind" j))
+          (Json.str_member "kind" j))
    | _ -> Alcotest.fail "expected exactly the two passing lines");
   (* seq is monotonic across the stream *)
   let seqs =
     List.filter_map
       (fun l ->
-         Result.to_option (Serve.Json.parse l)
-         |> Fun.flip Option.bind (Serve.Json.int_member "seq"))
+         Result.to_option (Json.parse l)
+         |> Fun.flip Option.bind (Json.int_member "seq"))
       got
   in
   Alcotest.(check bool) "seq strictly increases" true
