@@ -16,29 +16,16 @@
      securibench    the micro-benchmark suite per configuration
      inventory      per-app analysis statistics
      csv            export table3.csv / figure4.csv
-     service        load-generate against an in-process analysis service
-                    (--clients N, --requests M per client): latency
-                    percentiles and terminal-outcome counts
-     incremental    cold vs warm vs one-edit latency through the
-                    incremental cache per app (writes incremental.csv)
-     triage         type-triage rung zero vs full analysis latency per
-                    app (writes triage.csv)
-     contexts       sanitization-context judge off vs on per app, with
-                    verdict counts and planted-mismatch recall (writes
-                    contexts.csv)
-     micro          Bechamel micro-benchmarks of the pipeline phases
-     all            everything above except service and incremental
-                    (default)
+     all            everything above (default)
 
    Options: --scale <float> (default 0.05) scales workload sizes and the
    published bounds together; --jobs <int> (default 1) runs the per-app
-   table rows on that many domains, with output identical to --jobs 1,
-   and sets the service subcommand's worker count (each analysis itself
-   runs sequentially); --refine switches on the access-path
-   flow-refinement pass, so table3/csv rows carry confirmed/plausible
-   verdict counts; --trace <file> writes a Chrome trace-event JSON of the
-   whole bench run; --metrics prints the telemetry metrics table on
-   stderr. *)
+   table rows on that many domains, with output identical to --jobs 1
+   (each analysis itself runs sequentially); --refine switches on the
+   access-path flow-refinement pass, so table3/csv rows carry
+   confirmed/plausible verdict counts; --trace <file> writes a Chrome
+   trace-event JSON of the whole bench run; --metrics prints the
+   telemetry metrics table on stderr. *)
 
 open Core
 open Workloads
@@ -626,453 +613,6 @@ let ablate_bound_kind () =
            (tp_fn step_cfg))
       [ 10; 25; 50; 75; 100 ]
 
-(* ------------------------------------------------------------------ *)
-(* Service load generator                                             *)
-(* ------------------------------------------------------------------ *)
-
-let svc_clients = ref 4
-let svc_requests = ref 25
-let svc_cluster = ref false
-
-(* N concurrent synthetic clients hammer an in-process Serve.Service:
-   latency percentiles (exact, over the collected sample) and the count
-   of every terminal outcome, including backpressure rejections — the
-   service-mode analogue of the per-table timings above. *)
-let service_bench () =
-  header
-    (Printf.sprintf
-       "Service load: %d client(s) x %d request(s), %d worker(s)"
-       !svc_clients !svc_requests !jobs);
-  let inline_source =
-    {|class Cell { String v; }
-      class Page extends HttpServlet {
-        public void doGet(HttpServletRequest req, HttpServletResponse resp) {
-          Cell c = new Cell();
-          c.v = req.getParameter("x");
-          resp.getWriter().println(c.v);
-          Connection conn = DriverManager.getConnection("jdbc:db");
-          Statement st = conn.createStatement();
-          st.executeQuery(c.v);
-        }
-      }|}
-  in
-  let config =
-    { Serve.Service.default_config with
-      workers = max 1 !jobs;
-      queue_cap = max 8 (!svc_clients * 4);
-      seed = 42 }
-  in
-  let t = Serve.Service.create ~config () in
-  let lock = Mutex.create () in
-  let responses = ref [] in
-  let respond r =
-    Mutex.lock lock;
-    responses := r :: !responses;
-    Mutex.unlock lock
-  in
-  let client ci () =
-    for i = 0 to !svc_requests - 1 do
-      let id = Printf.sprintf "c%d-r%d" ci i in
-      let rq =
-        (* every 4th request is a full benchmark app, the rest are small
-           inline units: a bimodal job-size mix *)
-        if (ci + i) mod 4 = 0 then
-          Serve.Service.request ~app:"BlueBlog" ~scale:0.02 ~priority:2 id
-        else Serve.Service.request ~source:inline_source ~priority:1 id
-      in
-      Serve.Service.submit t rq ~respond
-    done
-  in
-  let wall0 = Unix.gettimeofday () in
-  let doms =
-    List.init !svc_clients (fun ci -> Domain.spawn (client ci))
-  in
-  List.iter Domain.join doms;
-  Serve.Service.await_drained t;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let rs = !responses in
-  let count st =
-    List.length
-      (List.filter (fun r -> r.Serve.Service.rp_status = st) rs)
-  in
-  let lat =
-    rs
-    |> List.filter (fun r -> r.Serve.Service.rp_status <> Serve.Service.Rejected)
-    |> List.map (fun r -> r.Serve.Service.rp_seconds)
-    |> Array.of_list
-  in
-  (* exact nearest-rank percentiles over the raw samples — same helper
-     the exporter tests against its log2-bucket estimates *)
-  let pct q = Obs.Export.percentile lat q in
-  Printf.printf "%-12s %9s\n" "outcome" "count";
-  List.iter
-    (fun st ->
-       Printf.printf "%-12s %9d\n" (Serve.Service.status_name st) (count st))
-    Serve.Service.[ Completed; Degraded; Rejected; Failed ];
-  let h = Serve.Service.health t in
-  Printf.printf "%-12s %9d\n" "retries" h.Serve.Service.h_retries;
-  Printf.printf "%-12s %9d\n" "shed" h.Serve.Service.h_shed;
-  (* one row per response; reasons can carry free-text exception
-     messages, so the shared RFC-4180 writer quotes them *)
-  let oc = open_out "service.csv" in
-  Obs.Csv.write_row oc
-    [ "id"; "status"; "reason"; "verdict"; "issues"; "degradations";
-      "seconds" ];
-  List.iter
-    (fun (r : Serve.Service.response) ->
-       Obs.Csv.write_row oc
-         [ r.Serve.Service.rp_id;
-           Serve.Service.status_name r.Serve.Service.rp_status;
-           r.Serve.Service.rp_reason;
-           Option.value ~default:"" r.Serve.Service.rp_verdict;
-           string_of_int r.Serve.Service.rp_issues;
-           string_of_int r.Serve.Service.rp_degradations;
-           Printf.sprintf "%.4f" r.Serve.Service.rp_seconds ])
-    rs;
-  close_out oc;
-  Printf.printf "wrote service.csv (%d rows)\n" (List.length rs);
-  Printf.printf "\nlatency (submit to terminal, non-rejected):\n";
-  List.iter
-    (fun (label, q) -> Printf.printf "  %-5s %8.4fs\n" label (pct q))
-    [ ("p50", 0.5); ("p90", 0.9); ("p95", 0.95); ("p99", 0.99);
-      ("max", 1.0) ];
-  Printf.printf
-    "\n%d responses for %d submissions in %.3fs (%.1f jobs/s); clean \
-     drain: %b\n"
-    (List.length rs)
-    (!svc_clients * !svc_requests)
-    wall
-    (float_of_int (List.length rs) /. wall)
-    (Serve.Service.clean_drain h)
-
-(* Cluster throughput: the same bimodal job mix pushed through the
-   multi-process coordinator at 1, 2 and 4 workers. Submission and the
-   supervision pump run on the main thread — the coordinator must stay
-   single-domain so its forks (initial and respawn) are safe — so this
-   measures end-to-end coordinator throughput, not client concurrency. *)
-let cluster_service_bench () =
-  header
-    (Printf.sprintf "Service cluster throughput: %d request(s) at 1/2/4 workers"
-       (!svc_clients * !svc_requests));
-  let inline_source =
-    {|class Cell { String v; }
-      class Page extends HttpServlet {
-        public void doGet(HttpServletRequest req, HttpServletResponse resp) {
-          Cell c = new Cell();
-          c.v = req.getParameter("x");
-          resp.getWriter().println(c.v);
-        }
-      }|}
-  in
-  let total = !svc_clients * !svc_requests in
-  Printf.printf "%8s %10s %10s %10s %10s\n" "workers" "completed" "failed"
-    "wall(s)" "jobs/s";
-  List.iter
-    (fun size ->
-       let config =
-         { Serve.Cluster.default_config with
-           size;
-           announce = false;
-           service =
-             { Serve.Service.default_config with
-               workers = max 1 !jobs;
-               queue_cap = max 8 (2 * total);
-               seed = 42 } }
-       in
-       let c = Serve.Cluster.create ~config () in
-       let completed = ref 0 and failed = ref 0 and responses = ref 0 in
-       let respond r =
-         incr responses;
-         match r.Serve.Service.rp_status with
-         | Serve.Service.Completed | Serve.Service.Degraded ->
-           incr completed
-         | _ -> incr failed
-       in
-       let wall0 = Unix.gettimeofday () in
-       for i = 0 to total - 1 do
-         let id = Printf.sprintf "b%d" i in
-         let rq =
-           if i mod 4 = 0 then
-             Serve.Service.request ~app:"BlueBlog" ~scale:0.02 ~priority:2
-               id
-           else Serve.Service.request ~source:inline_source ~priority:1 id
-         in
-         Serve.Cluster.submit c rq ~respond;
-         (* interleave supervision so worker results drain while the
-            batch streams in *)
-         Serve.Cluster.pump c ~timeout:0.0
-       done;
-       while not (Serve.Cluster.idle c) do
-         Serve.Cluster.pump c ~timeout:0.02
-       done;
-       Serve.Cluster.await_drained c;
-       let wall = Unix.gettimeofday () -. wall0 in
-       Printf.printf "%8d %10d %10d %10.3f %10.1f\n" size !completed
-         !failed wall
-         (float_of_int !responses /. wall))
-    [ 1; 2; 4 ]
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  header "Micro-benchmarks (Bechamel): pipeline phases on app 'Friki'";
-  let a = Option.get (Apps.find "Friki") in
-  let g = Apps.generate ~scale:!scale a in
-  let input = Codegen.to_input g in
-  let loaded = Taj.load input in
-  let open Bechamel in
-  let test_load =
-    Test.make ~name:"frontend (parse+lower+ssa+rewrites)"
-      (Staged.stage (fun () -> ignore (Taj.load input)))
-  in
-  let test_hybrid =
-    Test.make ~name:"pointer+slice (hybrid unbounded)"
-      (Staged.stage (fun () ->
-           ignore
-             (Taj.run loaded (Config.preset ~scale:!scale Config.Hybrid_unbounded))))
-  in
-  let test_ci =
-    Test.make ~name:"pointer+slice (ci)"
-      (Staged.stage (fun () ->
-           ignore
-             (Taj.run loaded (Config.preset ~scale:!scale Config.Ci_thin_slicing))))
-  in
-  let test_generate =
-    Test.make ~name:"workload generation"
-      (Staged.stage (fun () -> ignore (Apps.generate ~scale:!scale a)))
-  in
-  let tests =
-    Test.make_grouped ~name:"taj"
-      [ test_load; test_hybrid; test_ci; test_generate ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  List.iter
-    (fun instance ->
-       let tbl = Analyze.all ols instance raw in
-       Hashtbl.iter
-         (fun name result ->
-            match Analyze.OLS.estimates result with
-            | Some [ est ] ->
-              Printf.printf "  %-50s %12.0f ns/run\n" name est
-            | _ -> Printf.printf "  %-50s (no estimate)\n" name)
-         tbl)
-    instances
-
-(* ------------------------------------------------------------------ *)
-(* Incremental-cache benchmark                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Cold vs warm vs one-edit analysis latency through the incremental
-   cache, per app. Two edit flavours, because they exercise different
-   tiers: a comment edit changes the source digest but not the parsed
-   AST, so the semantic result key still hits (the cheap case); a
-   semantic edit (an appended class) forces re-analysis on top of warm
-   ast/defuse entries. Writes incremental.csv. *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let edit_last f (input : Taj.input) =
-  match List.rev input.Taj.app_sources with
-  | [] -> input
-  | last :: rest ->
-    { input with Taj.app_sources = List.rev (f last :: rest) }
-
-let incremental () =
-  header "Incremental cache: cold vs warm vs one-edit latency";
-  let options = { Supervisor.default_options with scale = !scale } in
-  let config = Config.preset ~scale:!scale Config.Hybrid_optimized in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "taj-bench-incr-%d" (Unix.getpid ()))
-  in
-  rm_rf root;
-  let oc = open_out "incremental.csv" in
-  output_string oc
-    "app,cold_s,warm_s,comment_edit_s,semantic_edit_s,issues,\
-     warm_speedup,comment_speedup,semantic_speedup\n";
-  Printf.printf "%-14s %8s %8s %8s %8s | %7s %7s %7s\n" "application"
-    "cold" "warm" "comment" "semantic" "w-spd" "c-spd" "s-spd";
-  let totals = Array.make 4 0.0 in
-  List.iter
-    (fun (a : Apps.app) ->
-       let input = Codegen.to_input (Apps.generate ~scale:!scale a) in
-       let dir = Filename.concat root a.Apps.name in
-       let cache = Cache.Incr.create ~dir in
-       let timed input =
-         let t0 = Unix.gettimeofday () in
-         let o = Cache.Incr.analyze ~cache ~options ~config input in
-         (o, Unix.gettimeofday () -. t0)
-       in
-       let cold, t_cold = timed input in
-       let warm, t_warm = timed input in
-       if warm.Cache.Incr.i_report <> cold.Cache.Incr.i_report then
-         Printf.printf "  !! %s: warm report differs from cold\n"
-           a.Apps.name;
-       let _, t_comment =
-         timed (edit_last (fun s -> s ^ "\n// one-line edit\n") input)
-       in
-       let _, t_semantic =
-         timed
-           (edit_last
-              (fun s ->
-                 s ^ "\nclass BenchProbeOrphan { int probe(int x) \
-                      { return x; } }\n")
-              input)
-       in
-       let spd t = if t > 0.0 then t_cold /. t else 0.0 in
-       totals.(0) <- totals.(0) +. t_cold;
-       totals.(1) <- totals.(1) +. t_warm;
-       totals.(2) <- totals.(2) +. t_comment;
-       totals.(3) <- totals.(3) +. t_semantic;
-       Printf.printf "%-14s %8.3f %8.3f %8.3f %8.3f | %6.1fx %6.1fx %6.1fx\n"
-         a.Apps.name t_cold t_warm t_comment t_semantic (spd t_warm)
-         (spd t_comment) (spd t_semantic);
-       Printf.fprintf oc "%s,%.4f,%.4f,%.4f,%.4f,%d,%.2f,%.2f,%.2f\n"
-         (csv_field a.Apps.name) t_cold t_warm t_comment t_semantic
-         cold.Cache.Incr.i_issues (spd t_warm) (spd t_comment)
-         (spd t_semantic))
-    Apps.table2;
-  close_out oc;
-  rm_rf root;
-  let spd i = if totals.(i) > 0.0 then totals.(0) /. totals.(i) else 0.0 in
-  Printf.printf "%s\n%-14s %8.3f %8.3f %8.3f %8.3f | %6.1fx %6.1fx %6.1fx\n"
-    line "total" totals.(0) totals.(1) totals.(2) totals.(3) (spd 1)
-    (spd 2) (spd 3);
-  Printf.printf
-    "wrote incremental.csv (scale %.2f); one-line (comment) edit: %.1fx\n"
-    !scale (spd 2)
-
-(* ------------------------------------------------------------------ *)
-
-(* Triage vs full analysis: how much latency does rung zero save, and
-   how coarse is its answer? One row per app — type-qualifier triage
-   wall clock against the full Hybrid_optimized pipeline on the same
-   loaded program. Writes triage.csv. *)
-let triage_bench () =
-  header "Type-triage rung zero vs full analysis";
-  Printf.printf "%-14s %9s %9s %8s | %8s %8s\n" "application" "triage"
-    "full" "speedup" "findings" "issues";
-  let rows =
-    Parallel.map ~jobs:!jobs
-      (fun (a : Apps.app) ->
-         let loaded =
-           Taj.load (Codegen.to_input (Apps.generate ~scale:!scale a))
-         in
-         let verdict, t_triage =
-           Obs.Telemetry.timed (fun () ->
-               Taj.triage ~rules:Rules.default_rules loaded)
-         in
-         let analysis, t_full =
-           Obs.Telemetry.timed (fun () ->
-               Taj.run loaded (Config.preset ~scale:!scale Config.Hybrid_optimized))
-         in
-         let issues =
-           match analysis.Taj.result with
-           | Taj.Completed c -> Report.issue_count c.Taj.report
-           | Taj.Did_not_complete _ -> 0
-         in
-         (a.Apps.name, t_triage, t_full,
-          List.length (Triage.findings verdict), issues))
-      Apps.table2
-  in
-  let oc = open_out "triage.csv" in
-  Obs.Csv.write_row oc
-    [ "app"; "triage_s"; "full_s"; "speedup"; "triage_findings";
-      "full_issues" ];
-  let sum_t = ref 0.0 and sum_f = ref 0.0 in
-  List.iter
-    (fun (name, t_triage, t_full, findings, issues) ->
-       sum_t := !sum_t +. t_triage;
-       sum_f := !sum_f +. t_full;
-       let spd = if t_triage > 0.0 then t_full /. t_triage else 0.0 in
-       Printf.printf "%-14s %8.3fs %8.3fs %7.1fx | %8d %8d\n" name
-         t_triage t_full spd findings issues;
-       Obs.Csv.write_row oc
-         [ name; Printf.sprintf "%.4f" t_triage;
-           Printf.sprintf "%.4f" t_full; Printf.sprintf "%.1f" spd;
-           string_of_int findings; string_of_int issues ])
-    rows;
-  close_out oc;
-  Printf.printf "%s\ntotal: triage %.3fs vs full %.3fs (%.1fx); wrote \
-                 triage.csv (scale %.2f)\n"
-    line !sum_t !sum_f
-    (if !sum_t > 0.0 then !sum_f /. !sum_t else 0.0)
-    !scale
-
-(* ------------------------------------------------------------------ *)
-
-(* Context-sensitive sanitization: the judge's cost and verdict mix on
-   the ground-truth apps plus the scored Table 2 apps. One row per app —
-   analysis wall clock with the judge off and on, the verdict counts,
-   and the planted-mismatch recall. Writes contexts.csv. *)
-let contexts_bench () =
-  header "Context-sensitive sanitization judge";
-  Printf.printf "%-14s %9s %9s %6s %7s %9s\n" "application" "off" "on"
-    "mism" "unsanit" "expected";
-  let apps = Apps.contexts_apps @ Apps.scored_apps in
-  let rows =
-    Parallel.map ~jobs:!jobs
-      (fun (a : Apps.app) ->
-         let g = Apps.generate ~scale:!scale a in
-         let loaded = Taj.load (Codegen.to_input g) in
-         let truth = g.Codegen.g_truth in
-         let off =
-           Score.run_config ~loaded ~truth ~app:a.Apps.name ~scale:!scale
-             Config.Hybrid_optimized
-         in
-         let on =
-           Score.run_config ~contexts:true ~loaded ~truth ~app:a.Apps.name
-             ~scale:!scale Config.Hybrid_optimized
-         in
-         (a.Apps.name, off, on))
-      apps
-  in
-  let oc = open_out "contexts.csv" in
-  Obs.Csv.write_row oc
-    [ "app"; "off_s"; "on_s"; "issues_off"; "issues_on"; "mismatched";
-      "unsanitized"; "expected"; "matched" ];
-  let missed = ref 0 in
-  List.iter
-    (fun (name, (off : Score.run), (on : Score.run)) ->
-       let mism, unsan, expected, matched =
-         match on.Score.r_sanitization with
-         | Some s ->
-           missed := !missed + (s.Score.sz_expected - s.Score.sz_matched);
-           ( s.Score.sz_mismatched, s.Score.sz_unsanitized,
-             s.Score.sz_expected, s.Score.sz_matched )
-         | None -> (0, 0, 0, 0)
-       in
-       Printf.printf "%-14s %8.3fs %8.3fs %6d %7d %5d/%d\n" name
-         off.Score.r_seconds on.Score.r_seconds mism unsan matched expected;
-       Obs.Csv.write_row oc
-         [ name; Printf.sprintf "%.4f" off.Score.r_seconds;
-           Printf.sprintf "%.4f" on.Score.r_seconds;
-           string_of_int off.Score.r_issues; string_of_int on.Score.r_issues;
-           string_of_int mism; string_of_int unsan;
-           string_of_int expected; string_of_int matched ])
-    rows;
-  close_out oc;
-  Printf.printf "%s\nwrote contexts.csv (scale %.2f)\n" line !scale;
-  if !missed > 0 then begin
-    Printf.eprintf "%d planted sanitizer mismatch(es) missed\n" !missed;
-    exit 1
-  end
-
 let () =
   let args = Array.to_list Sys.argv in
   let rec parse cmds = function
@@ -1091,15 +631,6 @@ let () =
       parse cmds rest
     | "--metrics" :: rest ->
       metrics := true;
-      parse cmds rest
-    | "--clients" :: v :: rest ->
-      svc_clients := max 1 (int_of_string v);
-      parse cmds rest
-    | "--requests" :: v :: rest ->
-      svc_requests := max 1 (int_of_string v);
-      parse cmds rest
-    | "--cluster" :: rest ->
-      svc_cluster := true;
       parse cmds rest
     | cmd :: rest -> parse (cmd :: cmds) rest
   in
@@ -1120,17 +651,11 @@ let () =
     | "securibench" -> securibench ()
     | "csv" -> csv ()
     | "inventory" -> inventory ()
-    | "service" ->
-      if !svc_cluster then cluster_service_bench () else service_bench ()
-    | "incremental" -> incremental ()
-    | "triage" -> triage_bench ()
-    | "contexts" -> contexts_bench ()
-    | "micro" -> micro ()
     | "all" ->
       table1 (); table2 (); table3 (); figure4 (); summary ();
       ablate_flowlen (); ablate_depth (); ablate_budget ();
       ablate_bound_kind (); scaling (); inventory ();
-      securibench (); micro ()
+      securibench ()
     | other ->
       Printf.eprintf "unknown subcommand %s\n" other;
       exit 2

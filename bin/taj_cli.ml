@@ -16,14 +16,9 @@ open Core
 
 let algorithm_conv =
   let parse s =
-    match s with
-    | "hybrid" | "hybrid-unbounded" -> Ok Config.Hybrid_unbounded
-    | "prioritized" | "hybrid-prioritized" -> Ok Config.Hybrid_prioritized
-    | "optimized" | "hybrid-optimized" -> Ok Config.Hybrid_optimized
-    | "cs" -> Ok Config.Cs_thin_slicing
-    | "ci" -> Ok Config.Ci_thin_slicing
-    | "triage" -> Ok Config.Type_triage
-    | _ ->
+    match Config.algorithm_of_name s with
+    | Some a -> Ok a
+    | None ->
       Error
         (`Msg
            "expected one of: hybrid, prioritized, optimized, cs, ci, \
@@ -894,8 +889,8 @@ let score_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* --arm SPEC: site@after@action[@every], action = fail | transient |
-   stall:SECONDS. Lets the CI smoke test (and local chaos experiments)
-   arm Core.Fault sites from outside the process. *)
+   stall:SECONDS. Lets the end-to-end service scenario (and local chaos
+   experiments) arm Core.Fault sites from outside the process. *)
 let arm_conv =
   let parse s =
     match String.split_on_char '@' s with

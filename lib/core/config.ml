@@ -29,6 +29,15 @@ let algorithm_name = function
   | Ci_thin_slicing -> "ci"
   | Type_triage -> "triage"
 
+let algorithm_of_name = function
+  | "hybrid" | "hybrid-unbounded" -> Some Hybrid_unbounded
+  | "prioritized" | "hybrid-prioritized" -> Some Hybrid_prioritized
+  | "optimized" | "hybrid-optimized" -> Some Hybrid_optimized
+  | "cs" -> Some Cs_thin_slicing
+  | "ci" -> Some Ci_thin_slicing
+  | "triage" -> Some Type_triage
+  | _ -> None
+
 type t = {
   algorithm : algorithm;
   max_cg_nodes : int option;          (* §6.1 *)

@@ -13,6 +13,10 @@ type algorithm =
 
 val algorithm_name : algorithm -> string
 
+(** Every {!algorithm_name}, plus [hybrid], [prioritized] and [optimized]
+    for the three hybrid configurations; [None] for any other name. *)
+val algorithm_of_name : string -> algorithm option
+
 type t = {
   algorithm : algorithm;
   max_cg_nodes : int option;          (** §6.1 call-graph node budget *)

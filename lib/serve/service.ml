@@ -760,15 +760,6 @@ let events t =
 (* Wire records: the one encoder and decoder of each                  *)
 (* ------------------------------------------------------------------ *)
 
-let algorithm_of_string = function
-  | "hybrid" | "hybrid-unbounded" -> Ok Config.Hybrid_unbounded
-  | "prioritized" | "hybrid-prioritized" -> Ok Config.Hybrid_prioritized
-  | "optimized" | "hybrid-optimized" -> Ok Config.Hybrid_optimized
-  | "cs" -> Ok Config.Cs_thin_slicing
-  | "ci" -> Ok Config.Ci_thin_slicing
-  | "triage" -> Ok Config.Type_triage
-  | other -> Error (Printf.sprintf "unknown algorithm %S" other)
-
 let request_json (rq : request) =
   let opt k f = function Some v -> [ (k, f v) ] | None -> [] in
   Json.Obj
@@ -793,7 +784,10 @@ let request_of_json (j : Json.t) : (request, string) result =
       match
         match Json.str_member "algorithm" j with
         | None -> Ok Config.Hybrid_optimized
-        | Some s -> algorithm_of_string s
+        | Some s ->
+          (match Config.algorithm_of_name s with
+           | Some a -> Ok a
+           | None -> Error (Printf.sprintf "unknown algorithm %S" s))
       with
       | Error e -> Error e
       | Ok algorithm ->

@@ -52,12 +52,6 @@ val classify_issues :
   Ground_truth.t -> Sdg.Builder.t -> Core.Report.issue_report list ->
   classification
 
-val run_config :
-  ?refine:bool -> ?refine_k:int -> ?refine_steps:int ->
-  ?triage_filter:bool -> ?contexts:bool ->
-  loaded:Core.Taj.loaded -> truth:Ground_truth.t ->
-  app:string -> scale:float -> Core.Config.algorithm -> run
-
 (** Run the given configurations (default: all five) over one app.
     [triage_filter] (default on) lets the metamorphic CI check score with the pre-filter disabled —
     the reports must not change. *)

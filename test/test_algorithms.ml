@@ -114,6 +114,22 @@ let test_all_configurations_agree_on_plain_flow () =
          (xss_count (run_with alg [ plain_flow ])))
     Config.all_algorithms
 
+let test_algorithm_names_parse () =
+  List.iter
+    (fun alg ->
+       Alcotest.(check bool) (Config.algorithm_name alg ^ " parses back") true
+         (Config.algorithm_of_name (Config.algorithm_name alg) = Some alg))
+    (Config.Type_triage :: Config.all_algorithms);
+  List.iter
+    (fun (name, alg) ->
+       Alcotest.(check bool) (name ^ " parses") true
+         (Config.algorithm_of_name name = Some alg))
+    [ ("hybrid", Config.Hybrid_unbounded);
+      ("prioritized", Config.Hybrid_prioritized);
+      ("optimized", Config.Hybrid_optimized) ];
+  Alcotest.(check bool) "an unknown name does not" true
+    (Config.algorithm_of_name "magic" = None)
+
 let test_prioritized_matches_unbounded_when_budget_suffices () =
   Alcotest.(check int) "prioritized finds the same issues"
     (xss_count (run_with Config.Hybrid_unbounded [ local_context_trap ]))
@@ -211,6 +227,8 @@ let suite =
     Alcotest.test_case "cs unsound for threads" `Quick test_cs_unsound_for_threads;
     Alcotest.test_case "all agree on plain flow" `Quick
       test_all_configurations_agree_on_plain_flow;
+    Alcotest.test_case "algorithm names parse" `Quick
+      test_algorithm_names_parse;
     Alcotest.test_case "prioritized matches unbounded" `Quick
       test_prioritized_matches_unbounded_when_budget_suffices;
     Alcotest.test_case "local chains summarized" `Quick test_local_chains_are_summarized;

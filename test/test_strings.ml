@@ -219,6 +219,32 @@ let test_header_reads_back_counts () =
        ignore (check { hybrid with Config.contexts = true; refine = true } a))
     Apps.contexts_apps
 
+(* ------------------------------------------------------------------ *)
+(* The planted-mismatch recall gate                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* With the judge on, every planted {applied; required} pair is reported
+   with exactly that pair; six are planted, two on each Ctx app and none
+   on the scored apps. *)
+let test_planted_mismatches_reported () =
+  let module Apps = Workloads.Apps in
+  let module Score = Workloads.Score in
+  let planted (a : Apps.app) =
+    match
+      Score.run_app ~scale:0.02 ~contexts:true
+        ~algorithms:[ Config.Hybrid_optimized ] a
+    with
+    | [ { Score.r_sanitization = Some s; _ } ] ->
+      Alcotest.(check int) (a.Apps.name ^ ": planted pairs reported")
+        s.Score.sz_expected s.Score.sz_matched;
+      s.Score.sz_expected
+    | _ -> Alcotest.failf "%s: no sanitization counts" a.Apps.name
+  in
+  Alcotest.(check int) "planted pairs" 6
+    (List.fold_left
+       (fun n a -> n + planted a)
+       0 (Apps.contexts_apps @ Apps.scored_apps))
+
 let suite =
   [ Alcotest.test_case "mismatched verdict" `Quick test_mismatched_verdict;
     Alcotest.test_case "contexts off: no verdict" `Quick
@@ -233,4 +259,6 @@ let suite =
     Alcotest.test_case "contexts on loses no issue" `Quick
       test_contexts_on_loses_no_issue;
     Alcotest.test_case "report header reads back the judge's counts" `Slow
-      test_header_reads_back_counts ]
+      test_header_reads_back_counts;
+    Alcotest.test_case "planted mismatches are reported" `Slow
+      test_planted_mismatches_reported ]
