@@ -1180,7 +1180,8 @@ let serve_cmd =
       h.Serve.Service.h_completed h.Serve.Service.h_degraded
       h.Serve.Service.h_failed
       (h.Serve.Service.h_rejected_full
-       + h.Serve.Service.h_rejected_draining)
+       + h.Serve.Service.h_rejected_draining
+       + h.Serve.Service.h_rejected_malformed)
       h.Serve.Service.h_shed h.Serve.Service.h_retries;
     if Serve.Service.clean_drain h then exit 0 else exit 5
   in
@@ -1321,41 +1322,44 @@ let top_cmd =
           rejected %d  shed %d  (%.1f jobs/s)"
       (jint "submitted" h) completed (jint "degraded" h) (jint "failed" h)
       (jint "rejected" h + jint "rejected_full" h
-       + jint "rejected_draining" h)
+       + jint "rejected_draining" h + jint "rejected_malformed" h)
       (jint "shed" h) rate;
     (* single-process health carries these inline; the cluster aggregate
-       gets them from the merged metrics snapshot below *)
-    (match J.member "latency_ms_p50" h with
-     | Some _ ->
-       line "latency   p50 %dms  p95 %dms  p99 %dms"
-         (jint "latency_ms_p50" h) (jint "latency_ms_p95" h)
-         (jint "latency_ms_p99" h);
-       line "state     queue %d  pressure %d  rung %s  breakers open %d  \
-             cache %d/%d hit/miss"
-         (jint "queue_depth" h) (jint "pressure" h)
-         (match J.str_member "rung" h with
-          | Some r when r <> "" -> r
-          | _ -> "-")
-         (match J.member "open_breakers" h with
-          | Some (J.Arr l) -> List.length l
-          | _ -> 0)
-         (jint "cache_hits" h) (jint "cache_misses" h)
-     | None -> ());
+       gets them from the merged metrics snapshot below, and only it
+       prints them from there *)
+    let inline = J.member "latency_ms_p50" h <> None in
+    if inline then begin
+      line "latency   p50 %dms  p95 %dms  p99 %dms"
+        (jint "latency_ms_p50" h) (jint "latency_ms_p95" h)
+        (jint "latency_ms_p99" h);
+      line "state     queue %d  pressure %d  rung %s  breakers open %d  \
+            cache %d/%d hit/miss"
+        (jint "queue_depth" h) (jint "pressure" h)
+        (match J.str_member "rung" h with
+         | Some r when r <> "" -> r
+         | _ -> "-")
+        (match J.member "open_breakers" h with
+         | Some (J.Arr l) -> List.length l
+         | _ -> 0)
+        (jint "cache_hits" h) (jint "cache_misses" h)
+    end;
     (match metrics with
      | None -> ()
      | Some m ->
-       (match J.member "serve.latency_ms" m with
-        | Some lat ->
-          line "latency   p50 %dms  p95 %dms  p99 %dms  (n=%d, cluster-wide)"
-            (jint "p50" lat) (jint "p95" lat) (jint "p99" lat)
-            (jint "count" lat)
-        | None -> ());
        let counter k = J.int_member k m in
-       (match counter "cache.hit", counter "cache.miss" with
-        | None, None -> ()
-        | hit, miss ->
-          line "cache     %d hit  %d miss"
-            (Option.value ~default:0 hit) (Option.value ~default:0 miss));
+       if not inline then begin
+         (match J.member "serve.latency_ms" m with
+          | Some lat ->
+            line "latency   p50 %dms  p95 %dms  p99 %dms  (n=%d, cluster-wide)"
+              (jint "p50" lat) (jint "p95" lat) (jint "p99" lat)
+              (jint "count" lat)
+          | None -> ());
+         match counter "cache.hit", counter "cache.miss" with
+         | None, None -> ()
+         | hit, miss ->
+           line "cache     %d hit  %d miss"
+             (Option.value ~default:0 hit) (Option.value ~default:0 miss)
+       end;
        (* per-rung response counters: one "serve.rung.<algorithm>"
           counter per ladder rung a job actually ran on *)
        (match m with

@@ -151,10 +151,12 @@ let is_sanitizer_id (rule : rule) (id : string) =
 type matcher = {
   table : Classtable.t;
   canon : (Tac.mref, string) Hashtbl.t;
+  mutable members : rule list * string array;
+      (* a rule set and the member names of its sources *)
 }
 
 let matcher (table : Classtable.t) : matcher =
-  { table; canon = Hashtbl.create 256 }
+  { table; canon = Hashtbl.create 256; members = ([], [||]) }
 
 let resolve table (target : Tac.mref) =
   match
@@ -197,24 +199,59 @@ let sanitizer_of (m : matcher) (rules : rule list) (target : Tac.mref) :
   let c = canonical m target in
   if List.exists (fun r -> is_sanitizer_id r c) rules then Some c else None
 
+(* The member name of a method id [C.m/n] is the text between its last
+   ['.'] and its last ['/'], when the ['.'] comes first. Canonicalization
+   changes only the class, so a canonical id has its target's member
+   name. *)
+let last_index s c = try String.rindex s c with Not_found -> -1
+
+let rec same_bytes a i b j n =
+  n = 0 || (a.[i] = b.[j] && same_bytes a (i + 1) b (j + 1) (n - 1))
+
+(* Does a name of [names] from the [k]th on equal the [len] bytes of [id]
+   at [pos]? Compared in place: a miss allocates nothing. *)
+let rec has_member names k id pos len =
+  k < Array.length names
+  && ((String.length names.(k) = len && same_bytes names.(k) 0 id pos len)
+      || has_member names (k + 1) id pos len)
+
 (** Does any rule regard this method id as a source? Used to seed the
-    priority-driven call-graph construction (§6.1). *)
+    priority-driven call-graph construction (§6.1). An id whose member
+    name no source has is rejected without a parse. *)
 let is_source_method_id (rules : rule list) (m : matcher) (id : string) =
+  let names =
+    match m.members with
+    | rs, names when rs == rules -> names
+    | _ ->
+      let member s =
+        let dot = last_index s '.' and slash = last_index s '/' in
+        if dot >= 0 && slash > dot then
+          Some (String.sub s (dot + 1) (slash - dot - 1))
+        else None
+      in
+      let names =
+        List.concat_map (fun r -> List.map (fun s -> s.src_method) r.sources)
+          rules
+        |> List.filter_map member |> List.sort_uniq String.compare
+        |> Array.of_list
+      in
+      m.members <- (rules, names);
+      names
+  in
+  let dot = last_index id '.' and slash = last_index id '/' in
+  dot >= 0 && slash > dot
+  && has_member names 0 id (dot + 1) (slash - dot - 1)
+  &&
   (* [id] is already an mref id string; canonicalize via a parse *)
-  match String.rindex_opt id '/' with
+  match
+    int_of_string_opt
+      (String.sub id (slash + 1) (String.length id - slash - 1))
+  with
   | None -> false
-  | Some slash ->
-    (match String.rindex_opt id '.' with
-     | None -> false
-     | Some dot ->
-       let rclass = String.sub id 0 dot in
-       let rname = String.sub id (dot + 1) (slash - dot - 1) in
-       let rarity =
-         int_of_string_opt
-           (String.sub id (slash + 1) (String.length id - slash - 1))
-       in
-       (match rarity with
-        | None -> false
-        | Some rarity ->
-          let c = canonical m { Tac.rclass; rname; rarity } in
-          List.exists (fun r -> source_of_id r c <> None) rules))
+  | Some rarity ->
+    let c =
+      canonical m
+        { Tac.rclass = String.sub id 0 dot;
+          rname = String.sub id (dot + 1) (slash - dot - 1); rarity }
+    in
+    List.exists (fun r -> source_of_id r c <> None) rules

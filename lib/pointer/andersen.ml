@@ -96,14 +96,14 @@ type t = {
   mutable pts : Int_set.t array;                       (* pk -> iks *)
   mutable succ : (int * string option) list array;     (* pk -> edges *)
   edge_seen : unit Edge_tbl.t;
-  base_cs : (int, base_constraint list ref) Hashtbl.t; (* pk -> constraints *)
-  vcalls : (int, vcall list ref) Hashtbl.t;            (* recv pk -> calls *)
+  mutable base_cs : base_constraint list array;        (* pk -> constraints *)
+  mutable vcalls : vcall list array;                   (* recv pk -> calls *)
   mutable dirty : bool array;                          (* pk in worklist? *)
   work : int Queue.t;
   pending_fifo : int Queue.t;
   pending_prio : Pq.t;
-  prio : (int, int) Hashtbl.t;                         (* node -> priority *)
-  processed : (int, unit) Hashtbl.t;
+  mutable prio : int array;          (* node -> priority; prioritized only *)
+  mutable processed : bool array;                      (* node -> dequeued? *)
   field_writers : (Keys.field, Int_set.t ref) Hashtbl.t;
   field_readers : (Keys.field, Int_set.t ref) Hashtbl.t;
   const_cache : (string, Tac.var -> string option) Hashtbl.t;
@@ -116,19 +116,34 @@ type t = {
 (* Storage helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let grow a cap x =
+  let b = Array.make cap x in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Every table indexed by pointer-key id has a slot for [n]. *)
 let ensure_capacity t n =
   let cap = Array.length t.pts in
   if n >= cap then begin
-    let newcap = max (2 * cap) (n + 64) in
-    let pts = Array.make newcap Int_set.empty in
-    Array.blit t.pts 0 pts 0 cap;
-    t.pts <- pts;
-    let succ = Array.make newcap [] in
-    Array.blit t.succ 0 succ 0 cap;
-    t.succ <- succ;
-    let dirty = Array.make newcap false in
-    Array.blit t.dirty 0 dirty 0 cap;
-    t.dirty <- dirty
+    let cap = max (2 * cap) (n + 64) in
+    t.pts <- grow t.pts cap Int_set.empty;
+    t.succ <- grow t.succ cap [];
+    t.base_cs <- grow t.base_cs cap [];
+    t.vcalls <- grow t.vcalls cap [];
+    t.dirty <- grow t.dirty cap false
+  end
+
+(* A node's priority before it has one; no priority the solver assigns
+   (0, the default, a neighbour's plus one) is this. *)
+let unassigned = min_int
+
+(* Every table indexed by call-graph node has a slot for [node]. *)
+let ensure_node_capacity t node =
+  let cap = Array.length t.processed in
+  if node >= cap then begin
+    let cap = max (2 * cap) (node + 64) in
+    t.processed <- grow t.processed cap false;
+    t.prio <- grow t.prio cap unassigned
   end
 
 let pk t key =
@@ -207,23 +222,24 @@ let method_contains_source t (m : Tac.meth) =
     b
 
 let priority_of t node =
-  match Hashtbl.find_opt t.prio node with
-  | Some p -> p
-  | None -> t.default_prio
-
-let set_priority t node p = Hashtbl.replace t.prio node p
+  let p = t.prio.(node) in
+  if p = unassigned then t.default_prio else p
 
 (* initial-assignment rule: source nodes get priority 0 *)
 let assign_initial_priority t node =
-  if not (Hashtbl.mem t.prio node) then begin
+  if t.prio.(node) = unassigned then begin
     let m = (Callgraph.node t.cg node).Callgraph.n_method in
-    let p = if method_contains_source t m then 0 else t.default_prio in
-    set_priority t node p
+    t.prio.(node) <- (if method_contains_source t m then 0 else t.default_prio)
   end
 
+(* Only a prioritized run reads priorities: a FIFO run assigns none, so
+   it never asks which methods call a source. *)
 let enqueue_pending t node =
-  assign_initial_priority t node;
-  if t.cfg.prioritized then Pq.push t.pending_prio (priority_of t node) node
+  ensure_node_capacity t node;
+  if t.cfg.prioritized then begin
+    assign_initial_priority t node;
+    Pq.push t.pending_prio (priority_of t node) node
+  end
   else Queue.add node t.pending_fifo
 
 (* neighborhood of a node: call-graph preds and succs, plus nodes whose
@@ -268,8 +284,8 @@ let update_priorities t node =
            assign_initial_priority t nb;
            let pt = priority_of t nb in
            if pn + 1 < pt then begin
-             set_priority t nb (pn + 1);
-             if not (Hashtbl.mem t.processed nb) then
+             t.prio.(nb) <- pn + 1;
+             if not t.processed.(nb) then
                Pq.push t.pending_prio (pn + 1) nb;
              Queue.add nb queue
            end)
@@ -452,27 +468,11 @@ let process_base_constraint t (c : base_constraint) base_pk =
       fresh
 
 let add_base_constraint t base_pk (c : base_constraint) =
-  let lst =
-    match Hashtbl.find_opt t.base_cs base_pk with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace t.base_cs base_pk l;
-      l
-  in
-  lst := c :: !lst;
+  t.base_cs.(base_pk) <- c :: t.base_cs.(base_pk);
   process_base_constraint t c base_pk
 
 let add_vcall t recv_pk (vc : vcall) =
-  let lst =
-    match Hashtbl.find_opt t.vcalls recv_pk with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.replace t.vcalls recv_pk l;
-      l
-  in
-  lst := vc :: !lst;
+  t.vcalls.(recv_pk) <- vc :: t.vcalls.(recv_pk);
   process_vcall t vc recv_pk
 
 (* ------------------------------------------------------------------ *)
@@ -676,12 +676,12 @@ let solve t =
          if !moved then mark_dirty t dst)
       t.succ.(p);
     (* complex constraints keyed on this pointer *)
-    (match Hashtbl.find_opt t.base_cs p with
-     | Some cs -> List.iter (fun c -> process_base_constraint t c p) !cs
-     | None -> ());
-    (match Hashtbl.find_opt t.vcalls p with
-     | Some vcs -> List.iter (fun vc -> process_vcall t vc p) !vcs
-     | None -> ())
+    (match t.base_cs.(p) with
+     | [] -> ()
+     | cs -> List.iter (fun c -> process_base_constraint t c p) cs);
+    (match t.vcalls.(p) with
+     | [] -> ()
+     | vcs -> List.iter (fun vc -> process_vcall t vc p) vcs)
   done
 
 let next_pending t : int option =
@@ -690,7 +690,7 @@ let next_pending t : int option =
       match Pq.pop t.pending_prio with
       | None -> None
       | Some (p, node) ->
-        if Hashtbl.mem t.processed node then loop ()
+        if t.processed.(node) then loop ()
         else if p > priority_of t node then begin
           (* stale entry; a better one is in the heap *)
           loop ()
@@ -704,7 +704,7 @@ let next_pending t : int option =
       if Queue.is_empty t.pending_fifo then None
       else
         let node = Queue.pop t.pending_fifo in
-        if Hashtbl.mem t.processed node then loop () else Some node
+        if t.processed.(node) then loop () else Some node
     in
     loop ()
 
@@ -721,15 +721,8 @@ let memo_by_id (f : string -> bool) =
 
 let create ?(config : config option) (prog : Program.t) : t =
   let cfg = match config with Some c -> c | None -> default_config () in
-  (* both predicates are pure functions of the id (andersen.mli): each
-     is asked once per id per run *)
-  let cfg =
-    { cfg with
-      is_source_method = memo_by_id cfg.is_source_method;
-      policy =
-        { cfg.policy with
-          Policy.taint_api = memo_by_id cfg.policy.Policy.taint_api } }
-  in
+  (* a pure function of the id (andersen.mli), asked once per id *)
+  let cfg = { cfg with is_source_method = memo_by_id cfg.is_source_method } in
   let default_prio =
     match cfg.max_nodes with Some m -> m | None -> max_int / 2
   in
@@ -741,14 +734,14 @@ let create ?(config : config option) (prog : Program.t) : t =
     pts = Array.make 1024 Int_set.empty;
     succ = Array.make 1024 [];
     edge_seen = Edge_tbl.create 4096;
-    base_cs = Hashtbl.create 1024;
-    vcalls = Hashtbl.create 1024;
+    base_cs = Array.make 1024 [];
+    vcalls = Array.make 1024 [];
     dirty = Array.make 1024 false;
     work = Queue.create ();
     pending_fifo = Queue.create ();
     pending_prio = Pq.create ();
-    prio = Hashtbl.create 256;
-    processed = Hashtbl.create 256;
+    prio = Array.make 256 unassigned;
+    processed = Array.make 256 false;
     field_writers = Hashtbl.create 256;
     field_readers = Hashtbl.create 256;
     const_cache = Hashtbl.create 256;
@@ -780,7 +773,7 @@ let run ?config (prog : Program.t) : t =
           match next_pending t with
           | None -> continue := false
           | Some node ->
-            Hashtbl.replace t.processed node ();
+            t.processed.(node) <- true;
             t.stats.nodes_processed <- t.stats.nodes_processed + 1;
             Telemetry.incr m_nodes_processed;
             update_priorities t node;

@@ -12,7 +12,8 @@ type config = {
   prioritized : bool;                  (** priority-driven vs chaotic *)
   is_source_method : string -> bool;
       (** taint sources, for priorities. Must be a pure function of the
-          method id: {!run} asks it once per id *)
+          method id: a [prioritized] {!run} asks it once per id, a FIFO
+          one never *)
   excluded_class : string -> bool;     (** whitelisted library code *)
   max_work : int option;
       (** hard budget on propagation steps; exceeding it raises

@@ -33,14 +33,16 @@ module Site_tbl = Hashtbl.Make (struct
     let hash = Hashtbl.hash
   end)
 
+(* [nodes], [rev_edges] and [out_nodes] are indexed by node and grow
+   together. *)
 type t = {
   mutable nodes : node array;
   mutable node_count : int;
   intern : int Clone_tbl.t;
   edges : Int_set.t ref Site_tbl.t;                   (* (caller, site) -> callees *)
-  rev_edges : (int, Int_set.t ref) Hashtbl.t;         (* callee -> callers *)
+  mutable rev_edges : Int_set.t array;                (* callee -> callers *)
   native_calls : Jir.Tac.mref list ref Site_tbl.t;
-  out_nodes : (int, Int_set.t ref) Hashtbl.t;         (* caller -> callees *)
+  mutable out_nodes : Int_set.t array;                (* caller -> callees *)
   mutable edge_count : int;
 }
 
@@ -49,9 +51,9 @@ let create () =
     node_count = 0;
     intern = Clone_tbl.create 1024;
     edges = Site_tbl.create 4096;
-    rev_edges = Hashtbl.create 1024;
+    rev_edges = [||];
     native_calls = Site_tbl.create 256;
-    out_nodes = Hashtbl.create 1024;
+    out_nodes = [||];
     edge_count = 0 }
 
 let node_count t = t.node_count
@@ -70,11 +72,15 @@ let ensure_node t (m : Jir.Tac.meth) (ctx : Keys.context)
   | None ->
     let i = t.node_count in
     let n = { n_id = i; n_method = m; n_ctx = ctx } in
-    if i = 0 && Array.length t.nodes = 0 then t.nodes <- Array.make 64 n
-    else if i >= Array.length t.nodes then begin
-      let bigger = Array.make (2 * Array.length t.nodes) n in
-      Array.blit t.nodes 0 bigger 0 (Array.length t.nodes);
-      t.nodes <- bigger
+    if i >= Array.length t.nodes then begin
+      let grow a x =
+        let b = Array.make (max 64 (2 * i)) x in
+        Array.blit a 0 b 0 i;
+        b
+      in
+      t.nodes <- grow t.nodes n;
+      t.rev_edges <- grow t.rev_edges Int_set.empty;
+      t.out_nodes <- grow t.out_nodes Int_set.empty
     end;
     t.nodes.(i) <- n;
     t.node_count <- i + 1;
@@ -96,24 +102,8 @@ let add_edge t ~caller ~site ~callee =
     set := Int_set.add callee !set;
     t.edge_count <- t.edge_count + 1;
     Obs.Telemetry.incr m_edges_created;
-    let rev =
-      match Hashtbl.find_opt t.rev_edges callee with
-      | Some s -> s
-      | None ->
-        let s = ref Int_set.empty in
-        Hashtbl.replace t.rev_edges callee s;
-        s
-    in
-    rev := Int_set.add caller !rev;
-    let out =
-      match Hashtbl.find_opt t.out_nodes caller with
-      | Some s -> s
-      | None ->
-        let s = ref Int_set.empty in
-        Hashtbl.replace t.out_nodes caller s;
-        s
-    in
-    out := Int_set.add callee !out;
+    t.rev_edges.(callee) <- Int_set.add caller t.rev_edges.(callee);
+    t.out_nodes.(caller) <- Int_set.add callee t.out_nodes.(caller);
     true
   end
   else false
@@ -139,16 +129,10 @@ let native_targets t ~caller ~site =
   | Some l -> !l
   | None -> []
 
-let callers t ~callee =
-  match Hashtbl.find_opt t.rev_edges callee with
-  | Some s -> Int_set.elements !s
-  | None -> []
+let callers t ~callee = Int_set.elements t.rev_edges.(callee)
 
 (** All successors of a node across its call sites. *)
-let successors t n =
-  match Hashtbl.find_opt t.out_nodes n with
-  | Some s -> Int_set.elements !s
-  | None -> []
+let successors t n = Int_set.elements t.out_nodes.(n)
 
 let iter_nodes t f =
   for i = 0 to t.node_count - 1 do

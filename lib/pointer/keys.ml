@@ -216,7 +216,9 @@ let create_universe ?(depth_limit = 8) () =
     depth_limit }
 
 let ik (u : universe) (k : inst_key) : int =
-  Ik_interner.intern u.iks (truncate_inst ~limit:u.depth_limit k)
+  Ik_interner.intern u.iks
+    (if inst_depth k <= u.depth_limit then k
+     else truncate_inst ~limit:u.depth_limit k)
 
 (** The id of register [v] of node [node], or -1 when it has none. *)
 let find_var (u : universe) node v : int =

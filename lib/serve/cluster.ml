@@ -134,7 +134,7 @@ type t = {
   mutable n_completed : int;
   mutable n_degraded : int;
   mutable n_failed : int;
-  mutable n_rejected : int;
+  mutable n_rejected : int;        (* rejected answers and malformed lines *)
   mutable n_shed : int;            (* responses with reason "shed" *)
   mutable n_rejected_full : int;   (* responses with reason "queue_full" *)
   mutable n_crashes : int;
@@ -1047,7 +1047,9 @@ let serve ?admin t jobs =
   Transport.serve ?admin
     { Transport.handle =
         (fun line ~answer ->
-          Service.handle_line (submit t) line ~answer;
+          Service.handle_line
+            ~malformed:(fun () -> t.n_rejected <- t.n_rejected + 1)
+            (submit t) line ~answer;
           (* a submission writes into a worker's pipe and the worker
              answers on the same pipe: read its answers as a batch
              streams in, or both directions fill and block for good *)

@@ -100,6 +100,7 @@ type health = {
   ch_degraded : int;
   ch_failed : int;
   ch_rejected : int;
+      (** rejected answers, and lines that are not requests *)
   ch_shed : int;
   ch_rejected_full : int;
   ch_crashes : int;                (** worker processes lost *)

@@ -153,6 +153,7 @@ type t = {
   n_failed : int Atomic.t;
   n_rejected_full : int Atomic.t;
   n_rejected_draining : int Atomic.t;
+  n_rejected_malformed : int Atomic.t;   (* lines that are not requests *)
   n_shed : int Atomic.t;
   n_retries : int Atomic.t;
   n_breaker_fast_fails : int Atomic.t;
@@ -566,7 +567,8 @@ let create ?(config = default_config) () =
       n_submitted = Atomic.make 0; n_admitted = Atomic.make 0;
       n_completed = Atomic.make 0; n_degraded = Atomic.make 0;
       n_failed = Atomic.make 0; n_rejected_full = Atomic.make 0;
-      n_rejected_draining = Atomic.make 0; n_shed = Atomic.make 0;
+      n_rejected_draining = Atomic.make 0;
+      n_rejected_malformed = Atomic.make 0; n_shed = Atomic.make 0;
       n_retries = Atomic.make 0;
       n_breaker_fast_fails = Atomic.make 0; n_breaker_opens;
       started_at = cfg.now ();
@@ -686,6 +688,7 @@ type health = {
   h_failed : int;
   h_rejected_full : int;
   h_rejected_draining : int;
+  h_rejected_malformed : int;      (** lines that are not requests *)
   h_shed : int;
   h_retries : int;
   h_breaker_fast_fails : int;
@@ -729,6 +732,7 @@ let health t =
     h_failed = Atomic.get t.n_failed;
     h_rejected_full = Atomic.get t.n_rejected_full;
     h_rejected_draining = Atomic.get t.n_rejected_draining;
+    h_rejected_malformed = Atomic.get t.n_rejected_malformed;
     h_shed = Atomic.get t.n_shed;
     h_retries = Atomic.get t.n_retries;
     h_breaker_fast_fails = Atomic.get t.n_breaker_fast_fails;
@@ -864,6 +868,7 @@ let health_json (h : health) =
       ("failed", Json.int h.h_failed);
       ("rejected_full", Json.int h.h_rejected_full);
       ("rejected_draining", Json.int h.h_rejected_draining);
+      ("rejected_malformed", Json.int h.h_rejected_malformed);
       ("shed", Json.int h.h_shed);
       ("retries", Json.int h.h_retries);
       ("breaker_fast_fails", Json.int h.h_breaker_fast_fails);
@@ -895,6 +900,7 @@ let health_of_json j : (health, string) result =
         h_failed = int "failed";
         h_rejected_full = int "rejected_full";
         h_rejected_draining = int "rejected_draining";
+        h_rejected_malformed = int "rejected_malformed";
         h_shed = int "shed";
         h_retries = int "retries";
         h_breaker_fast_fails = int "breaker_fast_fails";
@@ -912,12 +918,13 @@ let health_of_json j : (health, string) result =
         h_cache_misses = int "cache_misses" }
 
 (** One request line → one answer, through [answer]: a line that does
-    not parse as a request is answered [rejected] at once, with its id
-    when it has one; a request goes to [submit] and is answered when it
-    reaches its terminal state. The transport of both engines calls this
-    for every non-empty line. *)
-let handle_line submit line ~answer =
+    not parse as a request is counted through [malformed] and answered
+    [rejected] at once, with its id when it has one; a request goes to
+    [submit] and is answered when it reaches its terminal state. The
+    transport of both engines calls this for every non-empty line. *)
+let handle_line ~malformed submit line ~answer =
   let reject id reason =
+    malformed ();
     answer
       (Json.to_string
          (Json.Obj
@@ -946,7 +953,10 @@ let handle_line submit line ~answer =
 let serve ?admin t jobs =
   install_signals t;
   Transport.serve ?admin
-    { Transport.handle = handle_line (submit t);
+    { Transport.handle =
+        handle_line
+          ~malformed:(fun () -> Atomic.incr t.n_rejected_malformed)
+          (submit t);
       record = record_diag t;
       health = (fun () -> health t);
       health_json;

@@ -150,6 +150,9 @@ type health = {
   h_failed : int;
   h_rejected_full : int;
   h_rejected_draining : int;
+  h_rejected_malformed : int;
+      (** lines answered [rejected] because they are not requests
+          ({!handle_line}); never submitted *)
   h_shed : int;
   h_retries : int;
   h_breaker_fast_fails : int;
@@ -194,10 +197,12 @@ val health_of_json : Obs.Json.t -> (health, string) result
 
 (** One request line → one answer through [answer]: an unparsable line
     or invalid request is answered [rejected] at once (with its id, or
-    [null]); a valid one is passed to the submit function and answered
+    [null]) after one call of [malformed], the engine's count of such
+    lines; a valid one is passed to the submit function and answered
     with its terminal response. The cluster reuses it over its own
     submit. *)
 val handle_line :
+  malformed:(unit -> unit) ->
   (request -> respond:(response -> unit) -> unit) ->
   string -> answer:(string -> unit) -> unit
 

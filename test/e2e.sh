@@ -282,6 +282,7 @@ assert st["bad-1"] == "rejected" and st["unknown-1"] == "failed", st
 h = health[0]
 assert h["clean_drain"] is True, h
 assert h["admitted"] == h["completed"] + h["degraded"] + h["failed"] + h["shed"], h
+assert h["rejected_malformed"] == 1, h  # bad-1: neither app nor source
 print(f"{len(by)} terminal responses, health: {h}")
 trace("service-trace.json")
 EOF
@@ -307,7 +308,11 @@ jobs = [j["id"] for j in ndjson("batch.ndjson")]
 answers, _ = once(ndjson("socket-responses.ndjson"), jobs, health=0)
 print(f"{len(answers)} answers for {len(jobs)} jobs over a half-closed connection")
 EOF
-  "$BIN" top --once ./admin.sock
+  # a single process reports its latency and cache figures once
+  "$BIN" top --once ./admin.sock > top.txt
+  cat top.txt
+  [ "$(grep -c '^latency' top.txt)" -eq 1 ] || fail "top: not one latency line"
+  [ "$(grep -c 'hit' top.txt)" -eq 1 ] || fail "top: not one hit/miss figure"
   kill -TERM "$srv"
   wait "$srv" || rc=$?
   SERVERS=()
@@ -529,7 +534,11 @@ assert text.endswith("# EOF\n"), f"missing exposition terminator: {text[-40:]!r}
 print(f"mid-batch scrape: {len(buf)} bytes of valid exposition")
 EOF
   wait "$sub"
-  "$BIN" top --once ./admin.sock
+  # the cluster's one latency line is the merged, cluster-wide one
+  "$BIN" top --once ./admin.sock > top.txt
+  cat top.txt
+  [ "$(grep -c '^latency' top.txt)" -eq 1 ] || fail "top: not one latency line"
+  grep -q '^latency.*cluster-wide' top.txt || fail "top: latency not cluster-wide"
 
   # force a flight dump from a live, healthy cluster
   kill -USR1 "$srv"

@@ -164,7 +164,7 @@ let test_proto_admin_roundtrip () =
       h_breaker_fast_fails = 12; h_breaker_opens = 13;
       h_open_breakers = [ "app-a"; "app-b" ]; h_events = 14;
       h_latency_p50 = 15; h_latency_p95 = 16; h_latency_p99 = 17;
-      h_cache_hits = 18; h_cache_misses = 19 }
+      h_cache_hits = 18; h_cache_misses = 19; h_rejected_malformed = 20 }
   in
   List.iter (Serve.Proto.write a)
     [ Serve.Proto.Health_req; Serve.Proto.Metrics_req;
@@ -470,9 +470,11 @@ let test_cluster_admin_under_chaos () =
    coordinator rejects its line, and no worker ever reads it. *)
 let test_cluster_number_overflow () =
   let c = Serve.Cluster.create ~config:(cluster_config ~size:2 ()) () in
-  let answers = ref [] in
+  let answers = ref [] and malformed = ref 0 in
   let handle line =
-    Serve.Service.handle_line (Serve.Cluster.submit c) line
+    Serve.Service.handle_line
+      ~malformed:(fun () -> incr malformed)
+      (Serve.Cluster.submit c) line
       ~answer:(fun a -> answers := Result.get_ok (Obs.Json.parse a) :: !answers)
   in
   handle {|{"id":"bad","app":"Friki","scale":0.02,"deadline":1e400}|};
@@ -492,8 +494,34 @@ let test_cluster_number_overflow () =
     "the overflowing line is rejected as bad JSON; the next one completes"
     [ ("", "rejected", "bad_json"); ("good", "completed", "") ]
     summary;
+  Alcotest.(check int) "the overflowing line is counted as malformed" 1
+    !malformed;
   Alcotest.(check int) "no worker crashed" 0
     (Serve.Cluster.health c).Serve.Cluster.ch_crashes
+
+(* A line that is not a request is answered by the coordinator, never
+   reaches a worker, and counts among the cluster's rejections. *)
+let test_cluster_malformed_lines_rejected () =
+  let input = Filename.temp_file "taj-cluster-bad" ".ndjson" in
+  let output = Filename.temp_file "taj-cluster-bad" ".out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ input; output ])
+    (fun () ->
+      Core.Io.write_file input "not json\n{\"id\":\"no-app\"}\n";
+      let inp = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+      let out = Unix.openfile output [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+      let c = Serve.Cluster.create ~config:(cluster_config ~size:1 ()) () in
+      let h = Serve.Cluster.serve c (Serve.Transport.Stdio (inp, out)) in
+      Unix.close inp;
+      Unix.close out;
+      Alcotest.(check int) "both lines rejected" 2 h.Serve.Cluster.ch_rejected;
+      Alcotest.(check int) "neither was submitted" 0
+        h.Serve.Cluster.ch_submitted;
+      Alcotest.(check (option int)) "the health line says so" (Some 2)
+        (Obs.Json.int_member "rejected" (Serve.Cluster.health_json h)))
 
 (* ------------------------------------------------------------------ *)
 (* Drain aggregation                                                  *)
@@ -728,6 +756,8 @@ let suite =
       test_cluster_admin_under_chaos;
     Alcotest.test_case "cluster: an overflowing number is rejected" `Slow
       test_cluster_number_overflow;
+    Alcotest.test_case "cluster: malformed lines count as rejected" `Slow
+      test_cluster_malformed_lines_rejected;
     Alcotest.test_case "drain: aggregates per-worker health" `Slow
       test_cluster_drain_aggregates;
     Alcotest.test_case "transport: socket round trip" `Slow

@@ -166,6 +166,41 @@ let test_node_budget () =
   Alcotest.(check bool) "calls were dropped" true
     ((Andersen.statistics a).Andersen.dropped_calls > 0)
 
+(* §6.1's priorities order constraint adding only in a prioritized run:
+   a FIFO run (hybrid-unbounded) never asks which methods call a source,
+   while a prioritized one asks for the clones it enqueues. *)
+let test_source_predicate_only_when_prioritized () =
+  let loaded =
+    Core.Taj.load
+      { Core.Taj.name = "pt";
+        app_sources =
+          [ "class P extends HttpServlet { \
+             String read(HttpServletRequest req) { return req.getParameter(\"q\"); } \
+             public void doGet(HttpServletRequest req, HttpServletResponse resp) { \
+               resp.getWriter().println(this.read(req)); } }" ];
+        descriptor = "" }
+  in
+  let m = Core.Rules.matcher loaded.Core.Taj.program.Jir.Program.table in
+  let calls alg =
+    let preset = Core.Config.preset alg in
+    let asked = ref 0 in
+    let config =
+      { (Andersen.default_config ()) with
+        Andersen.max_nodes = preset.Core.Config.max_cg_nodes;
+        prioritized = preset.Core.Config.prioritized;
+        is_source_method =
+          (fun id ->
+             incr asked;
+             Core.Rules.is_source_method_id Core.Rules.default_rules m id) }
+    in
+    ignore (Andersen.run ~config loaded.Core.Taj.program);
+    !asked
+  in
+  Alcotest.(check int) "hybrid-unbounded never asks" 0
+    (calls Core.Config.Hybrid_unbounded);
+  Alcotest.(check bool) "hybrid-prioritized asks" true
+    (calls Core.Config.Hybrid_prioritized >= 1)
+
 let test_heapgraph_reachability () =
   let _, a =
     analyze
@@ -355,6 +390,8 @@ let suite =
     Alcotest.test_case "exception channel" `Quick test_exception_channel;
     Alcotest.test_case "catch class filter" `Quick test_catch_filter_by_class;
     Alcotest.test_case "node budget" `Quick test_node_budget;
+    Alcotest.test_case "source predicate only when prioritized" `Quick
+      test_source_predicate_only_when_prioritized;
     Alcotest.test_case "heap graph reachability" `Quick
       test_heapgraph_reachability;
     Alcotest.test_case "context truncation" `Quick test_context_truncation;

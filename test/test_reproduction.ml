@@ -350,10 +350,42 @@ let pinned_solver =
     ("CtxGallery", "25b3f1385d1b829caa648e17f2fb6a67");
     ("CtxLedger", "93d4199ce1070a2896e64bf4641f661e") ]
 
-let solver_md5 (a : Apps.app) =
+(* The same digest under hybrid-optimized, the CLI and serve default:
+   the only pin on a run that keeps §6.1's priorities (its node budget
+   orders constraint adding), so it guards the code that only
+   prioritized runs execute. Recorded before the FIFO runs stopped
+   assigning priorities. *)
+let pinned_solver_optimized =
+  [ ("A", "cf7e2cce7b7d64a205d9d59dbb414149");
+    ("B", "bcb743d1cf9e30afe3ece9f22a5f325a");
+    ("Blojsom", "1b7bc511732ff45bb16ca23af7500507");
+    ("BlueBlog", "f09dfd19b57177f1fa09f6bf6258e482");
+    ("Dlog", "879a1fb71135b285f71c043da623e75c");
+    ("Friki", "83d30d2b64caea1cbdcb5a59e0f5ab12");
+    ("GestCV", "672ad1943bdfe6d9cf27dd691bc23925");
+    ("Ginp", "8b58e1ea42b6563399ead3cbb028752e");
+    ("GridSphere", "7e50c86a8471b6780af77014773a5d44");
+    ("I", "19b2e20cb8daaeab2aa2787b4ba47312");
+    ("JSPWiki", "1c235d92fe0f0d96ddf4c1ad3e649254");
+    ("Lutece", "3ea60ca801fe636d8808d41f63d65c28");
+    ("MVNForum", "d224c763d42721e92ad10ce1f130dbdc");
+    ("PersonalBlog", "e282da883be3856e66ec60c4e59a74d5");
+    ("Roller", "79d1a2b8d7308615619c0b7c50820c85");
+    ("S", "a1e0a9a9ce1a38ffe6d8ca5458fd8275");
+    ("SBM", "664150bce97ee6b89af932fb228064d4");
+    ("SnipSnap", "7de3f596332ffa1a21485807d776c63a");
+    ("SPLC", "947948256718caa3d5e0e15ebc8062e2");
+    ("ST", "0a3e6236b7beade6f93b61a25237cd51");
+    ("VQWiki", "f0eb8825405a8504549c8d6082a9d54c");
+    ("Webgoat", "456dc418d745e3742540fa619f4e2ecf");
+    ("CtxForum", "58deceb73aae32b72036b4a848d07cf2");
+    ("CtxGallery", "ee8426e7433b2e9d52061557d607f05c");
+    ("CtxLedger", "40e32b3c27dc10534eace902e15c815a") ]
+
+let solver_md5 alg (a : Apps.app) =
   let open Pointer in
   let g = Apps.generate ~scale:pin_scale a in
-  let config = Config.preset ~scale:pin_scale Config.Hybrid_unbounded in
+  let config = Config.preset ~scale:pin_scale alg in
   match (Taj.analyze ~config (Codegen.to_input g)).Taj.result with
   | Taj.Completed c ->
     let an = c.Taj.andersen in
@@ -377,16 +409,16 @@ let solver_md5 (a : Apps.app) =
     Digest.to_hex (Digest.string (Buffer.contents buf))
   | Taj.Did_not_complete reason -> "did not complete: " ^ reason
 
-let test_pinned_solver () =
+let check_solver_pins alg pins () =
   let apps = Apps.table2 @ Apps.contexts_apps in
   Alcotest.(check (list string)) "every app pinned"
-    (List.map fst pinned_solver)
+    (List.map fst pins)
     (List.map (fun (a : Apps.app) -> a.Apps.name) apps);
   List.iter
     (fun (a : Apps.app) ->
        Alcotest.(check string)
          (Printf.sprintf "%s: solver digest" a.Apps.name)
-         (List.assoc a.Apps.name pinned_solver) (solver_md5 a))
+         (List.assoc a.Apps.name pins) (solver_md5 alg a))
     apps
 
 let suite =
@@ -403,4 +435,7 @@ let suite =
       test_flow_length_correlation;
     Alcotest.test_case "pinned report digests" `Slow test_pinned_reports;
     Alcotest.test_case "pinned --json digests" `Slow test_pinned_json;
-    Alcotest.test_case "pinned solver digests" `Slow test_pinned_solver ]
+    Alcotest.test_case "pinned solver digests" `Slow
+      (check_solver_pins Config.Hybrid_unbounded pinned_solver);
+    Alcotest.test_case "pinned solver digests (optimized)" `Slow
+      (check_solver_pins Config.Hybrid_optimized pinned_solver_optimized) ]

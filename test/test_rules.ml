@@ -113,6 +113,78 @@ let test_priority_seed_predicate () =
     (is_source "PrintWriter.println/2");
   Alcotest.(check bool) "garbage id" false (is_source "not-a-method-id")
 
+(* The source test of the pointer priorities, as it was before it
+   rejected ids by their member name: a parse of the id, its canonical
+   form, and every rule's sources. *)
+let reference_is_source rules m id =
+  match String.rindex_opt id '/' with
+  | None -> false
+  | Some slash ->
+    (match String.rindex_opt id '.' with
+     | None -> false
+     | Some dot ->
+       let rclass = String.sub id 0 dot in
+       let rname = String.sub id (dot + 1) (slash - dot - 1) in
+       (match
+          int_of_string_opt
+            (String.sub id (slash + 1) (String.length id - slash - 1))
+        with
+        | None -> false
+        | Some rarity ->
+          let c = Rules.canonical m { Tac.rclass; rname; rarity } in
+          List.exists (fun r -> Rules.source_of_id r c <> None) rules))
+
+(* [is_source_method_id] answers as the reference does for every method
+   id and every call target of the 25 apps, and for ids the apps do not
+   have: an arity the canonical id spells otherwise, no member name, and
+   a '.' after the last '/', where the reference raises. *)
+let test_source_id_agrees_with_reference () =
+  let scale = 0.02 in
+  let rules = Rules.default_rules in
+  let positives = ref 0 in
+  List.iter
+    (fun (a : Workloads.Apps.app) ->
+       let g = Workloads.Apps.generate ~scale a in
+       let prog = (Taj.load (Workloads.Codegen.to_input g)).Taj.program in
+       let m = Rules.matcher prog.Program.table in
+       let reference = Rules.matcher prog.Program.table in
+       let check id =
+         let expected = reference_is_source rules reference id in
+         if expected then incr positives;
+         Alcotest.(check bool)
+           (Printf.sprintf "%s: %s" a.Workloads.Apps.name id)
+           expected
+           (Rules.is_source_method_id rules m id)
+       in
+       Program.iter_methods prog (fun meth ->
+           check (Tac.method_id meth);
+           Array.iter
+             (fun (b : Tac.block) ->
+                Array.iter
+                  (function
+                    | Tac.Call c -> check (Tac.mref_id c.Tac.target)
+                    | _ -> ())
+                  b.Tac.instrs)
+             meth.Tac.m_blocks))
+    (Workloads.Apps.table2 @ Workloads.Apps.contexts_apps);
+  Alcotest.(check bool) "the apps call sources" true (!positives > 0);
+  let m = Rules.matcher (table_of []) in
+  let is_source = Rules.is_source_method_id rules m in
+  Alcotest.(check bool) "arity 02 parses to a source" true
+    (is_source "HttpServletRequest.getParameter/02");
+  Alcotest.(check bool) "the reference agrees" true
+    (reference_is_source rules m "HttpServletRequest.getParameter/02");
+  List.iter
+    (fun id ->
+       Alcotest.(check bool) id false (is_source id);
+       Alcotest.(check bool) (id ^ ": reference") false
+         (reference_is_source rules m id))
+    [ "x"; "Foo.bar/x" ];
+  Alcotest.check_raises "the reference's parse fails on a/b.c"
+    (Invalid_argument "String.sub / Bytes.sub")
+    (fun () -> ignore (reference_is_source rules m "a/b.c"));
+  Alcotest.(check bool) "a/b.c has no member name" false (is_source "a/b.c")
+
 (* The resolution [Engine.run] builds once per run gives every call
    statement of the 25 apps the answers the per-query functions give:
    source kind, sink parameters and sanitizer flag, for every default
@@ -181,4 +253,6 @@ let suite =
     Alcotest.test_case "priority seed predicate" `Quick
       test_priority_seed_predicate;
     Alcotest.test_case "per-run resolution agrees with per-query" `Slow
-      test_resolution_agreement ]
+      test_resolution_agreement;
+    Alcotest.test_case "source id test agrees with its parse" `Slow
+      test_source_id_agrees_with_reference ]

@@ -1557,6 +1557,30 @@ let test_stdio_transport () =
   Alcotest.(check int) "two submissions reached the engine" 2
     h.Serve.Service.h_submitted
 
+(* A line that is not a request never reaches [submit], yet health
+   counts it, in the record and in its JSON. *)
+let test_malformed_lines_in_health () =
+  with_signals @@ fun () ->
+  let t = Serve.Service.create ~config:(service_config ()) () in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  send in_w [ "not json"; {|{"id":"no-app"}|} ];
+  Unix.close in_w;
+  let h = Serve.Service.serve t (Serve.Transport.Stdio (in_r, out_w)) in
+  Unix.close in_r;
+  Unix.close out_w;
+  let lines = read_to_eof (Core.Io.line_reader out_r) in
+  Unix.close out_r;
+  Alcotest.(check int) "two rejections, then the health line" 3
+    (List.length lines);
+  Alcotest.(check int) "both lines counted as malformed" 2
+    h.Serve.Service.h_rejected_malformed;
+  Alcotest.(check int) "neither was submitted" 0 h.Serve.Service.h_submitted;
+  match Serve.Service.health_of_json (parse_line (List.nth lines 2)) with
+  | Ok back ->
+    Alcotest.(check int) "the health line carries the count" 2
+      back.Serve.Service.h_rejected_malformed
+  | Error e -> Alcotest.fail e
+
 (* Two clients at once: each gets the answers to its own lines, and the
    drain's health line goes to every client still connected. *)
 let test_socket_transport_two_clients () =
@@ -1816,6 +1840,8 @@ let suite =
       `Quick test_concurrent_writes_whole;
     Alcotest.test_case "transport: stdio answers every line" `Slow
       test_stdio_transport;
+    Alcotest.test_case "transport: malformed lines show in health" `Quick
+      test_malformed_lines_in_health;
     Alcotest.test_case "transport: two socket clients" `Slow
       test_socket_transport_two_clients;
     Alcotest.test_case "transport: admin socket commands" `Quick
