@@ -96,16 +96,6 @@ let contexts_flag =
   in
   Arg.(value & flag & info [ "contexts" ] ~doc)
 
-let no_contexts_flag =
-  let doc =
-    "Force context-sensitive sanitization off (the default): sanitizers \
-     kill flows where they are applied. Overrides --contexts."
-  in
-  Arg.(value & flag & info [ "no-contexts" ] ~doc)
-
-let with_contexts cfg ~contexts ~no_contexts =
-  { cfg with Config.contexts = contexts && not no_contexts }
-
 let cache_dir_arg =
   let doc =
     "Persist and reuse the incremental analysis cache in $(docv): parsed \
@@ -119,14 +109,10 @@ let cache_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
 
-let no_cache_flag =
-  let doc = "Ignore --cache: analyze everything from scratch." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 (* the session (when caching is on) carries the open store and the hooks
    threaded into the supervisor; the caller commits it after the run *)
-let cache_session ~cache_dir ~no_cache ~app =
-  match (if no_cache then None else cache_dir) with
+let cache_session ~cache_dir ~app =
+  match cache_dir with
   | None -> None
   | Some dir ->
     let s = Cache.Incr.start (Cache.Incr.create ~dir) ~app in
@@ -219,15 +205,6 @@ let analyze_cmd =
                 violation is printed, emitted in the JSON diagnostics \
                 block, and exits with status 6.")
   in
-  let triage =
-    Arg.(value & flag
-         & info [ "triage" ]
-             ~doc:
-               "Run only the type-qualifier triage (rung zero of the \
-                degradation ladder): no pointer analysis, no slicing — \
-                type-level findings with no flow paths, in milliseconds. \
-                Equivalent to --algorithm triage.")
-  in
   let no_triage_filter =
     Arg.(value & flag
          & info [ "no-triage-filter" ]
@@ -239,11 +216,10 @@ let analyze_cmd =
                 cross-checking and for timing the filter's effect.")
   in
   let run algorithm scale descriptor_file srcs json stats csrf deadline
-      no_degrade verify_ir triage no_triage_filter refine refine_k
-      refine_steps contexts no_contexts trace metrics cache_dir no_cache =
-    let algorithm = if triage then Config.Type_triage else algorithm in
+      no_degrade verify_ir no_triage_filter refine refine_k refine_steps
+      contexts trace metrics cache_dir =
     let input = load_input ~name:"cli" ~srcs ~descriptor_file in
-    let session = cache_session ~cache_dir ~no_cache ~app:input.Taj.name in
+    let session = cache_session ~cache_dir ~app:input.Taj.name in
     let options =
       { Supervisor.default_options with
         deadline;
@@ -298,12 +274,11 @@ let analyze_cmd =
         exit 6
     end;
     let config =
-      { (with_contexts
-           (with_refine (Config.preset ~scale algorithm) ~refine ~refine_k
-              ~refine_steps)
-           ~contexts ~no_contexts)
+      { (with_refine (Config.preset ~scale algorithm) ~refine ~refine_k
+           ~refine_steps)
         with
-        Config.triage_filter = not no_triage_filter }
+        Config.contexts = contexts;
+        triage_filter = not no_triage_filter }
     in
     let outcome = Supervisor.run ~options ~config input in
     (* persist the content-keyed tiers only: [analyze] never answers from
@@ -315,7 +290,7 @@ let analyze_cmd =
     let degradations = outcome.Supervisor.sv_diagnostics in
     match outcome.Supervisor.sv_triage with
     | Some v ->
-      (* the run answered at rung zero — requested (--triage) or after
+      (* the run answered at rung zero — requested (-a triage) or after
          every slicing rung failed: type-level findings, no flow paths *)
       let findings = Triage.findings v in
       if json then emit_json outcome
@@ -430,17 +405,15 @@ let analyze_cmd =
          found so far and is explicitly partial.";
       `P
         "5 if the run answered at the type-triage rung zero — requested \
-         with --triage, or because every slicing rung failed: the \
+         with -a triage, or because every slicing rung failed: the \
          findings are type-level, with no flow paths.";
       `P "6 if --verify-ir found IR well-formedness violations." ]
   in
   Cmd.v (Cmd.info "analyze" ~doc ~man)
     Term.(const run $ algorithm $ scale $ descriptor_file $ sources
           $ json $ stats $ csrf $ deadline $ no_degrade $ verify_ir
-          $ triage $ no_triage_filter $ refine_flag $ refine_k
-          $ refine_steps $ contexts_flag $ no_contexts_flag
-          $ trace_file $ metrics_flag $ cache_dir_arg
-          $ no_cache_flag)
+          $ no_triage_filter $ refine_flag $ refine_k $ refine_steps
+          $ contexts_flag $ trace_file $ metrics_flag $ cache_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dump-ir                                                            *)
@@ -1091,8 +1064,7 @@ let serve_cmd =
       breaker_threshold breaker_cooldown mem_soft_mb drain_grace arms
       cluster crash_retries respawn_base respawn_max ring_replicas
       worker_breaker_threshold worker_breaker_cooldown admin_socket
-      log_file flight_recorder flight_dump_file trace metrics
-      cache_dir no_cache =
+      log_file flight_recorder flight_dump_file trace metrics cache_dir =
     telemetry_setup ~trace ~metrics;
     (* armed (and logging configured) before the cluster forks so
        workers inherit both *)
@@ -1115,7 +1087,7 @@ let serve_cmd =
         workers; queue_cap; max_retries; retry_base; seed;
         breaker_threshold; breaker_cooldown;
         mem_soft_limit_mb = mem_soft_mb; drain_grace;
-        cache_dir = (if no_cache then None else cache_dir) }
+        cache_dir }
     in
     let jobs =
       match socket with
@@ -1248,7 +1220,7 @@ let serve_cmd =
           $ respawn_base $ respawn_max $ ring_replicas
           $ worker_breaker_threshold $ worker_breaker_cooldown
           $ admin_socket $ log_file $ flight_recorder $ flight_dump_file
-          $ trace_file $ metrics_flag $ cache_dir_arg $ no_cache_flag)
+          $ trace_file $ metrics_flag $ cache_dir_arg)
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                *)
@@ -1301,7 +1273,8 @@ let top_cmd =
   let module J = Obs.Json in
   let jint k j = Option.value ~default:0 (J.int_member k j) in
   let jnum k j = Option.value ~default:0.0 (J.num_member k j) in
-  (* previous (time, completed) sample, for the throughput estimate *)
+  (* previous (time, completed) sample, for the throughput estimate; the
+     first frame has none and shows the average over the uptime *)
   let prev = ref None in
   let render ~metrics h =
     let b = Buffer.create 1024 in
@@ -1312,7 +1285,9 @@ let top_cmd =
       match !prev with
       | Some (t0, c0) when tnow > t0 ->
         float_of_int (completed - c0) /. (tnow -. t0)
-      | _ -> 0.0
+      | _ ->
+        let uptime = jnum "uptime" h in
+        if uptime > 0.0 then float_of_int completed /. uptime else 0.0
     in
     prev := Some (tnow, completed);
     (match J.int_member "cluster" h with
@@ -1460,7 +1435,15 @@ let top_cmd =
          ($(b,--admin-socket)) and renders throughput, latency \
          percentiles, queue depth, degradation rung, breaker and cache \
          state, and — in cluster mode — per-worker liveness. One \
-         connection per poll; the dashboard survives server restarts." ]
+         connection per poll; the dashboard survives server restarts. \
+         The first frame's throughput is the average since the server \
+         started; each later one is the rate since the frame before.";
+      `P
+        "The latency percentiles, the cache hit and miss counts and the \
+         per-rung job counts come from the server's telemetry registry, \
+         which records only while the flight recorder (on by default), \
+         $(b,--trace) or $(b,--metrics) is on: under \
+         $(b,--flight-recorder 0) without either they read 0." ]
   in
   Cmd.v (Cmd.info "top" ~doc ~man)
     Term.(const run $ admin_path $ interval $ once)

@@ -38,7 +38,7 @@ type degradation =
     }
   | Job_shed of { job : string; priority : int }
   | Breaker_transition of { key : string; state : string }
-  | Resource_pressure of { level : int; heap_mb : int }
+  | Resource_pressure of { pressure : int; heap_mb : int }
   | Ir_violation of { meth : string; where : string; message : string }
   | Worker_spawned of { worker : int; pid : int }
   | Worker_exited of {
@@ -89,8 +89,8 @@ let pp_degradation ppf = function
       priority
   | Breaker_transition { key; state } ->
     Fmt.pf ppf "circuit breaker for %s is now %s" key state
-  | Resource_pressure { level; heap_mb } ->
-    Fmt.pf ppf "memory pressure level %d (heap %d MB)" level heap_mb
+  | Resource_pressure { pressure; heap_mb } ->
+    Fmt.pf ppf "memory pressure level %d (heap %d MB)" pressure heap_mb
   | Ir_violation { meth; where; message } ->
     Fmt.pf ppf "IR verification failed in %s at %s: %s" meth where message
   | Worker_spawned { worker; pid } ->
@@ -137,25 +137,63 @@ let kind_name = function
   | Cache_corrupt _ -> "cache-corrupt"
   | Triage_fallback _ -> "triage-fallback"
 
+(* The constructor's fields under their record names. A float prints as
+   a JSON number does, the shortest text that reads back to it. *)
+let fields d =
+  let int = string_of_int and num x = Obs.Json.to_string (Obs.Json.Num x) in
+  let phase p = ("phase", phase_name p) in
+  match d with
+  | Deadline_expired { phase = p; elapsed } ->
+    [ phase p; ("elapsed", num elapsed) ]
+  | Cancelled { phase = p } -> [ phase p ]
+  | Budget_exhausted { phase = p; what } -> [ phase p; ("what", what) ]
+  | Rule_failed { rule; error } -> [ ("rule", rule); ("error", error) ]
+  | Unit_skipped { index; error } -> [ ("index", int index); ("error", error) ]
+  | Phase_fault { phase = p; error } -> [ phase p; ("error", error) ]
+  | Downgraded { from_alg; to_alg; to_scale; reason } ->
+    [ ("from_alg", Config.algorithm_name from_alg);
+      ("to_alg", Config.algorithm_name to_alg);
+      ("to_scale", num to_scale); ("reason", reason) ]
+  | Job_retried { job; attempt; delay; reason } ->
+    [ ("job", job); ("attempt", int attempt); ("delay", num delay);
+      ("reason", reason) ]
+  | Job_shed { job; priority } -> [ ("job", job); ("priority", int priority) ]
+  | Breaker_transition { key; state } -> [ ("key", key); ("state", state) ]
+  | Resource_pressure { pressure; heap_mb } ->
+    [ ("pressure", int pressure); ("heap_mb", int heap_mb) ]
+  | Ir_violation { meth; where; message } ->
+    [ ("meth", meth); ("where", where); ("message", message) ]
+  | Worker_spawned { worker; pid } -> [ ("worker", int worker); ("pid", int pid) ]
+  | Worker_exited { worker; pid; reason; in_flight } ->
+    [ ("worker", int worker); ("pid", int pid); ("reason", reason);
+      ("in_flight", int in_flight) ]
+  | Worker_respawned { worker; pid; crashes; backoff } ->
+    [ ("worker", int worker); ("pid", int pid); ("crashes", int crashes);
+      ("backoff", num backoff) ]
+  | Job_rerouted { job; from_worker; crashes; delay } ->
+    [ ("job", job); ("from_worker", int from_worker);
+      ("crashes", int crashes); ("delay", num delay) ]
+  | Client_disconnected { peer; error } -> [ ("peer", peer); ("error", error) ]
+  | Cache_corrupt { app; reason } -> [ ("app", app); ("reason", reason) ]
+  | Triage_fallback { reason; findings } ->
+    [ ("reason", reason); ("findings", int findings) ]
+
+(* Every degradation is an instant on the telemetry trace, so budget
+   trips, ladder steps and rule faults line up with the phase spans they
+   interrupted; the instant is also the event's one log line. *)
+let emit d =
+  let kind = kind_name d in
+  Obs.Telemetry.instant ("diag." ^ kind)
+    ~args:
+      (("kind", kind) :: ("detail", Fmt.str "%a" pp_degradation d) :: fields d)
+
 type t = { mutable rev_events : degradation list }
 
 let create () = { rev_events = [] }
 
-(* Every degradation is also an instant event on the telemetry trace, so
-   budget trips, ladder steps and rule faults line up with the phase spans
-   they interrupted. Instants route through Obs.Log, so with a log sink
-   installed each degradation becomes a warn-level NDJSON line carrying
-   the stable kind tag and rendered detail as fields. *)
 let record t d =
-  Obs.Telemetry.instant
-    ("diag." ^ kind_name d)
-    ~args:
-      [ ("kind", kind_name d); ("detail", Fmt.str "%a" pp_degradation d) ];
+  emit d;
   t.rev_events <- d :: t.rev_events
 
 let events t = List.rev t.rev_events
 let count t = List.length t.rev_events
-let is_empty t = t.rev_events = []
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_degradation) (events t)

@@ -32,7 +32,7 @@ type degradation =
       (** a queued low-priority job was evicted under admission pressure *)
   | Breaker_transition of { key : string; state : string }
       (** a per-app circuit breaker changed state *)
-  | Resource_pressure of { level : int; heap_mb : int }
+  | Resource_pressure of { pressure : int; heap_mb : int }
       (** the memory watchdog raised (or lowered) its pressure level *)
   | Ir_violation of { meth : string; where : string; message : string }
       (** [--verify-ir]: the loaded program failed an IR well-formedness
@@ -69,17 +69,26 @@ type degradation =
           is the type-qualifier triage verdict — sink findings without
           flow paths (reported as [TYPE_ONLY]) *)
 
-(** An append-only event log, recorded in arrival order. *)
-type t
-
-val create : unit -> t
-val record : t -> degradation -> unit
-val events : t -> degradation list
-val count : t -> int
-val is_empty : t -> bool
-
 val pp_degradation : Format.formatter -> degradation -> unit
-val pp : Format.formatter -> t -> unit
 
 (** Stable machine-readable tag per constructor (for JSON output). *)
 val kind_name : degradation -> string
+
+(** The one way an event leaves the process: the telemetry instant
+    [diag.<kind>], and with it one log line ({!Obs.Log}). Its fields are
+    [kind], [detail] (the {!pp_degradation} text) and the constructor's
+    own fields under their record names ([job], [attempt], [delay],
+    [reason], [key], [state], [worker], [pid], ...); a float field
+    prints as {!Obs.Json} prints a number, so it reads back exactly. *)
+val emit : degradation -> unit
+
+(** A run's event log, in arrival order: what its report carries. *)
+type t
+
+val create : unit -> t
+
+(** {!emit} the event, then append it. *)
+val record : t -> degradation -> unit
+
+val events : t -> degradation list
+val count : t -> int

@@ -25,31 +25,8 @@ type t = {
 
 let length fl = fl.fl_length
 
-(** Bucket flows by path length; used by the §6.2.2 ablation. *)
-let length_histogram (flows : t list) : (int * int) list =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun fl ->
-       let prev = Option.value ~default:0 (Hashtbl.find_opt tbl fl.fl_length) in
-       Hashtbl.replace tbl fl.fl_length (prev + 1))
-    flows;
-  Hashtbl.fold (fun len n acc -> (len, n) :: acc) tbl []
-  |> List.sort compare
-
 (** [Confirmed] first, then [Plausible], then unrefined — the report sort
     key alongside path length. With refinement off every verdict is [None],
     so ordering reduces to the unrefined behaviour exactly. *)
 let verdict_rank fl =
   match fl.fl_verdict with Some v -> Sdg.Refine.rank v | None -> 2
-
-let pp_brief ppf fl =
-  Fmt.pf ppf "%a: %a --(%d)--> %a [%s]%a"
-    Rules.pp_issue fl.fl_rule.Rules.issue
-    Sdg.Stmt.pp fl.fl_source fl.fl_length Sdg.Stmt.pp fl.fl_sink
-    (match fl.fl_kind with
-     | Sdg.Tabulation.Direct -> "direct"
-     | Sdg.Tabulation.Carrier -> "carrier")
-    (fun ppf -> function
-       | None -> ()
-       | Some v -> Fmt.pf ppf " {%a}" Sdg.Refine.pp_verdict v)
-    fl.fl_verdict

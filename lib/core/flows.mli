@@ -22,11 +22,6 @@ type t = {
 
 val length : t -> int
 
-(** Bucket flows by path length (§6.2.2 ablation). *)
-val length_histogram : t list -> (int * int) list
-
 (** [Confirmed] = 0, [Plausible] = 1, unrefined = 2 — the report sort key
     alongside path length. *)
 val verdict_rank : t -> int
-
-val pp_brief : Format.formatter -> t -> unit

@@ -92,11 +92,6 @@ let sanitization_counts t =
             | Some Strings.Context.Sanitized | None -> (m, u))
          (0, 0) judged)
 
-let degradations t =
-  match t.completeness with
-  | Complete -> []
-  | Partial ds | Type_only ds -> ds
-
 let pp_stmt (b : Sdg.Builder.t) ppf (s : Sdg.Stmt.t) =
   let m = Sdg.Builder.node_meth b s.Sdg.Stmt.node in
   match Sdg.Builder.instr_of b s with

@@ -41,7 +41,6 @@ val flow_count : t -> int
 
 (** [true] for [Partial] and [Type_only] reports alike. *)
 val is_partial : t -> bool
-val degradations : t -> Diagnostics.degradation list
 
 (** (confirmed, plausible) issue counts; [None] when refinement did not
     run. *)

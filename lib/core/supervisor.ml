@@ -53,8 +53,6 @@ let completed_report (outcome : outcome) =
   | Some { Taj.result = Taj.Completed c; _ } -> Some c.Taj.report
   | _ -> None
 
-let degraded outcome = outcome.sv_diagnostics <> []
-
 (** The [taj analyze --json] document. Key order and presence: [issues]
     and [completeness]; [phases] when an attempt completed; [refined]
     always, [null] unless refinement ran; [triage] when rung zero

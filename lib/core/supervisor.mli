@@ -51,9 +51,6 @@ type outcome = {
 (** The completed attempt's report, if any rung completed. *)
 val completed_report : outcome -> Report.t option
 
-(** [true] iff anything at all went wrong (= diagnostics are non-empty). *)
-val degraded : outcome -> bool
-
 (** The [taj analyze --json] document: [issues] ({!Report.issue_json}),
     [completeness], [phases] when an attempt completed, [refined]
     ([null] unless refinement ran), [triage] when rung zero answered,

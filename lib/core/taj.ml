@@ -78,8 +78,6 @@ let wrap_frontend_errors name f =
   | Lower.Lower_error (msg, pos) ->
     raise
       (Load_error (Fmt.str "%s: lowering error at %a: %s" name Ast.pp_pos pos msg))
-  | Classtable.Unknown_class c ->
-    raise (Load_error (Fmt.str "%s: unknown class %s" name c))
   | Classtable.Hierarchy_error msg -> raise (Load_error (name ^ ": " ^ msg))
 
 (* Phase timing and span tracing both come from the telemetry layer:

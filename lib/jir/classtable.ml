@@ -41,18 +41,12 @@ type t = {
   mutable subclass_cache : (string * string, bool) Hashtbl.t;
 }
 
-exception Unknown_class of string
 exception Hierarchy_error of string
 
 let create () =
   { classes = Hashtbl.create 256; subclass_cache = Hashtbl.create 1024 }
 
 let mem t name = Hashtbl.mem t.classes name
-
-let find t name =
-  match Hashtbl.find_opt t.classes name with
-  | Some c -> c
-  | None -> raise (Unknown_class name)
 
 let find_opt t name = Hashtbl.find_opt t.classes name
 
@@ -291,8 +285,3 @@ let all_fields t cls_name =
       (match c.cl_super with Some s -> go acc s | None -> acc)
   in
   go [] cls_name
-
-let is_library t cls_name =
-  match Hashtbl.find_opt t.classes cls_name with
-  | Some c -> c.cl_library
-  | None -> true  (* unknown classes are treated as opaque library code *)

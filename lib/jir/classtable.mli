@@ -36,15 +36,11 @@ type cls = {
 
 type t
 
-exception Unknown_class of string
 exception Hierarchy_error of string
 
 val create : unit -> t
 
 val mem : t -> string -> bool
-
-(** Raises {!Unknown_class}. *)
-val find : t -> string -> cls
 
 val find_opt : t -> string -> cls option
 val iter : t -> (cls -> unit) -> unit
@@ -97,6 +93,3 @@ val resolve_static : t -> string -> string -> int -> minfo option
 
 (** All fields (own and inherited) of a class. *)
 val all_fields : t -> string -> finfo list
-
-(** Unknown classes are treated as opaque library code. *)
-val is_library : t -> string -> bool

@@ -96,8 +96,6 @@ let add_entrypoint p id =
 
 let iter_methods p f = Hashtbl.iter (fun _ m -> f m) p.methods
 
-let method_count p = Hashtbl.length p.methods
-
 let all_method_ids p =
   Hashtbl.fold (fun id _ acc -> id :: acc) p.methods []
   |> List.sort String.compare

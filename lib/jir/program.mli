@@ -55,7 +55,6 @@ val find_method : t -> string -> Tac.meth option
 val mem_method : t -> string -> bool
 val add_entrypoint : t -> string -> unit
 val iter_methods : t -> (Tac.meth -> unit) -> unit
-val method_count : t -> int
 
 (** All method ids, sorted. *)
 val all_method_ids : t -> string list

@@ -235,6 +235,3 @@ let synthesize ?(cast_constraints = []) (table : Classtable.t)
 
 (** Method id of the synthesized entrypoint. *)
 let entry_method = "$Main.run/0"
-
-(** Method id of the synthetic tainted-data source used for form fields. *)
-let tainted_source = "$Synth.taintedString/0"

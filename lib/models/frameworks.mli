@@ -45,6 +45,3 @@ val synthesize :
 
 (** Method id of the synthesized entrypoint ([$Main.run/0]). *)
 val entry_method : string
-
-(** Method id of the synthetic tainted-data source for form fields. *)
-val tainted_source : string

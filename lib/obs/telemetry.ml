@@ -416,18 +416,21 @@ let event_json ev =
        \"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":%s}"
       (Json.escape ev.ev_name) ev.ev_tid ev.ev_ts (args_json ev.ev_args)
 
-(** The recorded events as a Chrome trace-event JSON document (the
-    [chrome://tracing] / Perfetto format): one [pid], one [tid] track per
-    domain, spans as complete ("X") events, instants as "i" events. *)
-let trace_json () =
-  let evs = events () in
+(* [evs] as a Chrome trace-event JSON document (the [chrome://tracing] /
+   Perfetto format): one [pid] named [process], one [tid] track per
+   domain, spans as complete ("X") events, instants as "i" events. The
+   full trace and the flight ring differ only in the process name, so
+   both open in the same viewers and the cluster's pid splicing applies
+   to both. *)
+let document ~process evs =
   let tids =
     List.sort_uniq compare (List.map (fun ev -> ev.ev_tid) evs)
   in
   let meta =
     Printf.sprintf
       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-       \"args\":{\"name\":\"taj\"}}"
+       \"args\":{\"name\":\"%s\"}}"
+      process
     :: List.map
          (fun tid ->
             Printf.sprintf
@@ -439,6 +442,8 @@ let trace_json () =
   "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
   ^ String.concat ",\n" (meta @ List.map event_json evs)
   ^ "\n]}\n"
+
+let trace_json () = document ~process:"taj" (events ())
 
 let write_trace path =
   let oc = open_out path in
@@ -464,35 +469,7 @@ let flight_events () =
   List.concat_map (fun b -> take cap b.bf_events) bufs
   |> List.sort (fun a b -> compare (a.ev_ts, a.ev_dur) (b.ev_ts, b.ev_dur))
 
-(* Chrome-trace document of the flight ring; same shape as
-   [trace_json] so the two open in the same viewers and the cluster's
-   pid-splicing applies unchanged. *)
-let flight_json () =
-  let evs = flight_events () in
-  let tids =
-    List.sort_uniq compare (List.map (fun ev -> ev.ev_tid) evs)
-  in
-  let meta =
-    Printf.sprintf
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-       \"args\":{\"name\":\"taj flight\"}}"
-    :: List.map
-         (fun tid ->
-            Printf.sprintf
-              "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
-               \"args\":{\"name\":\"domain-%d\"}}"
-              tid tid)
-         tids
-  in
-  "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
-  ^ String.concat ",\n" (meta @ List.map event_json evs)
-  ^ "\n]}\n"
-
-let write_flight path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (flight_json ()))
+let flight_json () = document ~process:"taj flight" (flight_events ())
 
 (* ------------------------------------------------------------------ *)
 (* Export: metrics                                                    *)

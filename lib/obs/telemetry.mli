@@ -27,7 +27,7 @@
     ({!counter}, {!gauge}, {!histogram}, {!incr}, {!add}, {!set},
     {!observe}), {!metrics} / {!find_value} / {!snapshot_quantile}
     reads (single atomic loads per cell), and the flight-recorder dump
-    ({!flight_events}, {!flight_json}, {!write_flight}) — the latter
+    ({!flight_events}, {!flight_json}) — the latter
     reads other domains' buffers racily, which under the OCaml 5 memory
     model yields a valid (possibly slightly stale) snapshot, never a
     torn one.
@@ -158,10 +158,9 @@ val flight_events : unit -> event list
     snapshot); oldest first. *)
 
 val flight_json : unit -> string
-(** Chrome-trace document of the flight ring — same shape as
-    {!trace_json}, so the cluster's pid-lane splicing applies. *)
-
-val write_flight : string -> unit
+(** Chrome-trace document of the flight ring — rendered as {!trace_json}
+    is, under the process name ["taj flight"], so the cluster's pid-lane
+    splicing applies. *)
 
 (** {1 Export: metrics} *)
 

@@ -10,7 +10,6 @@ type t = {
 
 let create () = { heap = Array.make 64 (0, 0); size = 0 }
 
-let is_empty t = t.size = 0
 let length t = t.size
 
 let swap t i j =

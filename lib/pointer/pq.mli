@@ -5,7 +5,6 @@
 type t
 
 val create : unit -> t
-val is_empty : t -> bool
 val length : t -> int
 val push : t -> int -> int -> unit
 

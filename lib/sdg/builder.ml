@@ -241,8 +241,6 @@ let node_index t n =
     Hashtbl.replace t.node_indexes n ni;
     ni
 
-let strip_index_of_node t n = strip_index (node_index t n)
-
 (** The statement defining register [v] in node [n], if any. *)
 let def_of t ~node v = Hashtbl.find_opt (node_index t node).ni_def v
 

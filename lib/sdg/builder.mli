@@ -50,11 +50,6 @@ type defuse_cache = {
   dc_store : Jir.Tac.meth -> defuse_summary -> unit;
 }
 
-(** The summary of node [n]'s (possibly memoized) def/use index — what
-    [dc_store] would persist for it. Exposed for the cache-equivalence
-    tests, which assert a strip/rebind round trip changes nothing. *)
-val strip_index_of_node : t -> int -> defuse_summary
-
 (** Build the dependence-graph indexes. [interrupt] is polled once per
     call-graph node; when it returns [true] the remaining nodes are left
     unindexed and the partial builder (an underapproximation) is

@@ -479,4 +479,3 @@ let path_of (r : result) (s : Stmt.t) : Stmt.t list =
   in
   go [ s ] s 10_000
 
-let depth_of (r : result) (s : Stmt.t) : int option = Stmt.Table.find_opt r.depth s

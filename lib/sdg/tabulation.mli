@@ -67,4 +67,3 @@ val run :
 (** Reconstruct the witness path ending at a statement. *)
 val path_of : result -> Stmt.t -> Stmt.t list
 
-val depth_of : result -> Stmt.t -> int option

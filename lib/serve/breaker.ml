@@ -66,8 +66,6 @@ let cell t key =
 
 let transition t ~key c st =
   c.c_state <- st;
-  Obs.Telemetry.instant "serve.breaker"
-    ~args:[ ("key", key); ("state", state_name st) ];
   t.on_transition ~key st
 
 (** Admission decision for one execution of a job keyed [key]. [job]

@@ -18,6 +18,9 @@ val state_name : state -> string
 
 type t
 
+(** [on_transition ~key st] runs on every state change, under the
+    breaker's lock; both engines emit it as a typed
+    [Breaker_transition] event. *)
 val create :
   ?now:(unit -> float) ->
   ?on_transition:(key:string -> state -> unit) ->

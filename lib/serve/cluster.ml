@@ -63,7 +63,7 @@ type config = {
       (** workers replace their inherited {!Obs.Log} sink with a
           [Log_line] pipe forwarder, so the coordinator's sink carries
           one merged stream *)
-  announce : bool;                 (** log lifecycle lines to stderr *)
+  announce : bool;                 (** print each event on stderr *)
   service : Service.config;        (** per-worker engine configuration *)
 }
 
@@ -123,8 +123,6 @@ type t = {
   slots : slot array;
   ring : (int * int) array;        (* (hash point, worker index), sorted *)
   breaker : Breaker.t;
-  diagnostics : Diagnostics.t;
-  diag_lock : Mutex.t;
   mutable pending : (float * cjob) list;  (* reroutes waiting on backoff *)
   mutable draining : bool;
   sig_drain : bool Atomic.t;
@@ -145,15 +143,13 @@ type t = {
 
 let now t = t.cfg.service.Service.now ()
 
-let record_diag t d =
-  Mutex.lock t.diag_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.diag_lock)
-    (fun () -> Diagnostics.record t.diagnostics d)
+(* A coordinator event is emitted once, as its trace instant and log
+   line, and announced on stderr; the coordinator keeps none. *)
+let emit (cfg : config) d =
+  Diagnostics.emit d;
+  if cfg.announce then Fmt.epr "cluster: %a@." Diagnostics.pp_degradation d
 
-let announce t fmt =
-  if t.cfg.announce then Printf.eprintf ("cluster: " ^^ fmt ^^ "\n%!")
-  else Printf.ifprintf stderr fmt
+let event t d = emit t.cfg d
 
 (* ------------------------------------------------------------------ *)
 (* Worker process                                                     *)
@@ -362,10 +358,12 @@ let create ?(config = default_config) () =
       ring = build_ring ~size:config.size ~replicas:(max 1 config.ring_replicas);
       breaker =
         Breaker.create ~now:config.service.Service.now
+          ~on_transition:(fun ~key st ->
+            emit config
+              (Diagnostics.Breaker_transition
+                 { key; state = Breaker.state_name st }))
           ~threshold:config.worker_breaker_threshold
           ~cooldown:config.worker_breaker_cooldown ();
-      diagnostics = Diagnostics.create ();
-      diag_lock = Mutex.create ();
       pending = []; draining = false; sig_drain = Atomic.make false;
       sig_dump = Atomic.make false;
       n_submitted = 0; n_completed = 0; n_degraded = 0; n_failed = 0;
@@ -375,9 +373,8 @@ let create ?(config = default_config) () =
   Array.iter
     (fun s ->
        spawn_slot t s;
-       record_diag t
-         (Diagnostics.Worker_spawned { worker = s.s_index; pid = s.s_pid });
-       announce t "worker %d spawned (pid %d)" s.s_index s.s_pid)
+       event t
+         (Diagnostics.Worker_spawned { worker = s.s_index; pid = s.s_pid }))
     t.slots;
   t
 
@@ -558,12 +555,10 @@ and slot_died t (s : slot) ~reason =
     reap t s;
     let delay = respawn_delay t.cfg ~crashes:s.s_crashes in
     s.s_state <- Down (now t +. delay);
-    record_diag t
+    event t
       (Diagnostics.Worker_exited
          { worker = s.s_index; pid = s.s_pid; reason;
            in_flight = List.length inflight });
-    announce t "worker %d (pid %d) died: %s, %d in flight, respawn in %.3fs"
-      s.s_index s.s_pid reason (List.length inflight) delay;
     (* the worker's flight-ring snapshot file survives the SIGKILL; merge
        it into a dump now, while the crash context is fresh *)
     ignore
@@ -588,7 +583,7 @@ and slot_died t (s : slot) ~reason =
                ~id:cj.cj_req.Service.rq_id ~attempt:cj.cj_crashes
            in
            t.n_rerouted <- t.n_rerouted + 1;
-           record_diag t
+           event t
              (Diagnostics.Job_rerouted
                 { job = cj.cj_req.Service.rq_id; from_worker = s.s_index;
                   crashes = cj.cj_crashes; delay });
@@ -651,7 +646,7 @@ let drain_slot_frames t (s : slot) =
         (try Unix.close s.s_fd with Unix.Unix_error _ -> ());
         reap t s;
         if s.s_state = Up then s.s_state <- Down infinity;
-        record_diag t
+        event t
           (Diagnostics.Worker_exited
              { worker = s.s_index; pid = s.s_pid; reason = "drained";
                in_flight = 0 })
@@ -668,13 +663,11 @@ let respawn_due t =
          | Down due when now t >= due && due < infinity ->
            spawn_slot t s;
            t.n_respawns <- t.n_respawns + 1;
-           record_diag t
+           event t
              (Diagnostics.Worker_respawned
                 { worker = s.s_index; pid = s.s_pid;
                   crashes = s.s_crashes;
-                  backoff = respawn_delay t.cfg ~crashes:s.s_crashes });
-           announce t "worker %d respawned (pid %d) after %d crash(es)"
-             s.s_index s.s_pid s.s_crashes
+                  backoff = respawn_delay t.cfg ~crashes:s.s_crashes })
          | _ -> ())
       t.slots
 
@@ -939,12 +932,6 @@ let health_json (h : health) =
                   | Some h -> [ ("health", Service.health_json h) ]))
             h.ch_workers)) ]
 
-let events t =
-  Mutex.lock t.diag_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.diag_lock)
-    (fun () -> Diagnostics.events t.diagnostics)
-
 (* ------------------------------------------------------------------ *)
 (* Admin channel: per-worker aggregation                              *)
 (* ------------------------------------------------------------------ *)
@@ -1054,7 +1041,7 @@ let serve ?admin t jobs =
              answers on the same pipe: read its answers as a batch
              streams in, or both directions fill and block for good *)
           pump t ~timeout:0.0);
-      record = record_diag t;
+      record = event t;
       health = (fun () -> admin_health t);
       health_json;
       metrics = (fun () -> admin_metrics t);

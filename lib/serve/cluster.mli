@@ -31,7 +31,9 @@ type config = {
       (** workers send their {!Obs.Log} lines over the supervised pipe
           (pre-rendered, with per-worker context) so the coordinator's
           sink carries one merged stream *)
-  announce : bool;                 (** worker lifecycle lines on stderr *)
+  announce : bool;
+      (** print each coordinator event on stderr, as [cluster: ] and its
+          {!Core.Diagnostics.pp_degradation} text *)
   service : Service.config;        (** per-worker engine configuration *)
 }
 
@@ -119,9 +121,6 @@ val clean_drain : health -> bool
 (** The cluster's health object; each worker's block carries its
     snapshot as {!Service.health_json} writes it. *)
 val health_json : health -> Obs.Json.t
-
-(** Coordinator-level lifecycle diagnostics, in arrival order. *)
-val events : t -> Core.Diagnostics.degradation list
 
 (** Merge the coordinator's telemetry with the per-worker trace files
     into one Chrome trace (one pid lane per process). *)

@@ -143,8 +143,7 @@ type t = {
       (* per catalog app: the last scale a cached lookup asked for, and
          the digest of the app generated at that scale *)
   digest_lock : Mutex.t;
-  diagnostics : Diagnostics.t;     (* service-level events *)
-  diag_lock : Mutex.t;
+  n_events : int Atomic.t;         (* service-level events emitted *)
   (* terminal-state accounting; atomics because workers race *)
   n_submitted : int Atomic.t;
   n_admitted : int Atomic.t;
@@ -180,11 +179,13 @@ let m_latency_ms = Obs.Telemetry.histogram "serve.latency_ms"
 let m_queue_wait_ms = Obs.Telemetry.histogram "serve.queue_wait_ms"
 let g_queue_depth = Obs.Telemetry.gauge "serve.queue_depth"
 
-let record_diag t d =
-  Mutex.lock t.diag_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.diag_lock)
-    (fun () -> Diagnostics.record t.diagnostics d)
+(* A service-level event is emitted once, as its trace instant and log
+   line, and counted for the health snapshot; the service keeps none. *)
+let count_event n d =
+  Diagnostics.emit d;
+  Atomic.incr n
+
+let event t d = count_event t.n_events d
 
 (* Inline jobs are keyed by a hash of their source, not their (unique)
    request id: a repeatedly crashing inline unit trips a breaker like a
@@ -221,8 +222,8 @@ let flight_dump t ~cause =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.dump_lock)
       (fun () ->
-        (try Obs.Telemetry.write_flight path
-         with Sys_error _ -> ());
+        (try Io.write_file path (Obs.Telemetry.flight_json ())
+         with Unix.Unix_error _ | Sys_error _ -> ());
         Obs.Telemetry.instant "obs.flight_dump"
           ~args:[ ("cause", cause); ("path", path) ];
         Some path)
@@ -341,7 +342,7 @@ let execute t (job : job) : exec_outcome =
     Exec_failed { reason; severity = Fault.Permanent; breaker_counts = true }
   | Ok subject ->
     let pressure =
-      Watchdog.sample ~on_event:(record_diag t) t.watchdog
+      Watchdog.sample ~on_event:(event t) t.watchdog
     in
     let scale, config =
       Watchdog.degrade_config ~scale:rq.rq_scale
@@ -369,7 +370,7 @@ let execute t (job : job) : exec_outcome =
       Option.map (fun c -> Cache.Incr.start c ~app:(job_key rq)) t.cache
     in
     (match Option.bind session Cache.Incr.corruption with
-     | Some d -> record_diag t d
+     | Some d -> event t d
      | None -> ());
     (* built at most once, on this worker, and only when read: to digest
        an app at a new scale, on a result-tier miss, or when nothing is
@@ -488,16 +489,10 @@ let process t (job : job) =
          let delay =
            backoff_delay t.cfg ~id:job.j_req.rq_id ~attempt:job.j_attempts
          in
-         record_diag t
+         event t
            (Diagnostics.Job_retried
               { job = job.j_req.rq_id; attempt = job.j_attempts;
                 delay; reason });
-         Obs.Telemetry.instant "serve.retry"
-           ~args:
-             [ ("job", job.j_req.rq_id);
-               ("attempt", string_of_int job.j_attempts);
-               ("delay", Printf.sprintf "%.4f" delay);
-               ("reason", reason) ];
          Queue.push_forced t.queue ~priority:job.j_req.rq_priority ~delay
            job
        end
@@ -536,20 +531,11 @@ let create ?(config = default_config) () =
       workers = max 1 config.workers;
       max_retries = max 0 config.max_retries }
   in
-  let diag_lock = Mutex.create () in
-  let diagnostics = Diagnostics.create () in
-  let n_breaker_opens = Atomic.make 0 in
-  let record ~key st =
-    (* breaker transitions land in the service diagnostics; the callback
-       runs under the breaker lock, so only counters and the (separate)
-       diagnostics lock are touched *)
-    Mutex.lock diag_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock diag_lock)
-      (fun () ->
-         Diagnostics.record diagnostics
-           (Diagnostics.Breaker_transition
-              { key; state = Breaker.state_name st }));
+  let n_events = Atomic.make 0 and n_breaker_opens = Atomic.make 0 in
+  let on_transition ~key st =
+    (* runs under the breaker lock, so it only emits and counts *)
+    count_event n_events
+      (Diagnostics.Breaker_transition { key; state = Breaker.state_name st });
     match st with
     | Breaker.Open _ -> Atomic.incr n_breaker_opens
     | Breaker.Closed | Breaker.Half_open -> ()
@@ -558,12 +544,11 @@ let create ?(config = default_config) () =
     { cfg;
       queue = Queue.create ~now:cfg.now ~sleep:cfg.sleep ~cap:cfg.queue_cap ();
       breaker =
-        Breaker.create ~now:cfg.now ~on_transition:record
+        Breaker.create ~now:cfg.now ~on_transition
           ~threshold:cfg.breaker_threshold ~cooldown:cfg.breaker_cooldown ();
       watchdog = Watchdog.create ~soft_limit_mb:cfg.mem_soft_limit_mb ();
       cache = Option.map (fun dir -> Cache.Incr.create ~dir) cfg.cache_dir;
-      digests = Hashtbl.create 8; digest_lock = Mutex.create ();
-      diagnostics; diag_lock;
+      digests = Hashtbl.create 8; digest_lock = Mutex.create (); n_events;
       n_submitted = Atomic.make 0; n_admitted = Atomic.make 0;
       n_completed = Atomic.make 0; n_degraded = Atomic.make 0;
       n_failed = Atomic.make 0; n_rejected_full = Atomic.make 0;
@@ -618,12 +603,10 @@ let submit t (rq : request) ~(respond : response -> unit) =
       Obs.Telemetry.incr m_admitted;
       Obs.Telemetry.incr m_shed;
       Atomic.incr t.n_shed;
-      record_diag t
+      event t
         (Diagnostics.Job_shed
            { job = victim.j_req.rq_id;
              priority = victim.j_req.rq_priority });
-      Obs.Telemetry.instant "serve.shed"
-        ~args:[ ("job", victim.j_req.rq_id) ];
       reject victim "shed" (Atomic.make 0 (* shed counted above *));
       Obs.Telemetry.instant "serve.admit" ~args:[ ("job", rq.rq_id) ]
     | Queue.Rejected_full -> reject job "queue_full" t.n_rejected_full
@@ -694,7 +677,7 @@ type health = {
   h_breaker_fast_fails : int;
   h_breaker_opens : int;
   h_open_breakers : string list;
-  h_events : int;                  (** service-level diagnostics recorded *)
+  h_events : int;                  (** service-level events emitted *)
   h_latency_p50 : int;             (** submit-to-terminal ms (log2 est.) *)
   h_latency_p95 : int;
   h_latency_p99 : int;
@@ -738,11 +721,7 @@ let health t =
     h_breaker_fast_fails = Atomic.get t.n_breaker_fast_fails;
     h_breaker_opens = Atomic.get t.n_breaker_opens;
     h_open_breakers = Breaker.open_keys t.breaker;
-    h_events =
-      (Mutex.lock t.diag_lock;
-       Fun.protect
-         ~finally:(fun () -> Mutex.unlock t.diag_lock)
-         (fun () -> Diagnostics.count t.diagnostics));
+    h_events = Atomic.get t.n_events;
     h_latency_p50 = latency_quantile 0.50;
     h_latency_p95 = latency_quantile 0.95;
     h_latency_p99 = latency_quantile 0.99;
@@ -753,12 +732,6 @@ let health t =
     away by a full queue: the service kept every promise it made. Failed
     and degraded jobs are terminal answers, not lost work. *)
 let clean_drain h = h.h_shed = 0 && h.h_rejected_full = 0
-
-let events t =
-  Mutex.lock t.diag_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.diag_lock)
-    (fun () -> Diagnostics.events t.diagnostics)
 
 (* ------------------------------------------------------------------ *)
 (* Wire records: the one encoder and decoder of each                  *)
@@ -957,7 +930,7 @@ let serve ?admin t jobs =
         handle_line
           ~malformed:(fun () -> Atomic.incr t.n_rejected_malformed)
           (submit t);
-      record = record_diag t;
+      record = event t;
       health = (fun () -> health t);
       health_json;
       metrics = Obs.Telemetry.metrics;

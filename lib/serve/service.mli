@@ -159,6 +159,9 @@ type health = {
   h_breaker_opens : int;
   h_open_breakers : string list;
   h_events : int;
+      (** service-level events emitted (retries, sheds, breaker
+          transitions, pressure changes, corrupt cache stores, client
+          disconnects); the service keeps a count, not the events *)
   h_latency_p50 : int;
       (** submit-to-terminal latency percentiles in ms, estimated from
           the log2 [serve.latency_ms] histogram (0 when telemetry off) *)
@@ -174,9 +177,6 @@ val health : t -> health
 
 (** No admitted job was shed and none was turned away by a full queue. *)
 val clean_drain : health -> bool
-
-(** Service-level degradation events, in arrival order. *)
-val events : t -> Core.Diagnostics.degradation list
 
 (** {1 Wire records}
 

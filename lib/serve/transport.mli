@@ -36,9 +36,9 @@ type 'h engine = {
       (** one non-empty, trimmed request line; [answer] is called
           exactly once, from any domain, with the line to write back *)
   record : Core.Diagnostics.degradation -> unit;
-      (** records a [Client_disconnected]: a job peer vanished before
-          one of its answers could be written, and its later answers are
-          dropped *)
+      (** the engine's event function, given a [Client_disconnected]: a
+          job peer vanished before one of its answers could be written,
+          and its later answers are dropped *)
   health : unit -> 'h;             (** the admin [health] snapshot *)
   health_json : 'h -> Obs.Json.t;
   metrics : unit -> (string * Obs.Telemetry.value) list;

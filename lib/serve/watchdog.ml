@@ -7,8 +7,8 @@
     {!Core.Config.degradation_ladder}, so under memory pressure new jobs
     run with progressively stricter bounds — the §6 philosophy (trade
     precision for termination) applied to the life of the process instead
-    of a single run. Every level change is a telemetry instant and a
-    {!Core.Diagnostics.Resource_pressure} event. *)
+    of a single run. Every level change is a
+    {!Core.Diagnostics.Resource_pressure} event for the caller to emit. *)
 
 type t = {
   soft_limit_mb : int option;
@@ -36,7 +36,7 @@ let level t = Atomic.get t.level
     keeps concurrent samples from different workers monotone: a sample
     only moves the level one step from the value it read. [on_event]
     receives the {!Core.Diagnostics.Resource_pressure} event on a level
-    change (the service records it under its diagnostics lock). *)
+    change (the service emits and counts it). *)
 let sample ?(on_event = fun (_ : Core.Diagnostics.degradation) -> ()) t =
   match t.soft_limit_mb with
   | None -> 0
@@ -51,11 +51,8 @@ let sample ?(on_event = fun (_ : Core.Diagnostics.degradation) -> ()) t =
     in
     if want <> cur && Atomic.compare_and_set t.level cur want then begin
       Obs.Telemetry.set g_pressure want;
-      Obs.Telemetry.instant "serve.pressure"
-        ~args:
-          [ ("level", string_of_int want); ("heap_mb", string_of_int mb) ];
       on_event
-        (Core.Diagnostics.Resource_pressure { level = want; heap_mb = mb });
+        (Core.Diagnostics.Resource_pressure { pressure = want; heap_mb = mb });
       want
     end
     else Atomic.get t.level

@@ -18,7 +18,7 @@ val level : t -> int
 val heap_mb : unit -> int
 
 (** Take one sample, adjusting the level at most one step; a level change
-    is recorded to telemetry and handed to [on_event] as a
+    sets the [serve.pressure] gauge and is handed to [on_event] as a
     [Resource_pressure] diagnostic. *)
 val sample : ?on_event:(Core.Diagnostics.degradation -> unit) -> t -> int
 

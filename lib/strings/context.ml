@@ -19,8 +19,6 @@ type t =
   | Shell            (** shell command word *)
   | Unknown
 
-let all = [ Html_text; Html_attribute; Sql_quoted; Sql_raw; Path; Shell ]
-
 let name = function
   | Html_text -> "html-text"
   | Html_attribute -> "html-attribute"
@@ -29,18 +27,6 @@ let name = function
   | Path -> "path"
   | Shell -> "shell"
   | Unknown -> "unknown"
-
-let of_name = function
-  | "html-text" -> Some Html_text
-  | "html-attribute" -> Some Html_attribute
-  | "sql-quoted" -> Some Sql_quoted
-  | "sql-raw" -> Some Sql_raw
-  | "path" -> Some Path
-  | "shell" -> Some Shell
-  | "unknown" -> Some Unknown
-  | _ -> None
-
-let pp ppf c = Fmt.string ppf (name c)
 
 (* ------------------------------------------------------------------ *)
 (* Sanitization verdict                                               *)

@@ -10,12 +10,7 @@ type t =
   | Shell            (** shell command word *)
   | Unknown          (** lattice top: context not statically determined *)
 
-(** Every concrete context, [Unknown] excluded. *)
-val all : t list
-
 val name : t -> string
-val of_name : string -> t option
-val pp : Format.formatter -> t -> unit
 
 type verdict =
   | Sanitized

@@ -28,13 +28,6 @@ type call_rules = {
   cr_sinks : (string * int list) list;
 }
 
-let no_rules =
-  { cr_source_ret = [];
-    cr_source_params = [];
-    cr_sanitizer = false;
-    cr_sanitizes_all = false;
-    cr_sinks = [] }
-
 let is_plain cr =
   cr.cr_source_ret = [] && cr.cr_source_params = []
   && (not cr.cr_sanitizer) && cr.cr_sinks = []

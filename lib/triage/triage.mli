@@ -60,9 +60,6 @@ type call_rules = {
       (** (rule, sensitive argument positions) sink matches *)
 }
 
-(** A call that matches no rule at all. *)
-val no_rules : call_rules
-
 (** One sink call site reached by taint (or by [Unknown] data). Carries
     the containing method's class and name so ground-truth attribution
     works without an SDG builder. *)

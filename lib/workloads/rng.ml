@@ -36,7 +36,4 @@ let bool (t : t) : bool = int t 2 = 0
 (** True with probability [p] (in percent). *)
 let percent (t : t) (p : int) : bool = int t 100 < p
 
-let pick (t : t) (xs : 'a list) : 'a =
-  List.nth xs (int t (List.length xs))
-
 let range (t : t) lo hi = lo + int t (hi - lo + 1)

@@ -18,7 +18,5 @@ val bool : t -> bool
 (** True with probability [p] percent. *)
 val percent : t -> int -> bool
 
-val pick : t -> 'a list -> 'a
-
 (** Uniform in the inclusive range [lo, hi]. *)
 val range : t -> int -> int -> int

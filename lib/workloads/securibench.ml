@@ -998,5 +998,3 @@ let run_case ?(algorithm = Core.Config.Hybrid_unbounded) (c : case) : int =
   match analysis.Core.Taj.result with
   | Core.Taj.Completed r -> Core.Report.issue_count r.Core.Taj.report
   | Core.Taj.Did_not_complete _ -> -1
-
-let find name = List.find_opt (fun c -> String.equal c.sb_name name) cases

@@ -18,5 +18,3 @@ val cases : case list
 (** Analyze one case; returns the number of reported issues (-1 when the
     analysis does not complete). *)
 val run_case : ?algorithm:Core.Config.algorithm -> case -> int
-
-val find : string -> case option

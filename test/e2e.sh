@@ -47,6 +47,14 @@ metric() {
   awk -v name="$2" '$1 == name {print $2}' "$1"
 }
 
+# positive_rate FILE: a `taj top` frame shows a throughput above 0
+positive_rate() {
+  local rate
+  rate=$(grep -oP '\(\K[0-9.]+(?= jobs/s\))' "$1")
+  awk -v r="$rate" 'BEGIN { exit !(r > 0) }' \
+    || fail "top: throughput '$rate' jobs/s, expected above 0"
+}
+
 # a job line with id $1 carrying one inline unit with one XSS flow
 inline_job() {
   printf '{"id":"%s","source":"%s"}\n' "$1" 'class Page extends HttpServlet { public void doGet(HttpServletRequest req, HttpServletResponse resp) { resp.getWriter().println(req.getParameter(\"x\")); } }'
@@ -224,7 +232,7 @@ EOF
   "$BIN" generate Friki --scale 0.02 -o friki
   expect 2 "$BIN" analyze --json --metrics \
     -d friki/web.xml friki/unit_*.mjava > analyze.json
-  expect 5 "$BIN" analyze --json --triage \
+  expect 5 "$BIN" analyze --json -a triage \
     -d friki/web.xml friki/unit_*.mjava > triage.json
   python3 - <<'EOF'
 import json
@@ -313,6 +321,7 @@ EOF
   cat top.txt
   [ "$(grep -c '^latency' top.txt)" -eq 1 ] || fail "top: not one latency line"
   [ "$(grep -c 'hit' top.txt)" -eq 1 ] || fail "top: not one hit/miss figure"
+  positive_rate top.txt
   kill -TERM "$srv"
   wait "$srv" || rc=$?
   SERVERS=()
@@ -455,7 +464,8 @@ scenario_cluster() {
   SERVERS=()
   cat cluster.log
   [ "$rc" -eq 0 ] || fail "cluster exit $rc, expected a clean drain (0)"
-  python3 - <<'EOF'
+  KILLED=$pid python3 - <<'EOF'
+import os, re
 from checks import ndjson, once, trace
 by, health = once(ndjson("responses.ndjson"),
                   [f"j{i}" for i in range(1, 13)] + ["inline-1", "bad-1"],
@@ -469,7 +479,10 @@ assert h["worker_crashes"] >= 1, h
 assert h["worker_respawns"] >= 1, h
 assert h["clean_drain"] is True, h
 crash_log = open("cluster.log").read()
-assert "died:" in crash_log, "missing worker-exit diagnostic"
+exits = re.findall(r"worker \d+ \(pid (\d+)\) exited: (.*) \(\d+ job\(s\) in flight\)",
+                   crash_log)
+assert any(p == os.environ["KILLED"] and why != "drained" for p, why in exits), \
+    f"no crash exit of the killed worker {os.environ['KILLED']}: {exits}"
 assert "respawned (pid" in crash_log, "missing respawn diagnostic"
 print(f"{len(by)} terminal responses; {h['worker_crashes']} crash(es), "
       f"{h['worker_respawns']} respawn(s), {h['jobs_rerouted']} rerouted")
@@ -539,6 +552,7 @@ EOF
   cat top.txt
   [ "$(grep -c '^latency' top.txt)" -eq 1 ] || fail "top: not one latency line"
   grep -q '^latency.*cluster-wide' top.txt || fail "top: latency not cluster-wide"
+  positive_rate top.txt
 
   # force a flight dump from a live, healthy cluster
   kill -USR1 "$srv"
@@ -553,6 +567,7 @@ EOF
   [ "$rc" -eq 0 ] || fail "cluster exit $rc, expected a clean drain (0)"
   test -s taj-flight.json
   python3 - <<'EOF'
+import re
 from checks import ndjson, once, trace
 by, _ = once(ndjson("responses.ndjson"), [f"j{i}" for i in range(1, 7)])
 for a in by.values():
@@ -568,6 +583,16 @@ for e in lines:
     assert e["level"] in {"debug", "info", "warn", "error"}, e
 procs = {e["proc"] for e in lines}
 assert "coordinator" in procs, f"no coordinator lines: {sorted(procs)}"
+# one line per event: a spawn line for each worker spawn top counted,
+# and one terminal line for each job
+spawns = sum(int(n) for n in re.findall(r"^  worker \d+ .* spawns (\d+)",
+                                        open("top.txt").read(), re.M))
+spawned = [e for e in lines if e["event"] == "diag.worker-spawned"]
+assert spawns and len(spawned) == spawns, (spawns, spawned)
+for e in spawned:
+    assert "worker" in e and "pid" in e, e
+terminal = [e["job"] for e in lines if e["event"] == "serve.terminal"]
+assert sorted(terminal) == sorted(by), f"serve.terminal lines: {terminal}"
 print(f"{len(lines)} NDJSON log lines from {sorted(procs)}")
 EOF
 }

@@ -288,6 +288,12 @@ let test_cluster_size_invariant () =
 (* ------------------------------------------------------------------ *)
 
 let test_cluster_sigkill_chaos () =
+  (* the coordinator's events, read back from its log: a sink set here
+     sees only this process's lines (the workers' copies of the sink
+     write into their own memory) *)
+  let lines = ref [] in
+  Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
+  Fun.protect ~finally:(fun () -> Obs.Log.set_sink None) @@ fun () ->
   let c = Serve.Cluster.create ~config:(cluster_config ~size:4 ()) () in
   let responses, respond = collector () in
   (* all of these route to one worker: the one we are about to murder *)
@@ -341,18 +347,21 @@ let test_cluster_sigkill_chaos () =
     (h.Serve.Cluster.ch_crashes >= 1);
   Alcotest.(check bool) "the worker respawned" true
     (h.Serve.Cluster.ch_respawns >= 1);
-  Alcotest.(check bool) "a crash diagnostic was recorded" true
-    (List.exists
-       (function
-         | Core.Diagnostics.Worker_exited _ -> true
-         | _ -> false)
-       (Serve.Cluster.events c));
-  Alcotest.(check bool) "a respawn diagnostic was recorded" true
-    (List.exists
-       (function
-         | Core.Diagnostics.Worker_respawned _ -> true
-         | _ -> false)
-       (Serve.Cluster.events c));
+  let logged event ok =
+    List.exists
+      (fun l ->
+         match Obs.Json.parse l with
+         | Ok j -> Obs.Json.str_member "event" j = Some event && ok j
+         | Error e -> Alcotest.failf "log line %S unparsable: %s" l e)
+      !lines
+  in
+  let killed = string_of_int pids.(victim) in
+  Alcotest.(check bool) "the killed worker's exit was logged" true
+    (logged "diag.worker-exited" (fun j ->
+       Obs.Json.str_member "pid" j = Some killed
+       && Obs.Json.str_member "reason" j <> Some "drained"));
+  Alcotest.(check bool) "a respawn diagnostic was logged" true
+    (logged "diag.worker-respawned" (fun _ -> true));
   (* killed mid-batch yet the drain stays clean: crash recovery answered
      every job, nothing was shed or turned away *)
   Alcotest.(check bool) "clean drain despite the kill" true

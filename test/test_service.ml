@@ -63,6 +63,29 @@ let service_config ?(workers = 2) ?(queue_cap = 256) ?(max_retries = 2)
     workers; queue_cap; max_retries; seed; breaker_threshold;
     breaker_cooldown; mem_soft_limit_mb; sleep }
 
+(* Run [f] with a log sink installed and return its result with the
+   lines it logged, parsed, oldest first. The sink runs under the log's
+   lock, so lines from every worker domain land here in order. *)
+let logged f =
+  let lines = ref [] in
+  Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
+  let r = Fun.protect ~finally:(fun () -> Obs.Log.set_sink None) f in
+  let parse l =
+    match Obs.Json.parse l with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "log line %S unparsable: %s" l e
+  in
+  (r, List.rev_map parse !lines)
+
+(* The logged lines of one event. *)
+let lines_of event lines =
+  List.filter (fun j -> Obs.Json.str_member "event" j = Some event) lines
+
+let field k j =
+  match Obs.Json.str_member k j with
+  | Some v -> v
+  | None -> Alcotest.failf "log line without %S: %s" k (Obs.Json.to_string j)
+
 let status_counts rs =
   List.fold_left
     (fun (c, d, r, f) (resp : Serve.Service.response) ->
@@ -300,10 +323,10 @@ let test_backoff_deterministic () =
     (schedule "job-1")
 
 (* The schedule actually executed by the service: which jobs retried, at
-   which attempts, with which backoff delays (read back from the recorded
-   [Job_retried] diagnostics — the delay no longer blocks a worker, it is
-   carried by the re-queued entry). Must be identical across runs and
-   across worker-pool sizes. *)
+   which attempts, with which backoff delays (read back from the [delay]
+   field of the [diag.job-retried] log lines — the delay no longer blocks
+   a worker, it is carried by the re-queued entry). Must be identical
+   across runs and across worker-pool sizes. *)
 let executed_schedule ~workers ~seed n =
   Fault.reset ();
   let ids = List.init n (fun i -> Printf.sprintf "flaky-%d" i) in
@@ -316,14 +339,18 @@ let executed_schedule ~workers ~seed n =
     Serve.Service.create ~config:(service_config ~workers ~seed ()) ()
   in
   let col = Collector.create () in
-  List.iter
-    (fun id ->
-       Serve.Service.submit t
-         (Serve.Service.request ~source:two_flows id)
-         ~respond:(Collector.respond col))
-    ids;
-  let rs = Collector.await col n in
-  Serve.Service.await_drained t;
+  let rs, lines =
+    logged @@ fun () ->
+    List.iter
+      (fun id ->
+         Serve.Service.submit t
+           (Serve.Service.request ~source:two_flows id)
+           ~respond:(Collector.respond col))
+      ids;
+    let rs = Collector.await col n in
+    Serve.Service.await_drained t;
+    rs
+  in
   Fault.reset ();
   let retried =
     List.map
@@ -334,11 +361,9 @@ let executed_schedule ~workers ~seed n =
     |> List.sort compare
   in
   let delays =
-    List.filter_map
-      (function
-        | Diagnostics.Job_retried { delay; _ } -> Some delay
-        | _ -> None)
-      (Serve.Service.events t)
+    List.map
+      (fun j -> float_of_string (field "delay" j))
+      (lines_of "diag.job-retried" lines)
   in
   (retried, List.sort compare delays)
 
@@ -592,6 +617,79 @@ let test_service_shed_and_queue_full () =
     h.Serve.Service.h_rejected_full;
   Alcotest.(check bool) "an overloaded run is not a clean drain" false
     (Serve.Service.clean_drain h)
+
+(* ------------------------------------------------------------------ *)
+(* Events: one log line each                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A service event leaves the process once, as its [diag.*] instant, and
+   its log line carries the event's fields by name: a transient retry, a
+   shed and a breaker opening each log exactly one line, and no
+   string-named duplicate ([serve.retry], [serve.shed], [serve.breaker])
+   appears beside it. *)
+let test_one_log_line_per_event () =
+  Fault.reset ();
+  Fun.protect ~finally:Fault.reset @@ fun () ->
+  Fault.arm ~action:(Fault.Stall 0.3) (Fault.site_job "blocker") ~after:1;
+  Fault.arm ~action:Fault.Fail_transient (Fault.site_job "flaky") ~after:1;
+  Fault.arm ~action:Fault.Fail (Fault.site_job "crash") ~after:1;
+  let cfg = service_config ~workers:1 ~queue_cap:1 ~breaker_threshold:1 () in
+  let t = Serve.Service.create ~config:cfg () in
+  let col = Collector.create () in
+  let submit ?(priority = 1) ?app id =
+    Serve.Service.submit t
+      (Serve.Service.request ?app ~source:two_flows ~scale:0.02 ~priority id)
+      ~respond:(Collector.respond col)
+  in
+  let (), lines =
+    logged @@ fun () ->
+    (* one worker held by the blocker: a full queue sheds its
+       lower-priority entry for the newcomer *)
+    submit "blocker";
+    let rec wait_started n =
+      if n = 0 then Alcotest.fail "blocker never started"
+      else if (Serve.Service.health t).Serve.Service.h_queue_depth > 0
+      then begin
+        Core.Io.sleepf 0.005;
+        wait_started (n - 1)
+      end
+    in
+    wait_started 1000;
+    submit "low";
+    submit ~priority:5 "vip";
+    ignore (Collector.await col 3);
+    submit "flaky";
+    ignore (Collector.await col 4);
+    (* the app's key, not the inline source's, takes the failure *)
+    submit ~app:"BlueBlog" "crash";
+    ignore (Collector.await col 5);
+    Serve.Service.await_drained t
+  in
+  let one event =
+    match lines_of event lines with
+    | [ j ] -> j
+    | js -> Alcotest.failf "%d %s lines, expected one" (List.length js) event
+  in
+  let retry = one "diag.job-retried" in
+  Alcotest.(check string) "retry: job" "flaky" (field "job" retry);
+  Alcotest.(check string) "retry: attempt" "1" (field "attempt" retry);
+  Alcotest.(check (float 0.0)) "retry: delay, exactly"
+    (Serve.Service.backoff_delay cfg ~id:"flaky" ~attempt:1)
+    (float_of_string (field "delay" retry));
+  Alcotest.(check bool) "retry: reason" true (field "reason" retry <> "");
+  let shed = one "diag.job-shed" in
+  Alcotest.(check string) "shed: job" "low" (field "job" shed);
+  Alcotest.(check string) "shed: priority" "1" (field "priority" shed);
+  let breaker = one "diag.breaker-transition" in
+  Alcotest.(check string) "breaker: key" "BlueBlog" (field "key" breaker);
+  Alcotest.(check string) "breaker: state" "open" (field "state" breaker);
+  List.iter
+    (fun event ->
+       Alcotest.(check int) ("no " ^ event ^ " line") 0
+         (List.length (lines_of event lines)))
+    [ "serve.retry"; "serve.shed"; "serve.breaker" ];
+  Alcotest.(check int) "health counts the three events" 3
+    (Serve.Service.health t).Serve.Service.h_events
 
 (* ------------------------------------------------------------------ *)
 (* Breaker integration: cooldown probe at the service level           *)
@@ -1674,7 +1772,8 @@ let test_closed_client_no_cross_talk () =
   Fault.arm (Fault.site_job "A1") ~after:1 ~action:(Fault.Stall 1.0);
   let path = sock_path "cross" in
   let t = Serve.Service.create ~config:(service_config ~workers:1 ()) () in
-  let (b, ids), _ =
+  let ((b, ids), _), lines =
+    logged @@ fun () ->
     with_socket_server t path @@ fun () ->
     let a = connect path in
     send a [ job "A1" ];
@@ -1696,10 +1795,7 @@ let test_closed_client_no_cross_talk () =
   Unix.close b;
   Alcotest.(check (list string)) "B reads only its own answer" [ "B1" ] ids;
   Alcotest.(check int) "one disconnect, A's" 1
-    (List.length
-       (List.filter
-          (function Diagnostics.Client_disconnected _ -> true | _ -> false)
-          (Serve.Service.events t)))
+    (List.length (lines_of "diag.client-disconnected" lines))
 
 (* A live server on the admin path stops [serve] before it serves
    anything, on either job transport: the error names the admin path,
@@ -1792,6 +1888,8 @@ let suite =
       test_chaos_no_lost_jobs;
     Alcotest.test_case "backpressure: shed and queue_full" `Slow
       test_service_shed_and_queue_full;
+    Alcotest.test_case "events: one log line per event" `Slow
+      test_one_log_line_per_event;
     Alcotest.test_case "breaker: service-level recovery probe" `Slow
       test_service_breaker_recovers;
     Alcotest.test_case "breaker: transient probe failure recovers" `Slow

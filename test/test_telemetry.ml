@@ -607,12 +607,12 @@ let test_export_merge () =
 let test_log_sink_levels_ndjson () =
   let lines = ref [] in
   Obs.Log.set_sink (Some (fun l -> lines := l :: !lines));
-  Obs.Log.set_level Obs.Log.Info;
   Obs.Log.set_context [ ("proc", "test") ];
-  Obs.Log.log ~level:Obs.Log.Debug "below.threshold";
-  Obs.Log.log ~fields:[ ("job", "j1") ] "test.event";
   (* Telemetry.instant routes through the log even with telemetry off:
-     diag.* infers warn, anything unprefixed infers debug (filtered) *)
+     serve.* infers info, diag.* warn, and anything unprefixed debug,
+     which is below the log's minimum level *)
+  Telemetry.instant "below.threshold";
+  Telemetry.instant "serve.test" ~args:[ ("job", "j1") ];
   Telemetry.instant "diag.something" ~args:[ ("kind", "x") ];
   Telemetry.instant "quiet.event";
   let got = List.rev !lines in
@@ -622,7 +622,7 @@ let test_log_sink_levels_ndjson () =
      (match Json.parse first with
       | Error e -> Alcotest.fail ("log line unparsable: " ^ e)
       | Ok j ->
-        Alcotest.(check (option string)) "event name" (Some "test.event")
+        Alcotest.(check (option string)) "event name" (Some "serve.test")
           (Json.str_member "event" j);
         Alcotest.(check (option string)) "level" (Some "info")
           (Json.str_member "level" j);
@@ -656,9 +656,9 @@ let test_log_sink_levels_ndjson () =
      | _ -> false);
   (* disabled fast path: no sink, emits are no-ops *)
   Obs.Log.set_sink None;
-  Alcotest.(check bool) "no sink, not enabled" false (Obs.Log.enabled ());
-  Obs.Log.log "dropped.silently";
-  Alcotest.(check int) "nothing new arrived" 2 (List.length got)
+  Telemetry.instant "serve.dropped";
+  Obs.Log.raw "{}";
+  Alcotest.(check int) "nothing new arrived" 2 (List.length !lines)
 
 (* ------------------------------------------------------------------ *)
 
